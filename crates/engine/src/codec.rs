@@ -410,12 +410,14 @@ fn enc_cache_config(c: &CacheConfig) -> Value {
 }
 
 fn dec_cache_config(v: &Value) -> Result<CacheConfig, DecodeError> {
-    Ok(CacheConfig {
+    let config = CacheConfig {
         size_bytes: get_u64(v, "size_bytes")?,
         assoc: get_u64(v, "assoc")? as usize,
         line_bytes: get_u64(v, "line_bytes")?,
         replacement: dec_replacement(get(v, "replacement")?, "replacement")?,
-    })
+    };
+    config.validate().map_err(DecodeError)?;
+    Ok(config)
 }
 
 fn enc_tlb_config(t: &TlbConfig) -> Value {
@@ -427,11 +429,13 @@ fn enc_tlb_config(t: &TlbConfig) -> Value {
 }
 
 fn dec_tlb_config(v: &Value) -> Result<TlbConfig, DecodeError> {
-    Ok(TlbConfig {
+    let config = TlbConfig {
         entries: get_u64(v, "entries")? as usize,
         assoc: get_u64(v, "assoc")? as usize,
         page_bytes: get_u64(v, "page_bytes")?,
-    })
+    };
+    config.validate().map_err(DecodeError)?;
+    Ok(config)
 }
 
 fn enc_pipeline(p: &PipelineConfig) -> Value {

@@ -11,8 +11,8 @@ use bdb_engine::codec::profile_to_value;
 use bdb_engine::json::Value;
 use bdb_engine::{Engine, EngineConfig};
 use bdb_serve::{
-    apply_delta_batch, Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig,
-    SnapshotEntry,
+    apply_delta_batch, Mutation, ServeClient, ServeError, ServeSpec, ServeState, Server,
+    ServerConfig, SnapshotEntry,
 };
 use bdb_sim::MachineConfig;
 use bdb_workloads::Scale;
@@ -175,6 +175,56 @@ fn loopback_queries_and_snapshots_are_served_from_the_materialized_map() {
         "only the initial materialization simulated"
     );
     assert_eq!(stats.sessions_active, 1);
+    client.bye().expect("bye");
+}
+
+#[test]
+fn unbuildable_cache_geometry_is_a_bad_knob_and_the_session_survives() {
+    let engine = Arc::new(Engine::in_memory());
+    let mut state = ServeState::materialize(engine.clone(), small_spec()).expect("materialize");
+    state
+        .apply(&Mutation::AddConfig {
+            name: "atom-d510".to_owned(),
+            machine: Box::new(MachineConfig::atom_d510()),
+        })
+        .expect("add config");
+    let keys = state.keys();
+    let server = Server::new(state, ServerConfig::named("knob-test"));
+
+    let mut client = session(&server);
+    client.hello("editor").expect("hello");
+    let computed_before = engine.counters().computed;
+    // 16 KiB over the D510 L1D's 6 ways of 64 B lines is 42.67 sets: the
+    // codec must refuse it before any Machine is built from it.
+    let err = client
+        .mutate(Mutation::SetKnob {
+            config: "atom-d510".to_owned(),
+            knob: "l1d.size_bytes".to_owned(),
+            value: Value::UInt(16384),
+        })
+        .expect_err("a non-integral set count cannot be simulated");
+    let ServeError::Remote(message) = &err else {
+        panic!("expected the server's BadKnob reply, got {err:?}");
+    };
+    assert!(
+        message.starts_with("bad knob \"l1d.size_bytes\"")
+            && message.contains("line_bytes * assoc"),
+        "reply was: {message}"
+    );
+
+    for key in &keys {
+        let (_, profile) = client
+            .query(key)
+            .expect("the same session still answers")
+            .expect("served key is present");
+        assert_eq!(profile.spec.id, key.workload);
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats.seq, 1,
+        "the rejected edit did not advance the catalog"
+    );
+    assert_eq!(engine.counters().computed, computed_before);
     client.bye().expect("bye");
 }
 

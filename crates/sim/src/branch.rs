@@ -12,6 +12,7 @@
 
 use bdb_trace::BranchKind;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Saturating 2-bit counter helpers.
 fn bump(counter: &mut u8, up: bool) {
@@ -33,6 +34,8 @@ fn predicts_taken(counter: u8) -> bool {
 pub struct TwoLevelPredictor {
     history: u64,
     history_bits: u32,
+    /// `table_bits - history_bits`: where the history lands in the index.
+    history_shift: u32,
     table: Vec<u8>,
 }
 
@@ -52,17 +55,14 @@ impl TwoLevelPredictor {
         Self {
             history: 0,
             history_bits,
+            history_shift: table_bits - history_bits,
             table: vec![2; 1 << table_bits],
         }
     }
 
     fn index(&self, pc: u64) -> usize {
-        let folded = (pc >> 2) ^ (self.history << (self.table_bits() - self.history_bits));
+        let folded = (pc >> 2) ^ (self.history << self.history_shift);
         (folded as usize) & (self.table.len() - 1)
-    }
-
-    fn table_bits(&self) -> u32 {
-        self.table.len().trailing_zeros()
     }
 
     /// Predicted direction for the branch at `pc`.
@@ -72,9 +72,18 @@ impl TwoLevelPredictor {
 
     /// Trains on the real outcome.
     pub fn update(&mut self, pc: u64, taken: bool) {
+        self.predict_and_update(pc, taken);
+    }
+
+    /// [`predict`](Self::predict) then [`update`](Self::update) with the
+    /// table index computed once; returns the prediction.
+    pub(crate) fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         let i = self.index(pc);
-        bump(&mut self.table[i], taken);
+        let counter = &mut self.table[i];
+        let predicted = predicts_taken(*counter);
+        bump(counter, taken);
         self.history = ((self.history << 1) | u64::from(taken)) & ((1 << self.history_bits) - 1);
+        predicted
     }
 }
 
@@ -211,10 +220,10 @@ impl Btb {
     }
 }
 
-/// Return address stack.
+/// Return address stack: a call past `depth` overwrites the oldest entry.
 #[derive(Debug, Clone)]
 pub struct ReturnStack {
-    stack: Vec<u64>,
+    stack: VecDeque<u64>,
     depth: usize,
 }
 
@@ -222,7 +231,7 @@ impl ReturnStack {
     /// Builds a RAS of `depth` entries.
     pub fn new(depth: usize) -> Self {
         Self {
-            stack: Vec::with_capacity(depth),
+            stack: VecDeque::with_capacity(depth),
             depth,
         }
     }
@@ -230,14 +239,14 @@ impl ReturnStack {
     /// Records a call whose return will land at `return_pc`.
     pub fn push(&mut self, return_pc: u64) {
         if self.stack.len() == self.depth {
-            self.stack.remove(0);
+            self.stack.pop_front();
         }
-        self.stack.push(return_pc);
+        self.stack.push_back(return_pc);
     }
 
     /// Pops the predicted return target; `None` when empty (underflow).
     pub fn pop(&mut self) -> Option<u64> {
-        self.stack.pop()
+        self.stack.pop_back()
     }
 }
 
@@ -359,9 +368,7 @@ impl BranchUnit {
         let mispredicted = match kind {
             BranchKind::Conditional => {
                 self.stats.conditionals += 1;
-                let predicted = self.predict_direction(pc);
-                self.update_direction(pc, taken);
-                let mut wrong = predicted != taken;
+                let mut wrong = self.predict_and_train(pc, taken) != taken;
                 if wrong {
                     self.stats.cond_mispredicts += 1;
                 }
@@ -398,36 +405,27 @@ impl BranchUnit {
         mispredicted
     }
 
-    fn predict_direction(&self, pc: u64) -> bool {
+    /// Predicts a conditional branch's direction and trains every
+    /// predictor on the real outcome in one pass; returns the prediction.
+    fn predict_and_train(&mut self, pc: u64, taken: bool) -> bool {
         match self.scheme {
-            DirectionScheme::TwoLevel => self.two_level.predict(pc),
+            DirectionScheme::TwoLevel => self.two_level.predict_and_update(pc, taken),
             DirectionScheme::Hybrid => {
-                if let Some(dir) = self.loop_pred.predict(pc) {
-                    return dir;
-                }
+                let looped = self.loop_pred.predict(pc);
                 let slot = ((pc >> 2) as usize) & (self.bimodal.len() - 1);
-                if predicts_taken(self.chooser[slot]) {
-                    self.two_level.predict(pc)
+                let two_level = self.two_level.predict_and_update(pc, taken);
+                let bimodal = predicts_taken(self.bimodal[slot]);
+                let chosen = if predicts_taken(self.chooser[slot]) {
+                    two_level
                 } else {
-                    predicts_taken(self.bimodal[slot])
+                    bimodal
+                };
+                if (two_level == taken) != (bimodal == taken) {
+                    bump(&mut self.chooser[slot], two_level == taken);
                 }
-            }
-        }
-    }
-
-    fn update_direction(&mut self, pc: u64, taken: bool) {
-        match self.scheme {
-            DirectionScheme::TwoLevel => self.two_level.update(pc, taken),
-            DirectionScheme::Hybrid => {
-                let slot = ((pc >> 2) as usize) & (self.bimodal.len() - 1);
-                let two_level_right = self.two_level.predict(pc) == taken;
-                let bimodal_right = predicts_taken(self.bimodal[slot]) == taken;
-                if two_level_right != bimodal_right {
-                    bump(&mut self.chooser[slot], two_level_right);
-                }
-                self.two_level.update(pc, taken);
                 bump(&mut self.bimodal[slot], taken);
                 self.loop_pred.update(pc, taken);
+                looped.unwrap_or(chosen)
             }
         }
     }

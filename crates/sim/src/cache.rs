@@ -31,11 +31,8 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Convenience constructor with LRU replacement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid (see [`Cache::new`]).
+    /// Convenience constructor with LRU replacement (see
+    /// [`CacheConfig::validate`] for the geometries a [`Cache`] accepts).
     pub fn lru(size_bytes: u64, assoc: usize, line_bytes: u64) -> Self {
         Self {
             size_bytes,
@@ -48,6 +45,27 @@ impl CacheConfig {
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> usize {
         (self.size_bytes / (self.line_bytes * self.assoc as u64)) as usize
+    }
+
+    /// Checks that the geometry builds a [`Cache`]: a power-of-two line
+    /// size and a capacity that is a positive whole number of sets.
+    pub fn validate(&self) -> Result<(), String> {
+        let set_bytes = self.line_bytes.checked_mul(self.assoc as u64).unwrap_or(0);
+        let fault = if !self.line_bytes.is_power_of_two() {
+            "line size must be a power of two"
+        } else if set_bytes == 0
+            || self.size_bytes == 0
+            || !self.size_bytes.is_multiple_of(set_bytes)
+        {
+            "capacity must be a positive multiple of line_bytes * assoc"
+        } else {
+            return Ok(());
+        };
+        // bdb-lint: allow(hot-loop-allocation): error path only; a buildable geometry returned above
+        Err(format!(
+            "{fault}: {} B in {} ways of {} B lines",
+            self.size_bytes, self.assoc, self.line_bytes
+        ))
     }
 }
 
@@ -73,6 +91,44 @@ impl CacheStats {
     }
 }
 
+/// Marks an empty slot in an order-list set. Never a line or page
+/// number: simulated addresses stay far below 2^63, because the trace
+/// layer allocates code, heap and scratch upward from low base addresses.
+pub(crate) const INVALID: u64 = u64::MAX;
+
+/// Bit 63 of a cache slot: the line is dirty. Free for the same reason
+/// [`INVALID`] is unreachable.
+const DIRTY: u64 = 1 << 63;
+
+/// Touches `key` in one MRU-first order-list set, OR-ing `flags` into
+/// its slot. A hit rotates the slot to the front and returns `None`; a
+/// miss shifts the set down one, inserts `key | flags` at the front and
+/// returns the dropped tail slot (possibly [`INVALID`]).
+///
+/// This is true LRU: invalid slots always form a suffix, so a miss
+/// fills an empty way before it evicts the least-recent line. The probe
+/// shifts slots back as it searches, so a hit at depth `d` costs `d`
+/// moves and no separate rotate; most accesses stop at depth 0 or 1.
+#[inline]
+pub(crate) fn touch_lru(set: &mut [u64], key: u64, flags: u64) -> Option<u64> {
+    debug_assert_eq!(key & DIRTY, 0, "line/page numbers never use bit 63");
+    let mut carry = set[0];
+    if carry & !DIRTY == key {
+        set[0] = carry | flags;
+        return None;
+    }
+    for i in 1..set.len() {
+        let here = std::mem::replace(&mut set[i], carry);
+        if here & !DIRTY == key {
+            set[0] = here | flags;
+            return None;
+        }
+        carry = here;
+    }
+    set[0] = key | flags;
+    Some(carry)
+}
+
 /// One level of set-associative cache.
 ///
 /// # Examples
@@ -93,41 +149,24 @@ pub struct Cache {
     /// mask instead of a modulo), `u64::MAX` otherwise.
     set_mask: u64,
     line_shift: u32,
-    /// `tags[set * assoc + way]`; `u64::MAX` marks an invalid way.
-    tags: Vec<u64>,
-    /// LRU timestamp per way.
-    stamp: Vec<u64>,
-    dirty: Vec<bool>,
-    tick: u64,
+    /// `slots[set * assoc..][..assoc]`: line numbers with the dirty flag
+    /// in bit 63, [`INVALID`] for an empty way. LRU sets are kept
+    /// most-recent-first; Random sets are positional.
+    slots: Vec<u64>,
     rng: u64,
     stats: CacheStats,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Builds a cache.
     ///
     /// # Panics
     ///
-    /// Panics if `line_bytes` is not a power of two, `assoc == 0`, or the
-    /// capacity is not an exact multiple of `line_bytes * assoc`.
+    /// Panics if [`CacheConfig::validate`] rejects the geometry.
     pub fn new(config: CacheConfig) -> Self {
-        assert!(
-            config.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(config.assoc > 0, "associativity must be positive");
-        assert!(
-            config
-                .size_bytes
-                .is_multiple_of(config.line_bytes * config.assoc as u64)
-                && config.size_bytes > 0,
-            "capacity must be a positive multiple of line_bytes * assoc"
-        );
+        let geometry = config.validate();
+        assert!(geometry.is_ok(), "{geometry:?}");
         let sets = config.sets();
-        assert!(sets > 0, "cache must have at least one set");
-        let ways = sets * config.assoc;
         Self {
             config,
             sets,
@@ -137,10 +176,7 @@ impl Cache {
                 u64::MAX
             },
             line_shift: config.line_bytes.trailing_zeros(),
-            tags: vec![INVALID; ways],
-            stamp: vec![0; ways],
-            dirty: vec![false; ways],
-            tick: 0,
+            slots: vec![INVALID; sets * config.assoc],
             rng: 0xA076_1D64_78BD_642F,
             stats: CacheStats::default(),
         }
@@ -164,83 +200,61 @@ impl Cache {
         }
     }
 
-    /// Accesses `addr`; returns `true` on hit. `is_store` marks the line
-    /// dirty so its eventual eviction counts as a writeback.
-    pub fn access(&mut self, addr: u64, is_store: bool) -> bool {
-        self.tick += 1;
-        self.stats.accesses += 1;
+    /// Brings the line containing `addr` in (or refreshes it), OR-ing
+    /// `flags` into its slot; counts a writeback when a dirty line is
+    /// evicted. Returns `true` on hit. Demand counters are untouched.
+    #[inline]
+    fn fill(&mut self, addr: u64, flags: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = self.set_index(line);
-        let tag = line;
-        let base = set * self.config.assoc;
-        let ways = &mut self.tags[base..base + self.config.assoc];
-        if let Some(w) = ways.iter().position(|&t| t == tag) {
-            self.stamp[base + w] = self.tick;
-            if is_store {
-                self.dirty[base + w] = true;
-            }
-            return true;
-        }
-        self.stats.misses += 1;
-        let victim = match self.config.replacement {
-            Replacement::Lru => {
-                let mut best = 0;
-                let mut best_stamp = u64::MAX;
-                for w in 0..self.config.assoc {
-                    if self.tags[base + w] == INVALID {
-                        best = w;
-                        break;
-                    }
-                    if self.stamp[base + w] < best_stamp {
-                        best_stamp = self.stamp[base + w];
-                        best = w;
-                    }
-                }
-                best
-            }
+        let assoc = self.config.assoc;
+        let base = self.set_index(line) * assoc;
+        let set = &mut self.slots[base..base + assoc];
+        let evicted = match self.config.replacement {
+            Replacement::Lru => match touch_lru(set, line, flags) {
+                None => return true,
+                Some(evicted) => evicted,
+            },
             Replacement::Random => {
+                if let Some(slot) = set.iter_mut().find(|s| **s & !DIRTY == line) {
+                    *slot |= flags;
+                    return true;
+                }
                 let mut x = self.rng;
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 self.rng = x;
-                (x as usize) % self.config.assoc
+                std::mem::replace(&mut set[(x as usize) % assoc], line | flags)
             }
         };
-        let slot = base + victim;
-        if self.tags[slot] != INVALID && self.dirty[slot] {
+        if evicted != INVALID && evicted & DIRTY != 0 {
             self.stats.writebacks += 1;
         }
-        self.tags[slot] = tag;
-        self.stamp[slot] = self.tick;
-        self.dirty[slot] = is_store;
         false
+    }
+
+    /// Accesses `addr`; returns `true` on hit. `is_store` marks the line
+    /// dirty so its eventual eviction counts as a writeback.
+    pub fn access(&mut self, addr: u64, is_store: bool) -> bool {
+        self.stats.accesses += 1;
+        let hit = self.fill(addr, u64::from(is_store) << 63);
+        self.stats.misses += u64::from(!hit);
+        hit
     }
 
     /// Equivalent to `count` back-to-back [`Cache::access`] calls with
     /// the same `addr`/`is_store`, returning the first call's hit flag.
     ///
-    /// After the first access the line is resident and most recent, so
-    /// with nothing else touching the cache in between, the remaining
-    /// `count - 1` accesses are hits whose only effects are advancing the
-    /// clock and refreshing the line's own stamp — which this applies in
-    /// bulk. Trace-replay code uses it to collapse same-line runs; every
-    /// counter (and, for [`Replacement::Random`], the RNG, which hits
-    /// never touch) ends up exactly as if the calls had been made one by
-    /// one.
+    /// After the first access the line is resident (most recent, under
+    /// LRU) and already carries the store's dirty flag, so the remaining
+    /// `count - 1` accesses are hits that change nothing but the access
+    /// counter. Trace-replay code uses it to collapse same-line runs;
+    /// every counter (and, for [`Replacement::Random`], the RNG, which
+    /// hits never touch) ends up exactly as if the calls had been made
+    /// one by one.
     pub fn access_run(&mut self, addr: u64, is_store: bool, count: u64) -> bool {
         let hit = self.access(addr, is_store);
-        if count > 1 {
-            let line = addr >> self.line_shift;
-            let set = self.set_index(line);
-            let base = set * self.config.assoc;
-            let ways = &self.tags[base..base + self.config.assoc];
-            if let Some(w) = ways.iter().position(|&t| t == line) {
-                self.tick += count - 1;
-                self.stats.accesses += count - 1;
-                self.stamp[base + w] = self.tick;
-            }
-        }
+        self.stats.accesses += count.saturating_sub(1);
         hit
     }
 
@@ -248,11 +262,7 @@ impl Cache {
     /// counters — the prefetcher's fill path. Dirty victims still count as
     /// writebacks.
     pub fn install(&mut self, addr: u64) {
-        let before = self.stats;
-        self.access(addr, false);
-        let wb = self.stats.writebacks;
-        self.stats = before;
-        self.stats.writebacks = wb;
+        self.fill(addr, 0);
     }
 
     /// Accumulated statistics.

@@ -21,7 +21,7 @@
 //!    models with those streams, once per capacity. Set-associative LRU
 //!    with power-of-two sets — every paper sweep point — goes through
 //!    the compact `ReplayLru` order lists (one 64-byte host cache
-//!    line per 8-way set, provably equal to stamp-LRU); everything else
+//!    line per 8-way set, the same LRU order as [`Cache`]); everything else
 //!    executes the same [`Cache`] code over the same event sequence as
 //!    the full machine. Both are exact: same access and miss counts,
 //!    bit for bit.
@@ -450,19 +450,18 @@ fn lru_fast_path(family: &SweepFamily, kib: u64) -> Option<(usize, usize)> {
 }
 
 /// Replay-only true-LRU set-associative model: per set, `assoc` line
-/// numbers stored most-recent-first in one contiguous slab — no
-/// timestamps, no dirty bits, so an 8-way set is a single 64-byte cache
-/// line and each replayed event touches one line of memory instead of a
-/// tag line plus a stamp line. That halved memory traffic is what makes
-/// the large-capacity sweep points (whose tag arrays dwarf the L2) cheap.
+/// numbers stored most-recent-first in one contiguous slab, so an 8-way
+/// set is a single 64-byte cache line of host memory. It keeps
+/// [`Cache`]'s order-list layout but drops what replay never reads: the
+/// dirty bit, the writeback counter and the replacement-policy dispatch,
+/// which lets the 8-way probe run branch-free over a fixed-size array.
 ///
-/// An order list is exactly stamp-LRU: a hit rotates the line to the
-/// front, a miss shifts the new line in at the front and drops the last
-/// slot — the least-recently-used valid line, or an invalid slot (invalid
-/// slots always form a suffix, and the stamp model likewise fills an
-/// invalid way before evicting). Accesses and misses therefore come out
-/// identical to [`Cache`]; writebacks are not modelled, which is fine for
-/// miss-ratio sweeps — `point_ratios` never reads them.
+/// A hit rotates the line to the front, a miss shifts the new line in at
+/// the front and drops the last slot — the least-recently-used valid
+/// line, or an invalid slot (invalid slots always form a suffix). That is
+/// [`Cache`]'s LRU update, so accesses and misses come out identical;
+/// writebacks are not modelled, which is fine for miss-ratio sweeps —
+/// `point_ratios` never reads them.
 #[derive(Debug)]
 struct ReplayLru {
     /// `tags[set * assoc ..][..assoc]`, most-recent-first; `u64::MAX`
@@ -595,7 +594,8 @@ impl ReplayLru {
 /// a miss's next-line instruction install lands in a different set than
 /// the missing line (consecutive line numbers differ in their low set
 /// bits), so running it after the run's bulk repeats cannot perturb any
-/// within-set recency order — the same argument the stamp path makes.
+/// within-set recency order — the same argument [`cache_replay_point`]
+/// makes.
 fn lru_replay_point(sets: usize, assoc: usize, streams: &SweepStreams) -> (CacheStats, CacheStats) {
     let mut l1i = ReplayLru::new(sets, assoc);
     l1i.replay_ifetch(&streams.ifetch, &streams.irepeat);
@@ -612,9 +612,9 @@ fn cache_replay_point(
     let mut l1i = Cache::new(family.l1_config(kib));
     // On the instruction side a miss injects a next-line install *between*
     // the first access of a run and its repeats. Under LRU that is
-    // irrelevant (the victim is never the just-accessed MRU line, and
-    // reordering only permutes clock values across different lines, never
-    // the recency order within a set), so the bulk path is exact. Under
+    // irrelevant (the victim is never the just-accessed MRU line, and with
+    // two or more sets the next line lives in another set, so no set's
+    // recency order changes), so the bulk path is exact. Under
     // Random replacement the install could evict the run's own line, so
     // runs are replayed access by access, exactly as the machine would.
     let expand_iruns = family.replacement == Replacement::Random;
@@ -1012,8 +1012,8 @@ mod tests {
     }
 
     #[test]
-    fn order_list_replay_matches_stamp_replay() {
-        // The ReplayLru fast path must reproduce the stamp-based Cache
+    fn replay_lru_matches_cache_replay() {
+        // The ReplayLru fast path must reproduce the full Cache
         // replay's exact access and miss counts (writebacks are the one
         // counter it deliberately does not model) at every geometry the
         // sweep can ask for, dense runs included.
@@ -1200,9 +1200,9 @@ mod tests {
     }
 
     /// Replays one op stream through a [`ReplayLru`] (optionally split
-    /// at the given boundaries) and through two oracles: the stamp-LRU
-    /// [`Cache`] using the same bulk calls, and a second stamp cache
-    /// replaying every run access by access (scalar expansion).
+    /// at the given boundaries) and through two oracles: a [`Cache`]
+    /// using the same bulk calls, and a second [`Cache`] replaying every
+    /// run access by access (scalar expansion).
     fn replay_three_ways(
         sets: usize,
         assoc: usize,

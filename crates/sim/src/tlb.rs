@@ -6,6 +6,7 @@
 //! first-level misses, matching how `perf` counts `iTLB-load-misses` /
 //! `dTLB-load-misses`.
 
+use crate::cache::{touch_lru, INVALID};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of a TLB.
@@ -28,6 +29,24 @@ impl TlbConfig {
             page_bytes: 4096,
         }
     }
+
+    /// Checks that the geometry builds a [`Tlb`]: a power-of-two page
+    /// size and a power-of-two number of whole sets.
+    pub fn validate(&self) -> Result<(), String> {
+        let sets = self.entries.checked_div(self.assoc).unwrap_or(0);
+        let fault = if !self.page_bytes.is_power_of_two() {
+            "page size must be a power of two"
+        } else if !sets.is_power_of_two() || sets * self.assoc != self.entries {
+            "TLB set count must be a power of two"
+        } else {
+            return Ok(());
+        };
+        // bdb-lint: allow(hot-loop-allocation): error path only; a buildable geometry returned above
+        Err(format!(
+            "{fault}: {} entries in {} ways of {} B pages",
+            self.entries, self.assoc, self.page_bytes
+        ))
+    }
 }
 
 /// Set-associative LRU TLB.
@@ -45,10 +64,10 @@ impl TlbConfig {
 pub struct Tlb {
     config: TlbConfig,
     page_shift: u32,
-    sets: usize,
+    set_mask: usize,
+    /// `pages[set * assoc..][..assoc]`, most-recent-first; [`INVALID`]
+    /// marks an empty way.
     pages: Vec<u64>,
-    stamp: Vec<u64>,
-    tick: u64,
     accesses: u64,
     misses: u64,
 }
@@ -58,29 +77,15 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `assoc` yielding a
-    /// power-of-two set count, or `page_bytes` is not a power of two.
+    /// Panics if [`TlbConfig::validate`] rejects the geometry.
     pub fn new(config: TlbConfig) -> Self {
-        assert!(
-            config.assoc > 0 && config.entries.is_multiple_of(config.assoc),
-            "entries must divide into ways"
-        );
-        assert!(
-            config.page_bytes.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        let sets = config.entries / config.assoc;
-        assert!(
-            sets > 0 && sets.is_power_of_two(),
-            "TLB set count must be a power of two"
-        );
+        let geometry = config.validate();
+        assert!(geometry.is_ok(), "{geometry:?}");
         Self {
             config,
             page_shift: config.page_bytes.trailing_zeros(),
-            sets,
-            pages: vec![u64::MAX; config.entries],
-            stamp: vec![0; config.entries],
-            tick: 0,
+            set_mask: config.entries / config.assoc - 1,
+            pages: vec![INVALID; config.entries],
             accesses: 0,
             misses: 0,
         }
@@ -93,32 +98,13 @@ impl Tlb {
 
     /// Translates `addr`; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         self.accesses += 1;
         let page = addr >> self.page_shift;
-        let set = (page as usize) & (self.sets - 1);
-        let base = set * self.config.assoc;
-        let ways = &self.pages[base..base + self.config.assoc];
-        if let Some(w) = ways.iter().position(|&p| p == page) {
-            self.stamp[base + w] = self.tick;
-            return true;
-        }
-        self.misses += 1;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.config.assoc {
-            if self.pages[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamp[base + w] < oldest {
-                oldest = self.stamp[base + w];
-                victim = w;
-            }
-        }
-        self.pages[base + victim] = page;
-        self.stamp[base + victim] = self.tick;
-        false
+        let assoc = self.config.assoc;
+        let base = (page as usize & self.set_mask) * assoc;
+        let hit = touch_lru(&mut self.pages[base..base + assoc], page, 0).is_none();
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Page number of `addr` under this TLB's page size.
