@@ -270,9 +270,9 @@ fn measure_and_report() {
         );
     }
 
-    // Intra-workload point parallelism in isolation: a 1-wide worker
-    // pool with each sweep's capacity points fanned across the
-    // BDB_POINT_THREADS width, honesty-checked before timing.
+    // Intra-workload parallelism in isolation: a 1-wide worker pool
+    // with each sweep pipelined BDB_POINT_THREADS wide,
+    // honesty-checked before timing.
     let mut sweep_point_fields = Vec::new();
     for t in [1usize, 4] {
         let engine = Engine::new(
@@ -284,7 +284,7 @@ fn measure_and_report() {
         assert_eq!(
             engine.point_threads(),
             t,
-            "requested a {t}-wide point fan-out but the engine reports otherwise"
+            "requested a {t}-wide sweep pipeline but the engine reports otherwise"
         );
         let (secs, sweeps) = time(|| run_sweeps(&engine, &defs, scaled));
         assert_eq!(

@@ -10,13 +10,16 @@
 //! * a fused sweep whose bits drift from the per-point sweep,
 //! * a fused speedup below 2× (the default-scale bench demands ≥ 5×;
 //!   the smoke bound is looser because tiny inputs amortise less),
-//! * a point-parallel replay (`BDB_POINT_THREADS`) whose width, serial
-//!   threshold, or bits drift from the contract,
+//! * a pipelined sweep (`BDB_POINT_THREADS` of 2 and 4) whose width or
+//!   bits drift from the contract on streams of three or more chunks,
 //! * a scaled batch sweep whose 4-thread run fails the 1.5× floor on a
 //!   runner that actually has 4 hardware threads.
 
-use bdb_engine::{Engine, EngineConfig, SweepMode, POINT_PARALLEL_MIN_WORK};
-use bdb_sim::{sweep_per_point, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
+use bdb_engine::{Engine, EngineConfig, SweepMode};
+use bdb_sim::{
+    sweep_per_point, SweepFamily, SweepResult, SweepStreams, PAPER_SWEEP_KIB,
+    PIPELINE_CHUNK_ENTRIES,
+};
 use bdb_workloads::{Scale, WorkloadDef};
 use std::time::Instant;
 
@@ -133,31 +136,31 @@ fn main() {
         ));
     }
 
-    point_parallel_smoke(&defs, scale, &reference);
+    pipeline_smoke(&defs, scale, &reference);
     thread_scaling_smoke(&defs, scale);
     println!("perf_smoke: OK");
 }
 
-/// The intra-workload point-parallel path: width honesty, the
-/// small-sweep serial threshold, and bit-identity at explicit
-/// `BDB_POINT_THREADS` widths on both sides of that threshold.
-fn point_parallel_smoke(defs: &[WorkloadDef], scale: Scale, reference: &[SweepResult]) {
-    // Honesty: the engine must report the point width it was given, and
-    // the auto width must demote small sweeps to serial while fanning
-    // large ones out (the threshold is events x points).
-    let auto = honest_engine(4, SweepMode::Fused);
-    if auto.point_threads() != 4 {
+/// The pipelined sweep at explicit `BDB_POINT_THREADS` widths on a
+/// 1-wide worker pool: width honesty, and bit-identity with the per-point
+/// reference on a stream long enough to split into three or more chunks,
+/// so helper threads replay while extraction is still running.
+fn pipeline_smoke(defs: &[WorkloadDef], scale: Scale, reference: &[SweepResult]) {
+    let longest = defs
+        .iter()
+        .map(|def| {
+            SweepStreams::record(|sink| {
+                let _ = def.run(sink, scale);
+            })
+            .compressed_entries()
+        })
+        .max()
+        .unwrap_or(0);
+    if longest < 3 * PIPELINE_CHUNK_ENTRIES {
         fail(&format!(
-            "a 4-thread pool must derive a 4-wide auto point fan-out, got {}",
-            auto.point_threads()
+            "the longest sweep has {longest} stream entries, fewer than three \
+             {PIPELINE_CHUNK_ENTRIES}-entry chunks — raise --scale so the pipeline overlaps"
         ));
-    }
-    let points = PAPER_SWEEP_KIB.len();
-    if auto.point_fanout(POINT_PARALLEL_MIN_WORK / points as u64 - 1, points) != 1 {
-        fail("sweeps below the work threshold must replay serially (the tiny-scale inversion)");
-    }
-    if auto.point_fanout(POINT_PARALLEL_MIN_WORK / points as u64 + 1, points) != 4 {
-        fail("sweeps above the work threshold must fan out to the full point width");
     }
     for point_threads in [2usize, 4] {
         let engine = Engine::new(
@@ -176,7 +179,7 @@ fn point_parallel_smoke(defs: &[WorkloadDef], scale: Scale, reference: &[SweepRe
         assert_bit_identical(
             reference,
             &sweeps,
-            &format!("{point_threads}-point-thread fused sweep"),
+            &format!("{point_threads}-wide pipelined sweep"),
         );
     }
 }

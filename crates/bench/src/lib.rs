@@ -19,9 +19,9 @@
 //!   workspace root).
 //! * `BDB_NO_CACHE=1` — disable the disk cache for this run.
 //! * `BDB_THREADS=<n>` — cap the worker pool (default: all cores).
-//! * `BDB_POINT_THREADS=<n>` — fan each capacity sweep's points across
-//!   `n` threads even below the auto work threshold (default: auto —
-//!   width follows the worker pool, small sweeps stay serial).
+//! * `BDB_POINT_THREADS=<n>` — run each capacity sweep's pipeline `n`
+//!   wide: the extracting thread plus `n - 1` replay helpers (default:
+//!   the worker pool's width).
 //! * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache (LRU eviction).
 //! * `BDB_CLUSTER=<addr,addr>` — profile via remote `bdb-clusterd`
 //!   workers instead of the local engine (also `--cluster addr,addr`).
@@ -145,7 +145,7 @@ OPTIONS:
 
 ENVIRONMENT:
     BDB_THREADS          Worker-pool width for the local engine (default: all cores)
-    BDB_POINT_THREADS    Capacity-point fan-out width within one sweep (default: auto)
+    BDB_POINT_THREADS    Pipeline width of one capacity sweep (default: worker-pool width)
     BDB_CACHE_DIR        Profile-cache directory (default: results/cache/)
     BDB_NO_CACHE         Set to disable the disk cache
     BDB_CACHE_MAX_BYTES  Disk-cache size cap in bytes with LRU eviction (default: unbounded)

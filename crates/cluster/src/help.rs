@@ -25,7 +25,7 @@ pub const DAEMON_ENGINE_ENV: &[HelpEntry<'static>] = &[
     ),
     (
         "BDB_POINT_THREADS",
-        "Capacity-point fan-out width within one sweep (default: auto)",
+        "Pipeline width of one capacity sweep (default: worker-pool width)",
     ),
     (
         "BDB_CACHE_DIR",

@@ -69,8 +69,8 @@ pub use task::{resolve_workload, Task, TaskError, TaskResult};
 
 use bdb_node::NodeConfig;
 use bdb_sim::{
-    assemble_sweep, fused_points_parallel, sweep_point_replay, MachineConfig, StreamArena,
-    SweepFamily, SweepResult,
+    assemble_sweep, fused_points_pipelined, sweep_point_replay, MachineConfig, SweepFamily,
+    SweepResult,
 };
 use bdb_trace::{TraceBufferPool, TraceSink};
 use bdb_wcrt::{profile_workload, WorkloadProfile};
@@ -132,15 +132,6 @@ impl CacheFormat {
 /// recomputed-over in place).
 pub const QUARANTINE_DIR: &str = "quarantine";
 
-/// Minimum sweep work — trace events times capacity points — before the
-/// auto point width fans one sweep's replay across threads. Below this,
-/// pool setup and per-point stream sharing cost more than the replay
-/// itself (the old "1 thread beats 4 at tiny scale" inversion), so the
-/// engine replays serially. An explicit `BDB_POINT_THREADS` overrides
-/// the threshold. The value is roughly where the parallel path breaks
-/// even on commodity cores: a few million replayed events.
-pub const POINT_PARALLEL_MIN_WORK: u64 = 8 * 1024 * 1024;
-
 /// How [`Engine::sweep`] computes its points.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SweepMode {
@@ -159,11 +150,9 @@ pub struct EngineConfig {
     /// Worker threads for `profile_all` / `sweep`. `None` uses the
     /// machine's available parallelism; `Some(1)` is fully serial.
     pub threads: Option<usize>,
-    /// Threads one sweep fans its capacity points across (intra-workload
-    /// parallelism). `None` derives a width from the worker pool and
-    /// falls back to serial replay below the
-    /// [`POINT_PARALLEL_MIN_WORK`] threshold; an explicit value always
-    /// wins, threshold included.
+    /// Width of one sweep's pipeline (intra-workload parallelism): the
+    /// extracting thread plus `point_threads - 1` replay helpers. `None`
+    /// follows the worker pool's width.
     pub point_threads: Option<usize>,
     /// Directory for the on-disk profile cache (one JSON file per
     /// profile). `None` disables the disk cache.
@@ -222,9 +211,8 @@ impl EngineConfig {
         self
     }
 
-    /// Fans each sweep's capacity points across `threads` workers,
-    /// bypassing the [`POINT_PARALLEL_MIN_WORK`] threshold (an explicit
-    /// width is an instruction, not a hint).
+    /// Runs each sweep's pipeline `threads` wide (see
+    /// [`Engine::sweep`]).
     #[must_use]
     pub fn point_threads(mut self, threads: usize) -> Self {
         self.point_threads = Some(threads);
@@ -304,10 +292,9 @@ impl EngineConfig {
     ///   `results/cache/` at the workspace root).
     /// * `BDB_NO_CACHE=1` — disable the disk cache for this run.
     /// * `BDB_THREADS=<n>` — cap the worker pool (default: all cores).
-    /// * `BDB_POINT_THREADS=<n>` — fan each sweep's capacity points
-    ///   across `n` threads, even below the auto threshold (default:
-    ///   auto — width follows the worker pool, and small sweeps stay
-    ///   serial; see [`POINT_PARALLEL_MIN_WORK`]).
+    /// * `BDB_POINT_THREADS=<n>` — run each sweep's pipeline `n` wide:
+    ///   the extracting thread plus `n - 1` replay helpers (default: the
+    ///   worker pool's width).
     /// * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache; LRU entries are
     ///   evicted past the cap (default: unbounded).
     /// * `BDB_CACHE_FORMAT=binary` — persist new cache entries and
@@ -440,16 +427,12 @@ pub struct Engine {
     cache_max_bytes: Option<u64>,
     cache_format: CacheFormat,
     sweep_mode: SweepMode,
-    /// Threads one sweep fans its capacity points across (`None` =
-    /// derive from the pool, threshold-gated).
+    /// Width of one sweep's pipeline (`None` = the pool's width).
     point_threads: Option<usize>,
     /// Recycled trace buffers for per-point sweeps (which record once and
     /// replay a full machine per capacity): consecutive sweeps and
     /// concurrent sweep callers reuse recorded-trace chunk allocations.
     buffers: TraceBufferPool,
-    /// Recycled RLE stream buffers for fused sweeps — repeated sweeps
-    /// reuse the extracted-stream vectors instead of reallocating them.
-    streams: StreamArena,
     // bdb-lint: allow(determinism): keyed-lookup-only memo, never iterated.
     memory: Option<Mutex<HashMap<u64, WorkloadProfile>>>,
     journal: Option<Mutex<RunJournal>>,
@@ -507,7 +490,6 @@ impl Engine {
             sweep_mode: config.sweep_mode,
             point_threads: config.point_threads,
             buffers: TraceBufferPool::new(),
-            streams: StreamArena::new(),
             // bdb-lint: allow(determinism): keyed-lookup-only memo.
             memory: (!config.no_memory_cache).then(|| Mutex::new(HashMap::new())),
             journal,
@@ -552,32 +534,10 @@ impl Engine {
         }
     }
 
-    /// Threads one sweep fans its capacity points across when the work
-    /// clears the [`POINT_PARALLEL_MIN_WORK`] threshold: the configured
+    /// Width of one sweep's pipeline: the configured
     /// `BDB_POINT_THREADS` width, or the worker-pool width when unset.
     pub fn point_threads(&self) -> usize {
         self.point_threads.unwrap_or_else(|| self.worker_threads())
-    }
-
-    /// Width one sweep's capacity-point replay actually fans out to, for
-    /// a sweep of `events` trace events replayed at `points` capacities.
-    ///
-    /// Below [`POINT_PARALLEL_MIN_WORK`] (events × points) the auto
-    /// width demotes to serial: forking a pool costs more than replaying
-    /// a small trace, which is how 1 thread used to beat 4 at tiny
-    /// scale. An explicit `BDB_POINT_THREADS` is an instruction, not a
-    /// hint, and skips the threshold.
-    pub fn point_fanout(&self, events: u64, points: usize) -> usize {
-        let width = self.point_threads();
-        if width <= 1 {
-            return 1;
-        }
-        if self.point_threads.is_none()
-            && events.saturating_mul(points as u64) < POINT_PARALLEL_MIN_WORK
-        {
-            return 1;
-        }
-        width
     }
 
     /// Cache-traffic counters so far.
@@ -739,23 +699,24 @@ impl Engine {
         })
     }
 
-    /// Runs a capacity sweep (paper §5.4), fanning the independent
-    /// capacity points across [`Engine::point_fanout`] threads when the
-    /// sweep is big enough to pay for them (serial below
-    /// [`POINT_PARALLEL_MIN_WORK`]; `BDB_POINT_THREADS` overrides).
-    /// Equivalent to [`bdb_sim::sweep`]; the curves are assembled in
-    /// `capacities_kib` order, so output is identical at any thread
+    /// Runs a capacity sweep (paper §5.4) [`Engine::point_threads`]
+    /// wide. Equivalent to [`bdb_sim::sweep`]; the curves are assembled
+    /// in `capacities_kib` order, so output is identical at any thread
     /// count and in either [`SweepMode`].
     ///
     /// Either mode runs the workload generator exactly **once**. In the
-    /// default fused mode its events stream straight into the extracted
-    /// L1 event streams ([`bdb_sim::SweepStreams::record`] — no trace is
-    /// materialized) and each capacity point replays those streams
-    /// ([`bdb_sim::fused_point`]). In per-point mode
+    /// default fused mode the sweep is a pipeline
+    /// ([`bdb_sim::fused_points_pipelined`]): the calling thread extracts
+    /// the L1 event streams straight from the generator — no trace is
+    /// materialized — and hands them off in chunks, which the other
+    /// threads replay at every capacity while extraction goes on. At
+    /// width 1, or when the streams fit in one chunk, it replays inline
+    /// and spawns no thread. In per-point mode
     /// (`BDB_SWEEP_MODE=per-point`) the trace is recorded into a pooled
     /// buffer and a full machine replays it per capacity
-    /// ([`bdb_sim::sweep_point_replay`]) — the reference semantics, one
-    /// whole machine per point, without re-generating.
+    /// ([`bdb_sim::sweep_point_replay`]), the points fanned across the
+    /// same width — the reference semantics, one whole machine per
+    /// point, without re-generating.
     ///
     /// # Panics
     ///
@@ -802,9 +763,9 @@ impl Engine {
         })
     }
 
-    /// [`Engine::sweep`] with an optional cap on the capacity-point
-    /// fan-out width — [`Engine::sweep_all`] passes each job its share
-    /// of the pool so nested parallelism cannot oversubscribe.
+    /// [`Engine::sweep`] with an optional cap on the pipeline width —
+    /// [`Engine::sweep_all`] passes each job its share of the pool so
+    /// nested parallelism cannot oversubscribe.
     fn sweep_with_fanout<F>(
         &self,
         label: &str,
@@ -831,32 +792,26 @@ impl Engine {
                 return result;
             }
         }
-        let cap_width = |fanout: usize| match fanout_cap {
-            Some(cap) => fanout.min(cap.max(1)),
-            None => fanout,
+        let width = match fanout_cap {
+            Some(cap) => self.point_threads().min(cap.max(1)),
+            None => self.point_threads(),
         };
         let points = match self.sweep_mode {
             SweepMode::Fused => {
-                let mut streams = self.streams.checkout();
-                streams.record_into(|sink| workload(sink));
-                let family = SweepFamily::atom();
-                let fanout =
-                    cap_width(self.point_fanout(streams.event_count(), capacities_kib.len()));
-                let points = fused_points_parallel(&family, capacities_kib, &streams, fanout);
-                self.streams.checkin(streams);
-                points
+                fused_points_pipelined(&SweepFamily::atom(), capacities_kib, width, |sink| {
+                    workload(sink)
+                })
             }
             SweepMode::PerPoint => {
                 let mut buffer = self.buffers.checkout();
                 workload(&mut buffer);
-                let fanout = cap_width(self.point_fanout(buffer.len(), capacities_kib.len()));
-                let points = if fanout <= 1 {
+                let points = if width <= 1 {
                     capacities_kib
                         .iter()
                         .map(|&kib| sweep_point_replay(kib, &buffer))
                         .collect()
                 } else {
-                    match rayon::ThreadPoolBuilder::new().num_threads(fanout).build() {
+                    match rayon::ThreadPoolBuilder::new().num_threads(width).build() {
                         Ok(pool) => pool.install(|| {
                             capacities_kib
                                 .par_iter()
@@ -1814,32 +1769,20 @@ mod tests {
     }
 
     #[test]
-    fn point_fanout_demotes_small_sweeps_to_serial() {
-        // Auto width: big sweeps fan out, small ones stay serial — the
-        // fix for the tiny-scale "1 thread beats 4" inversion.
+    fn point_threads_follow_the_pool_unless_pinned() {
+        // The pipeline width: the pool's width by default, an explicit
+        // `point_threads` otherwise, and 1 on a serial engine.
         let engine = Engine::new(EngineConfig::default().threads(4));
         assert_eq!(engine.point_threads(), 4);
-        let points = 10usize;
-        let below = POINT_PARALLEL_MIN_WORK / points as u64 - 1;
-        let above = POINT_PARALLEL_MIN_WORK / points as u64 + 1;
-        assert_eq!(engine.point_fanout(below, points), 1, "below threshold");
-        assert_eq!(engine.point_fanout(above, points), 4, "above threshold");
-        // An explicit width is an instruction: no threshold, any size.
         let pinned = Engine::new(EngineConfig::default().threads(4).point_threads(2));
         assert_eq!(pinned.point_threads(), 2);
-        assert_eq!(pinned.point_fanout(1, 1), 2);
-        // Width 1 (explicit or serial dispatch) never fans out.
-        let serial = Engine::serial();
-        assert_eq!(serial.point_fanout(u64::MAX, points), 1);
+        assert_eq!(Engine::serial().point_threads(), 1);
     }
 
     #[test]
-    fn point_parallel_sweep_is_byte_identical_on_both_threshold_sides() {
+    fn sweep_is_byte_identical_at_every_point_width() {
         let caps = [16u64, 64, 256];
         let reference = bdb_sim::sweep("probe", &caps, sweep_probe_workload);
-        // The tiny probe sits below the work threshold (auto → serial);
-        // explicit point widths force the parallel replay on the same
-        // trace, covering both sides of the threshold.
         for point_threads in [1usize, 2, 4] {
             for mode in [SweepMode::Fused, SweepMode::PerPoint] {
                 let engine = Engine::new(

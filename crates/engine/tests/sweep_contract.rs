@@ -6,7 +6,10 @@
 //! while `assemble_sweep` produces the same bits as the reference path.
 
 use bdb_engine::{Engine, EngineConfig, SweepMode};
-use bdb_sim::{sweep_per_point, sweep_replay, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
+use bdb_sim::{
+    sweep_per_point, sweep_replay, SweepFamily, SweepResult, SweepStreams, PAPER_SWEEP_KIB,
+    PIPELINE_CHUNK_ENTRIES,
+};
 use bdb_trace::TraceBuffer;
 use bdb_workloads::{catalog, CatalogSet, Scale};
 
@@ -67,11 +70,11 @@ fn fused_sweep_matches_per_point_on_full_paper_axis() {
 }
 
 #[test]
-fn point_parallel_sweep_is_byte_identical_across_full_catalog() {
-    // The ISSUE's acceptance contract: sweep bytes stay identical to
-    // serial across `BDB_POINT_THREADS` ∈ {1, 2, 4} for all 77
-    // workloads. Widths are pinned via the builder (the same code path
-    // the env knob feeds) so the test never mutates the process env.
+fn pipelined_sweep_is_byte_identical_across_full_catalog() {
+    // Sweep bytes stay identical to serial across pipeline widths
+    // (`BDB_POINT_THREADS` ∈ {1, 2, 4}) for all 77 workloads. Widths are
+    // pinned via the builder (the same code path the env knob feeds) so
+    // the test never mutates the process env.
     let workloads = CatalogSet::Full.workloads();
     assert_eq!(workloads.len(), 77);
     let scale = Scale::tiny();
@@ -94,6 +97,44 @@ fn point_parallel_sweep_is_byte_identical_across_full_catalog() {
                 &reference,
                 &format!("{} @ {threads} point threads", def.spec.id),
             );
+        }
+    }
+}
+
+#[test]
+fn pipelined_sweep_is_byte_identical_on_multi_chunk_streams() {
+    // Workloads whose streams split into three or more pipeline chunks,
+    // so helper threads replay while the generator is still extracting:
+    // every width must reproduce the per-point reference.
+    let scale = Scale::tiny();
+    let caps = [16u64, 128, 2048];
+    let family = SweepFamily::atom();
+    let engines: Vec<Engine> = [1usize, 2, 4]
+        .iter()
+        .map(|&t| Engine::new(EngineConfig::default().threads(2).point_threads(t)))
+        .collect();
+    let defs = CatalogSet::Full.workloads();
+    for id in ["H-WordCount", "H-NaiveBayes", "H-Index"] {
+        let def = defs
+            .iter()
+            .find(|def| def.spec.id == id)
+            .expect("catalog workload");
+        let entries = SweepStreams::record(|sink| {
+            let _ = def.run(sink, scale);
+        })
+        .compressed_entries();
+        assert!(
+            entries >= 3 * PIPELINE_CHUNK_ENTRIES,
+            "{id}: {entries} stream entries make fewer than three chunks"
+        );
+        let reference = sweep_per_point(&family, id, &caps, |sink| {
+            let _ = def.run(sink, scale);
+        });
+        for (engine, width) in engines.iter().zip([1usize, 2, 4]) {
+            let result = engine.sweep(id, &caps, |sink| {
+                let _ = def.run(sink, scale);
+            });
+            assert_bit_identical(&result, &reference, &format!("{id} @ width {width}"));
         }
     }
 }

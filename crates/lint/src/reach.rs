@@ -155,7 +155,7 @@ const HOT_LOOP: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "sim",
-            suffix: &["fused_points_parallel"],
+            suffix: &["PointReplay", "feed"],
         },
         RootSpec {
             krate: "sim",

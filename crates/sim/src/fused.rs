@@ -42,30 +42,32 @@
 //!
 //! Replay is built to run at hardware limits:
 //!
-//! * **Intra-workload parallelism** ([`fused_points_parallel`]): once
-//!   the streams are extracted, capacity points are independent
-//!   read-only replays, so one workload's sweep fans out across cores
-//!   with deterministic index-ordered assembly — byte-identical to
-//!   serial at any width.
+//! * **Pipelined sweep** ([`fused_points_pipelined`]): the extractor runs
+//!   on the calling thread and hands off fixed-size chunks of finished
+//!   RLE entries ([`PIPELINE_CHUNK_ENTRIES`]); the other `width - 1`
+//!   threads advance every capacity point's replay state over each chunk
+//!   as it arrives, while the chunk is still resident in the host's
+//!   caches, and the calling thread joins in on the remaining chunks once
+//!   extraction ends. Each point's state (`PointReplay`) sees the chunks
+//!   in stream order, and the chunks concatenate to exactly the streams
+//!   [`SweepStreams::record`] produces, so the curves are byte-identical
+//!   to [`fused_points`] at any width. At width 1, or when extraction
+//!   yields a single chunk, the sweep replays inline and spawns no thread.
 //! * **Batched probes**: `ReplayLru` probes whole runs of RLE entries
 //!   per call, and the 8-way order-list line is matched with a
 //!   branch-free bitwise way mask; the Olken/Fenwick stack engine
 //!   advances a warm touch with two merged tree traversals
 //!   ([`Fenwick::range`] / [`Fenwick::move_mark`]) instead of four.
-//! * **Arena-backed extraction** ([`StreamArena`]): long-lived callers
-//!   recycle stream vectors across sweeps, so extraction stops paying
-//!   the allocator once warm.
 
 use crate::cache::{Cache, CacheConfig, CacheStats, Replacement};
 use crate::machine::MachineConfig;
 use crate::sweep::point_ratios;
 use bdb_trace::{MicroOp, TraceBuffer, TraceEvent, TraceSink};
-use rayon::prelude::*;
 // Keyed-lookup only (entry by line address, never iterated), so hash
 // order cannot affect any count.
 // bdb-lint: allow(determinism): keyed-lookup-only map, never iterated.
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Data-side event kinds within [`SweepStreams`].
 const D_LOAD: u8 = 0;
@@ -187,29 +189,54 @@ impl SweepStreams {
         extractor.streams
     }
 
-    /// [`SweepStreams::record`] into `self`, reusing whatever capacity
-    /// the five stream vectors already hold — the [`StreamArena`] path,
-    /// so repeated sweeps stop paying the allocator for stream growth.
-    pub fn record_into(&mut self, workload: impl FnOnce(&mut dyn TraceSink)) {
-        self.clear();
-        let mut extractor = SweepExtractor {
-            streams: std::mem::take(self),
-            last_fetch_line: u64::MAX,
-            prefetch: StreamDetector::new(),
-        };
-        workload(&mut extractor);
-        *self = extractor.streams;
+    /// Empty streams with room for `entries` RLE entries per side.
+    fn with_capacity(entries: usize) -> Self {
+        SweepStreams {
+            ifetch: Vec::with_capacity(entries),
+            irepeat: Vec::with_capacity(entries),
+            daddr: Vec::with_capacity(entries),
+            dkind: Vec::with_capacity(entries),
+            drepeat: Vec::with_capacity(entries),
+            ievents: 0,
+            devents: 0,
+        }
     }
 
-    /// Empties the streams without releasing their buffers.
-    pub fn clear(&mut self) {
-        self.ifetch.clear();
-        self.irepeat.clear();
-        self.daddr.clear();
-        self.dkind.clear();
-        self.drepeat.clear();
-        self.ievents = 0;
-        self.devents = 0;
+    /// Entries no later event can extend: all but the last of each side
+    /// (the last may still grow by a repeat).
+    fn finished_entries(&self) -> usize {
+        self.ifetch.len().saturating_sub(1) + self.daddr.len().saturating_sub(1)
+    }
+
+    /// Splits off the finished entries as one chunk, leaving the last
+    /// entry of each side behind in `self` (whose buffers are replaced by
+    /// fresh ones with room for `entries` per side).
+    fn split_finished(&mut self, entries: usize) -> SweepStreams {
+        let mut tail = SweepStreams::with_capacity(entries);
+        if let (Some(pc), Some(n)) = (self.ifetch.pop(), self.irepeat.pop()) {
+            self.ievents -= u64::from(n);
+            tail.ifetch.push(pc);
+            tail.irepeat.push(n);
+            tail.ievents = u64::from(n);
+        }
+        if let (Some(addr), Some(kind), Some(n)) =
+            (self.daddr.pop(), self.dkind.pop(), self.drepeat.pop())
+        {
+            self.devents -= u64::from(n);
+            tail.daddr.push(addr);
+            tail.dkind.push(kind);
+            tail.drepeat.push(n);
+            tail.devents = u64::from(n);
+        }
+        let mut chunk = std::mem::replace(self, tail);
+        // Hand the unused room on each side back to the allocator: a
+        // chunk lives until the slowest lane has replayed it.
+        chunk.ifetch.shrink_to_fit();
+        chunk.irepeat.shrink_to_fit();
+        chunk.daddr.shrink_to_fit();
+        chunk.dkind.shrink_to_fit();
+        chunk.drepeat.shrink_to_fit();
+        chunk
     }
 
     /// Number of L1I fetch events (before run-length compression).
@@ -223,9 +250,7 @@ impl SweepStreams {
         self.devents as usize
     }
 
-    /// Total L1 events (both sides, before run-length compression) —
-    /// the `trace events` factor in the engine's point-parallel work
-    /// threshold.
+    /// Total L1 events (both sides, before run-length compression).
     pub fn event_count(&self) -> u64 {
         self.ievents + self.devents
     }
@@ -269,47 +294,6 @@ impl SweepStreams {
         self.daddr.push(addr);
         self.dkind.push(kind);
         self.drepeat.push(1);
-    }
-}
-
-/// Reusable pool of [`SweepStreams`] buffers: checked-in streams keep
-/// their five vectors' capacity, so a long-lived caller (the engine,
-/// the daemons) extracts thousands of sweeps into the same handful of
-/// allocations instead of growing fresh vectors from zero every time.
-/// bdb-lint's hot-loop-allocation rule is the enforcement backstop: the
-/// extraction path itself must stay allocation-free.
-///
-/// Concurrent checkouts each get their own streams (the pool refills on
-/// first use per concurrent caller); check-in order does not matter.
-#[derive(Debug, Default)]
-pub struct StreamArena {
-    pool: Mutex<Vec<SweepStreams>>,
-}
-
-impl StreamArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        StreamArena::default()
-    }
-
-    /// Takes a cleared streams buffer out of the arena (an empty one if
-    /// the pool is dry — or poisoned, which only an unwinding recorder
-    /// can cause; the replacement buffer keeps the arena functional).
-    pub fn checkout(&self) -> SweepStreams {
-        self.pool
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default()
-    }
-
-    /// Returns a streams buffer to the arena for reuse (contents are
-    /// cleared, capacity is kept).
-    pub fn checkin(&self, mut streams: SweepStreams) {
-        streams.clear();
-        if let Ok(mut pool) = self.pool.lock() {
-            pool.push(streams);
-        }
     }
 }
 
@@ -417,6 +401,63 @@ impl TraceSink for SweepExtractor {
     }
 }
 
+/// The pipeline's producer: a [`SweepExtractor`] that hands off its
+/// finished entries to `emit` in chunks of at least `chunk_entries` as
+/// extraction goes. In order, the emitted chunks followed by
+/// [`ChunkedExtractor::finish`]'s remainder concatenate to exactly the
+/// streams [`SweepStreams::record`] produces.
+struct ChunkedExtractor<F: FnMut(SweepStreams)> {
+    extractor: SweepExtractor,
+    chunk_entries: usize,
+    emit: F,
+}
+
+impl<F: FnMut(SweepStreams)> ChunkedExtractor<F> {
+    fn new(chunk_entries: usize, emit: F) -> Self {
+        let chunk_entries = chunk_entries.max(1);
+        let mut extractor = SweepExtractor::new();
+        extractor.streams = SweepStreams::with_capacity(chunk_entries + CHUNK_SLACK);
+        ChunkedExtractor {
+            extractor,
+            chunk_entries,
+            emit,
+        }
+    }
+
+    fn step(&mut self, pc: u64, op: MicroOp) {
+        self.extractor.step(pc, op);
+        if self.extractor.streams.finished_entries() >= self.chunk_entries {
+            let chunk = self
+                .extractor
+                .streams
+                .split_finished(self.chunk_entries + CHUNK_SLACK);
+            (self.emit)(chunk);
+        }
+    }
+
+    /// The last chunk: whatever extraction left unsent.
+    fn finish(self) -> SweepStreams {
+        self.extractor.streams
+    }
+}
+
+/// Entries one event can add past the chunk threshold (an instruction
+/// fetch, three prefetch installs and the demand access) plus the two
+/// unfinished entries a chunk leaves behind.
+const CHUNK_SLACK: usize = 7;
+
+impl<F: FnMut(SweepStreams)> TraceSink for ChunkedExtractor<F> {
+    fn exec(&mut self, pc: u64, op: MicroOp) {
+        self.step(pc, op);
+    }
+
+    fn exec_batch(&mut self, batch: &[TraceEvent]) {
+        for event in batch {
+            self.step(event.pc, event.op);
+        }
+    }
+}
+
 /// One fused sweep point: replays the extracted streams against bare L1
 /// models at `kib` and returns `(instruction, data, unified)` miss ratios
 /// — bit-identical to `sweep_point` on the same recorded workload.
@@ -427,26 +468,148 @@ impl TraceSink for SweepExtractor {
 /// [`Cache`] code over the same event sequence as the full machine; both
 /// produce the machine's exact access and miss counts.
 pub fn fused_point(family: &SweepFamily, kib: u64, streams: &SweepStreams) -> (f64, f64, f64) {
-    let (l1i, l1d) = if let Some((sets, assoc)) = lru_fast_path(family, kib) {
-        lru_replay_point(sets, assoc, streams)
-    } else {
-        cache_replay_point(family, kib, streams)
-    };
-    point_ratios(l1i, l1d)
+    let mut point = PointReplay::new(family, kib);
+    point.feed(streams);
+    point.finish()
 }
 
 /// Geometry for the [`ReplayLru`] fast path, when it is exact: true-LRU
-/// set-associative with at least two power-of-two sets (so masked
-/// indexing applies and the next-line instruction install always lands
-/// in a different set than the line that missed — the property that
-/// makes the bulk run replay order-exact).
+/// set-associative with a power-of-two set count, so masked indexing
+/// applies.
 fn lru_fast_path(family: &SweepFamily, kib: u64) -> Option<(usize, usize)> {
     let assoc = family.l1_assoc?;
     if family.replacement != Replacement::Lru {
         return None;
     }
     let sets = family.l1_config(kib).sets();
-    (sets >= 2 && sets.is_power_of_two()).then_some((sets, assoc))
+    sets.is_power_of_two().then_some((sets, assoc))
+}
+
+/// One L1 of one sweep point, advanced chunk by chunk over the RLE
+/// streams: the `ReplayLru` order lists where [`lru_fast_path`] applies,
+/// the machine's own [`Cache`] code everywhere else.
+#[derive(Debug)]
+enum L1Replay {
+    Lru(ReplayLru),
+    Full {
+        cache: Cache,
+        /// Replay instruction runs access by access. On the instruction
+        /// side a miss injects a next-line install *between* the first
+        /// access of a run and its repeats. With two or more sets under
+        /// LRU that is irrelevant — the victim is never the just-accessed
+        /// MRU line, and the next line lives in another set, so no set's
+        /// recency order changes — and the bulk path is exact. With one
+        /// set the install lands ahead of the run's line, and under
+        /// Random replacement it could evict it, so there runs are
+        /// replayed exactly as the machine would.
+        expand_iruns: bool,
+    },
+}
+
+impl L1Replay {
+    fn new(family: &SweepFamily, kib: u64) -> Self {
+        match lru_fast_path(family, kib) {
+            Some((sets, assoc)) => L1Replay::Lru(ReplayLru::new(sets, assoc)),
+            None => L1Replay::full(family.l1_config(kib)),
+        }
+    }
+
+    fn full(config: CacheConfig) -> Self {
+        L1Replay::Full {
+            expand_iruns: config.replacement == Replacement::Random || config.sets() < 2,
+            cache: Cache::new(config),
+        }
+    }
+
+    fn feed_ifetch(&mut self, pcs: &[u64], repeats: &[u32]) {
+        match self {
+            L1Replay::Lru(lru) => lru.replay_ifetch(pcs, repeats),
+            L1Replay::Full {
+                cache,
+                expand_iruns,
+            } => {
+                for (&pc, &n) in pcs.iter().zip(repeats) {
+                    if *expand_iruns {
+                        for _ in 0..n {
+                            if !cache.access(pc, false) {
+                                // Machine::fetch's next-line instruction prefetch.
+                                cache.install(pc + 64);
+                            }
+                        }
+                    } else if !cache.access_run(pc, false, u64::from(n)) {
+                        cache.install(pc + 64);
+                    }
+                }
+            }
+        }
+    }
+
+    fn feed_data(&mut self, addrs: &[u64], kinds: &[u8], repeats: &[u32]) {
+        match self {
+            L1Replay::Lru(lru) => lru.replay_data(addrs, kinds, repeats),
+            // Data-side runs carry no interleaved events at all (an
+            // install in between would have ended the run at
+            // extraction), so the bulk path is exact for every
+            // replacement policy.
+            L1Replay::Full { cache, .. } => {
+                for ((&addr, &kind), &n) in addrs.iter().zip(kinds).zip(repeats) {
+                    match kind {
+                        D_INSTALL => cache.install(addr),
+                        D_STORE => {
+                            cache.access_run(addr, true, u64::from(n));
+                        }
+                        _ => {
+                            cache.access_run(addr, false, u64::from(n));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
+        match self {
+            L1Replay::Lru(lru) => lru.stats(),
+            L1Replay::Full { cache, .. } => cache.stats(),
+        }
+    }
+}
+
+/// One capacity point's replay state: feed it the streams' chunks in
+/// order, then read the point off. Feeding the whole streams as one chunk
+/// is [`fused_point`]; feeding the pipeline's chunks as they arrive gives
+/// the same counts, because both L1 models are plain state machines over
+/// the concatenated entry sequence.
+#[derive(Debug)]
+struct PointReplay {
+    l1i: L1Replay,
+    l1d: L1Replay,
+}
+
+impl PointReplay {
+    fn new(family: &SweepFamily, kib: u64) -> Self {
+        PointReplay {
+            l1i: L1Replay::new(family, kib),
+            l1d: L1Replay::new(family, kib),
+        }
+    }
+
+    /// Advances both L1s over the next chunk of the streams.
+    fn feed(&mut self, chunk: &SweepStreams) {
+        self.l1i.feed_ifetch(&chunk.ifetch, &chunk.irepeat);
+        self.l1d
+            .feed_data(&chunk.daddr, &chunk.dkind, &chunk.drepeat);
+    }
+
+    fn stats(&self) -> (CacheStats, CacheStats) {
+        (self.l1i.stats(), self.l1d.stats())
+    }
+
+    /// `(instruction, data, unified)` miss ratios over everything fed.
+    fn finish(&self) -> (f64, f64, f64) {
+        let (l1i, l1d) = self.stats();
+        point_ratios(l1i, l1d)
+    }
 }
 
 /// Replay-only true-LRU set-associative model: per set, `assoc` line
@@ -558,9 +721,23 @@ impl ReplayLru {
     fn replay_ifetch(&mut self, pcs: &[u64], repeats: &[u32]) {
         for (&pc, &n) in pcs.iter().zip(repeats) {
             let line = pc >> 6;
-            if !self.access_run(line, u64::from(n)) {
+            self.accesses += u64::from(n);
+            // Machine order within a run: the first access, the
+            // next-line install if it missed, then the repeats.
+            let mut left = n;
+            while !self.touch(line) {
+                self.misses += 1;
                 // Machine::fetch's next-line instruction prefetch.
                 self.touch(line + 1);
+                left -= 1;
+                // With two or more sets the install lands in another set,
+                // so the run's line stays most recent in its own and
+                // every repeat hits. In a single set the install went in
+                // ahead of it: the next repeat re-touches the line, and
+                // misses again only when the set has a single way.
+                if left == 0 || self.set_mask != 0 {
+                    break;
+                }
             }
         }
     }
@@ -589,70 +766,6 @@ impl ReplayLru {
     }
 }
 
-/// [`cache_replay_point`] through [`ReplayLru`] order lists. The event
-/// sequence and its interleaving are identical; with at least two sets,
-/// a miss's next-line instruction install lands in a different set than
-/// the missing line (consecutive line numbers differ in their low set
-/// bits), so running it after the run's bulk repeats cannot perturb any
-/// within-set recency order — the same argument [`cache_replay_point`]
-/// makes.
-fn lru_replay_point(sets: usize, assoc: usize, streams: &SweepStreams) -> (CacheStats, CacheStats) {
-    let mut l1i = ReplayLru::new(sets, assoc);
-    l1i.replay_ifetch(&streams.ifetch, &streams.irepeat);
-    let mut l1d = ReplayLru::new(sets, assoc);
-    l1d.replay_data(&streams.daddr, &streams.dkind, &streams.drepeat);
-    (l1i.stats(), l1d.stats())
-}
-
-fn cache_replay_point(
-    family: &SweepFamily,
-    kib: u64,
-    streams: &SweepStreams,
-) -> (CacheStats, CacheStats) {
-    let mut l1i = Cache::new(family.l1_config(kib));
-    // On the instruction side a miss injects a next-line install *between*
-    // the first access of a run and its repeats. Under LRU that is
-    // irrelevant (the victim is never the just-accessed MRU line, and with
-    // two or more sets the next line lives in another set, so no set's
-    // recency order changes), so the bulk path is exact. Under
-    // Random replacement the install could evict the run's own line, so
-    // runs are replayed access by access, exactly as the machine would.
-    let expand_iruns = family.replacement == Replacement::Random;
-    for (&pc, &n) in streams.ifetch.iter().zip(&streams.irepeat) {
-        if expand_iruns {
-            for _ in 0..n {
-                if !l1i.access(pc, false) {
-                    // Machine::fetch's next-line instruction prefetch.
-                    l1i.install(pc + 64);
-                }
-            }
-        } else if !l1i.access_run(pc, false, u64::from(n)) {
-            l1i.install(pc + 64);
-        }
-    }
-    let mut l1d = Cache::new(family.l1_config(kib));
-    // Data-side runs carry no interleaved events at all (an install in
-    // between would have ended the run at extraction), so the bulk path
-    // is exact for every replacement policy.
-    for ((&addr, &kind), &n) in streams
-        .daddr
-        .iter()
-        .zip(&streams.dkind)
-        .zip(&streams.drepeat)
-    {
-        match kind {
-            D_INSTALL => l1d.install(addr),
-            D_STORE => {
-                l1d.access_run(addr, true, u64::from(n));
-            }
-            _ => {
-                l1d.access_run(addr, false, u64::from(n));
-            }
-        }
-    }
-    (l1i.stats(), l1d.stats())
-}
-
 /// All sweep points for `capacities_kib`, routed per
 /// [`SweepFamily::single_pass_sound`]: single-pass stack distance where
 /// inclusion holds, exact per-capacity replay otherwise.
@@ -676,35 +789,224 @@ pub fn fused_points(
         .collect()
 }
 
-/// [`fused_points`] with the per-capacity replays fanned out across
-/// `threads` workers — *intra-workload* parallelism: once the streams
-/// are extracted, every capacity point is an independent read-only
-/// replay, so they fan out freely and the results are assembled in
-/// `capacities_kib` index order. Output is byte-identical to the serial
-/// [`fused_points`] at any width.
+/// Finished RLE entries (both sides together) per pipeline chunk: about
+/// 1.6 MB of stream data, small enough to stay in the host's caches while
+/// every capacity point replays it.
+pub const PIPELINE_CHUNK_ENTRIES: usize = 64 * 1024;
+
+/// Runs `workload` once and returns the sweep points for
+/// `capacities_kib` — the engine's fused sweep as a pipeline `width`
+/// threads wide. Extraction runs on the calling thread; from the first
+/// full chunk on, `width - 1` helper threads replay the chunks as they
+/// arrive, and the calling thread joins them once extraction ends. The
+/// points are assembled in `capacities_kib` order and are byte-identical
+/// to [`fused_points`] over [`SweepStreams::record`] at any width.
 ///
-/// A single-pass-sound family stays serial regardless of `threads`: its
-/// data side already computes every capacity in one stack-distance
-/// traversal, so there are no independent per-capacity replays to fan
-/// out (splitting them would *add* work).
-pub fn fused_points_parallel(
+/// At width 1, or when extraction yields a single chunk, the sweep
+/// replays on the calling thread and spawns no thread. A
+/// single-pass-sound family records the whole streams and runs the
+/// stack-distance engine, which needs every entry before it can classify
+/// any capacity.
+pub fn fused_points_pipelined(
     family: &SweepFamily,
     capacities_kib: &[u64],
-    streams: &SweepStreams,
-    threads: usize,
+    width: usize,
+    workload: impl FnOnce(&mut dyn TraceSink),
 ) -> Vec<(f64, f64, f64)> {
-    if threads <= 1 || capacities_kib.len() <= 1 || family.single_pass_sound() {
-        return fused_points(family, capacities_kib, streams);
+    pipelined_points(
+        family,
+        capacities_kib,
+        width,
+        PIPELINE_CHUNK_ENTRIES,
+        workload,
+    )
+    .0
+}
+
+/// [`fused_points_pipelined`] at an explicit chunk size; also returns how
+/// many helper threads it spawned.
+pub(crate) fn pipelined_points(
+    family: &SweepFamily,
+    capacities_kib: &[u64],
+    width: usize,
+    chunk_entries: usize,
+    workload: impl FnOnce(&mut dyn TraceSink),
+) -> (Vec<(f64, f64, f64)>, usize) {
+    if family.single_pass_sound() {
+        let streams = SweepStreams::record(workload);
+        return (fused_points(family, capacities_kib, &streams), 0);
     }
-    match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-        Ok(pool) => pool.install(|| {
-            capacities_kib
-                .par_iter()
-                .map(|&kib| fused_point(family, kib, streams))
-                .collect()
-        }),
-        // Degradation is safe: serial replay produces the same bytes.
-        Err(_) => fused_points(family, capacities_kib, streams),
+    let lanes: Vec<Mutex<Lane>> = capacities_kib
+        .iter()
+        .map(|&kib| {
+            Mutex::new(Lane {
+                point: PointReplay::new(family, kib),
+                fed: 0,
+            })
+        })
+        .collect();
+    let feed = Feed::new(lanes.len());
+    let mut helpers = 0;
+    std::thread::scope(|scope| {
+        // Closes the feed on every exit, unwinding included, so helpers
+        // waiting for chunks never outlive a panicking workload.
+        let _close = CloseOnDrop(&feed);
+        let (lanes, feed) = (&lanes, &feed);
+        let mut extractor = ChunkedExtractor::new(chunk_entries, |chunk| {
+            if helpers == 0 && width > 1 {
+                helpers = width - 1;
+                for h in 1..width {
+                    scope.spawn(move || drain(lanes, feed, h * lanes.len() / width));
+                }
+            }
+            feed.publish(chunk);
+        });
+        workload(&mut extractor);
+        let last = extractor.finish();
+        feed.publish(last);
+        feed.close();
+        drain(lanes, feed, 0);
+    });
+    let points = lanes
+        .into_iter()
+        .map(|lane| {
+            lane.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .point
+                .finish()
+        })
+        .collect();
+    (points, helpers)
+}
+
+/// One capacity point in the pipeline, with the number of chunks it has
+/// replayed so far.
+#[derive(Debug)]
+struct Lane {
+    point: PointReplay,
+    fed: usize,
+}
+
+/// The chunks extraction has published so far, in stream order. A chunk
+/// is dropped as soon as every lane has replayed it, so memory holds only
+/// the stretch of stream between the slowest lane and the extractor.
+#[derive(Debug)]
+struct Feed {
+    lanes: usize,
+    state: Mutex<FeedState>,
+    published: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct FeedState {
+    chunks: Vec<Slot>,
+    closed: bool,
+}
+
+/// A published chunk and the number of lanes still to replay it.
+#[derive(Debug)]
+struct Slot {
+    chunk: Option<Arc<SweepStreams>>,
+    pending: usize,
+}
+
+impl Feed {
+    fn new(lanes: usize) -> Self {
+        Feed {
+            lanes,
+            state: Mutex::default(),
+            published: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, FeedState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn publish(&self, chunk: SweepStreams) {
+        self.lock().chunks.push(Slot {
+            chunk: Some(Arc::new(chunk)),
+            pending: self.lanes,
+        });
+        self.published.notify_all();
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.published.notify_all();
+    }
+
+    /// The number of chunks published, and whether that is all of them —
+    /// first blocking, when `wait` is set, until more than `seen` are
+    /// published or the feed is closed.
+    fn status(&self, seen: usize, wait: bool) -> (usize, bool) {
+        let mut state = self.lock();
+        while wait && state.chunks.len() == seen && !state.closed {
+            state = self
+                .published
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        (state.chunks.len(), state.closed)
+    }
+
+    /// Chunk `k`, once published; the calling lane has not replayed it
+    /// yet, so it has not been dropped.
+    fn chunk(&self, k: usize) -> Option<Arc<SweepStreams>> {
+        self.lock().chunks.get(k)?.chunk.clone()
+    }
+
+    /// Notes that one more lane has replayed chunk `k`.
+    fn replayed(&self, k: usize) {
+        let mut state = self.lock();
+        if let Some(slot) = state.chunks.get_mut(k) {
+            slot.pending -= 1;
+            if slot.pending == 0 {
+                slot.chunk = None;
+            }
+        }
+    }
+}
+
+struct CloseOnDrop<'a>(&'a Feed);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// One pipeline thread. Each pass walks the lanes from `first` on and
+/// advances every lane it can claim by one chunk, so the lanes move
+/// through the stream together and each chunk is replayed by all of
+/// them while it is still in the host's caches. Lanes another thread
+/// holds are skipped: that thread passes again after releasing them. A
+/// pass that advances nothing waits for the next chunk, or returns once
+/// the feed is closed.
+fn drain(lanes: &[Mutex<Lane>], feed: &Feed, first: usize) {
+    let mut published = 0;
+    let mut idle = false;
+    loop {
+        let (now, closed) = feed.status(published, idle);
+        published = now;
+        let mut advanced = false;
+        for i in 0..lanes.len() {
+            let Ok(mut lane) = lanes[(first + i) % lanes.len()].try_lock() else {
+                continue;
+            };
+            let k = lane.fed;
+            let Some(chunk) = feed.chunk(k) else {
+                continue;
+            };
+            lane.point.feed(&chunk);
+            feed.replayed(k);
+            lane.fed += 1;
+            advanced = true;
+        }
+        if closed && !advanced {
+            return;
+        }
+        idle = !advanced;
     }
 }
 
@@ -892,19 +1194,26 @@ fn stack_sweep_data(streams: &SweepStreams, cap_lines: &[u64]) -> Vec<CacheStats
 /// via the stack, but cannot be fused across capacities: the next-line
 /// prefetch fires only on a miss, which depends on the capacity.
 fn fa_lru_instruction_point(streams: &SweepStreams, cap_lines: u64) -> CacheStats {
-    // Demand touches plus at most one install per demand miss.
-    let mut stack = LruStack::with_capacity(streams.ifetch.len() * 2);
+    debug_assert!(cap_lines >= 2, "a swept capacity holds at least two lines");
+    // Per entry: the demand touch, and on a miss the install plus the
+    // re-touch below.
+    let mut stack = LruStack::with_capacity(streams.ifetch.len() * 3);
     let mut stats = CacheStats::default();
     for (&pc, &n) in streams.ifetch.iter().zip(&streams.irepeat) {
-        // Only a run's first access can miss; its repeats sit at depth 0
-        // (every capacity holds at least one line), and the miss install
-        // touches the adjacent line, which can never push the run's own
-        // just-touched line off the top of the stack.
+        // Only a run's first access can miss. On a hit the repeats sit at
+        // depth 0.
         stats.accesses += u64::from(n);
         let hit = matches!(stack.touch(pc >> 6), Some(d) if d < cap_lines);
         if !hit {
             stats.misses += 1;
             stack.touch((pc + 64) >> 6);
+            if n > 1 {
+                // The machine installs the next line before the repeats,
+                // which leaves the run's line at depth 1: the first
+                // repeat hits there (every capacity holds two lines) and
+                // brings it back to the top, where the rest hit.
+                stack.touch(pc >> 6);
+            }
         }
     }
     stats
@@ -916,6 +1225,35 @@ mod tests {
     use crate::machine::Machine;
     use crate::sweep::{sweep_per_point, sweep_replay};
     use bdb_trace::{CodeLayout, ExecCtx};
+
+    /// Both L1s of one point replayed through the machine's [`Cache`]
+    /// code — the reference path for every family.
+    fn cache_replay_point(
+        family: &SweepFamily,
+        kib: u64,
+        streams: &SweepStreams,
+    ) -> (CacheStats, CacheStats) {
+        let mut point = PointReplay {
+            l1i: L1Replay::full(family.l1_config(kib)),
+            l1d: L1Replay::full(family.l1_config(kib)),
+        };
+        point.feed(streams);
+        point.stats()
+    }
+
+    /// Both L1s of one point replayed through [`ReplayLru`] order lists.
+    fn lru_replay_point(
+        sets: usize,
+        assoc: usize,
+        streams: &SweepStreams,
+    ) -> (CacheStats, CacheStats) {
+        let mut point = PointReplay {
+            l1i: L1Replay::Lru(ReplayLru::new(sets, assoc)),
+            l1d: L1Replay::Lru(ReplayLru::new(sets, assoc)),
+        };
+        point.feed(streams);
+        point.stats()
+    }
 
     /// A workload with enough irregularity to exercise the fetch filter,
     /// taken branches, the stream prefetcher, and both access kinds.
@@ -975,24 +1313,7 @@ mod tests {
         // a row — dense runs on both sides (the loop body stays in one
         // code line across taken branches). Replay through the bulk path
         // must still match the machine bit for bit.
-        fn runs(sink: &mut dyn TraceSink) {
-            let mut layout = CodeLayout::new();
-            let f = layout.region("runs", 256);
-            let mut ctx = ExecCtx::new(&layout, sink);
-            let heap = ctx.heap_alloc(32 * 1024, 64);
-            ctx.frame(f, |ctx| {
-                for round in 0..4u64 {
-                    for off in (0..24 * 1024u64).step_by(8) {
-                        ctx.read(heap.addr(off), 8);
-                        if off.is_multiple_of(1024) {
-                            ctx.write(heap.addr(off), 8);
-                            ctx.cond_branch(round % 2 == 0);
-                        }
-                    }
-                }
-            });
-        }
-        let buffer = TraceBuffer::capture(runs);
+        let buffer = TraceBuffer::capture(dense_runs);
         let streams = SweepStreams::extract(&buffer);
         assert!(
             streams.data_len() > 2 * streams.daddr.len(),
@@ -1130,38 +1451,6 @@ mod tests {
     }
 
     #[test]
-    fn record_into_arena_matches_fresh_record() {
-        // The arena path (recycled stream vectors) must produce exactly
-        // the streams a fresh record produces, and check-in must keep
-        // the buffers' capacity for the next checkout.
-        let fresh = SweepStreams::record(mixed_workload);
-        let arena = StreamArena::new();
-        let mut pooled = arena.checkout();
-        pooled.record_into(mixed_workload);
-        assert_eq!(pooled.ifetch, fresh.ifetch);
-        assert_eq!(pooled.irepeat, fresh.irepeat);
-        assert_eq!(pooled.daddr, fresh.daddr);
-        assert_eq!(pooled.dkind, fresh.dkind);
-        assert_eq!(pooled.drepeat, fresh.drepeat);
-        assert_eq!(pooled.event_count(), fresh.event_count());
-        let daddr_capacity = pooled.daddr.capacity();
-        assert!(daddr_capacity >= fresh.daddr.len());
-        arena.checkin(pooled);
-        let recycled = arena.checkout();
-        assert_eq!(recycled.compressed_entries(), 0, "check-in clears");
-        assert_eq!(recycled.event_count(), 0);
-        assert!(
-            recycled.daddr.capacity() >= daddr_capacity,
-            "check-in must keep the grown buffers"
-        );
-        // A second record into the recycled buffer is still identical.
-        let mut recycled = recycled;
-        recycled.record_into(mixed_workload);
-        assert_eq!(recycled.daddr, fresh.daddr);
-        assert_eq!(recycled.irepeat, fresh.irepeat);
-    }
-
-    #[test]
     fn event_counts_match_repeat_sums() {
         // The O(1) counters must agree with the repeat-vector sums they
         // replaced.
@@ -1180,21 +1469,156 @@ mod tests {
         );
     }
 
+    /// The families the pipelined sweep must reproduce: the paper's
+    /// 8-way LRU, Random replacement (the full `Cache` path), a single
+    /// 256-way set at 16 KiB (`ReplayLru` with one set) and fully
+    /// associative LRU (the stack engine).
+    fn pipeline_families() -> [SweepFamily; 4] {
+        [
+            SweepFamily::atom(),
+            SweepFamily {
+                l1_assoc: Some(8),
+                replacement: Replacement::Random,
+            },
+            SweepFamily {
+                l1_assoc: Some(256),
+                replacement: Replacement::Lru,
+            },
+            SweepFamily::fully_associative(),
+        ]
+    }
+
+    fn ratio_bits(points: &[(f64, f64, f64)]) -> Vec<(u64, u64, u64)> {
+        points
+            .iter()
+            .map(|p| (p.0.to_bits(), p.1.to_bits(), p.2.to_bits()))
+            .collect()
+    }
+
     #[test]
-    fn point_parallel_replay_is_byte_identical_to_serial() {
+    fn pipelined_sweep_matches_fused_points_bit_for_bit() {
         let streams = SweepStreams::record(mixed_workload);
         let caps = [16u64, 32, 64, 128, 256, 512, 1024];
-        for family in [SweepFamily::atom(), SweepFamily::fully_associative()] {
-            let serial = fused_points(&family, &caps, &streams);
-            for threads in [1usize, 2, 4, 7] {
-                let parallel = fused_points_parallel(&family, &caps, &streams, threads);
-                for ((kib, s), p) in caps.iter().zip(&serial).zip(&parallel) {
+        for family in pipeline_families() {
+            let serial = ratio_bits(&fused_points(&family, &caps, &streams));
+            for chunk_entries in [61usize, 997, 4096] {
+                assert!(
+                    streams.compressed_entries() >= 3 * chunk_entries,
+                    "{chunk_entries}-entry chunks must split the stream at least three ways"
+                );
+                for width in 1usize..=4 {
+                    let (points, helpers) =
+                        pipelined_points(&family, &caps, width, chunk_entries, mixed_workload);
                     assert_eq!(
-                        (s.0.to_bits(), s.1.to_bits(), s.2.to_bits()),
-                        (p.0.to_bits(), p.1.to_bits(), p.2.to_bits()),
-                        "ratio bits differ at {kib} KiB with {threads} threads"
+                        ratio_bits(&points),
+                        serial,
+                        "{family:?} at width {width}, {chunk_entries}-entry chunks"
                     );
+                    let expected = if family.single_pass_sound() {
+                        0
+                    } else {
+                        width - 1
+                    };
+                    assert_eq!(helpers, expected, "{family:?} at width {width}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn single_chunk_or_width_one_spawns_no_thread() {
+        let streams = SweepStreams::record(mixed_workload);
+        let caps = [16u64, 64, 512];
+        let serial = ratio_bits(&fused_points(&SweepFamily::atom(), &caps, &streams));
+        // The default chunk holds the whole of this small stream.
+        assert!(streams.compressed_entries() < PIPELINE_CHUNK_ENTRIES);
+        for width in [1usize, 2, 4] {
+            let (points, helpers) = pipelined_points(
+                &SweepFamily::atom(),
+                &caps,
+                width,
+                PIPELINE_CHUNK_ENTRIES,
+                mixed_workload,
+            );
+            assert_eq!(ratio_bits(&points), serial, "width {width}");
+            assert_eq!(helpers, 0, "a single chunk replays inline at width {width}");
+        }
+        let (points, helpers) =
+            pipelined_points(&SweepFamily::atom(), &caps, 1, 64, mixed_workload);
+        assert_eq!(ratio_bits(&points), serial);
+        assert_eq!(helpers, 0, "width 1 replays inline however many chunks");
+    }
+
+    /// Runs `workload` through a [`ChunkedExtractor`] and returns its
+    /// chunks, the finishing remainder last.
+    fn chunks_of(
+        chunk_entries: usize,
+        workload: impl FnOnce(&mut dyn TraceSink),
+    ) -> Vec<SweepStreams> {
+        let mut chunks = Vec::new();
+        let mut extractor = ChunkedExtractor::new(chunk_entries, |chunk| chunks.push(chunk));
+        workload(&mut extractor);
+        let last = extractor.finish();
+        chunks.push(last);
+        chunks
+    }
+
+    /// Concatenates chunks back into one set of streams.
+    fn concat(chunks: &[SweepStreams]) -> SweepStreams {
+        let mut whole = SweepStreams::default();
+        for chunk in chunks {
+            whole.ifetch.extend_from_slice(&chunk.ifetch);
+            whole.irepeat.extend_from_slice(&chunk.irepeat);
+            whole.daddr.extend_from_slice(&chunk.daddr);
+            whole.dkind.extend_from_slice(&chunk.dkind);
+            whole.drepeat.extend_from_slice(&chunk.drepeat);
+            whole.ievents += chunk.ievents;
+            whole.devents += chunk.devents;
+        }
+        whole
+    }
+
+    fn assert_same_streams(got: &SweepStreams, want: &SweepStreams) {
+        assert_eq!(got.ifetch, want.ifetch);
+        assert_eq!(got.irepeat, want.irepeat);
+        assert_eq!(got.daddr, want.daddr);
+        assert_eq!(got.dkind, want.dkind);
+        assert_eq!(got.drepeat, want.drepeat);
+        assert_eq!(got.event_count(), want.event_count());
+    }
+
+    /// Sequential 8-byte reads: every entry on both sides is a dense run,
+    /// so most chunk boundaries fall while a run is still growing.
+    fn dense_runs(sink: &mut dyn TraceSink) {
+        let mut layout = CodeLayout::new();
+        let f = layout.region("runs", 256);
+        let mut ctx = ExecCtx::new(&layout, sink);
+        let heap = ctx.heap_alloc(32 * 1024, 64);
+        ctx.frame(f, |ctx| {
+            for round in 0..4u64 {
+                for off in (0..24 * 1024u64).step_by(8) {
+                    ctx.read(heap.addr(off), 8);
+                    if off.is_multiple_of(1024) {
+                        ctx.write(heap.addr(off), 8);
+                        ctx.cond_branch(round % 2 == 0);
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn chunks_concatenate_to_recorded_streams() {
+        for workload in [mixed_workload as fn(&mut dyn TraceSink), dense_runs] {
+            let recorded = SweepStreams::record(workload);
+            for chunk_entries in [1usize, 2, 3, 5, 64, 1000] {
+                let chunks = chunks_of(chunk_entries, workload);
+                assert!(chunks.len() >= 3, "{chunk_entries}-entry chunks");
+                for chunk in &chunks[..chunks.len() - 1] {
+                    assert!(chunk.compressed_entries() >= chunk_entries);
+                    assert!(chunk.compressed_entries() <= chunk_entries + CHUNK_SLACK);
+                }
+                assert_same_streams(&concat(&chunks), &recorded);
             }
         }
     }
@@ -1265,6 +1689,51 @@ mod tests {
             )
         }
 
+        /// RLE streams from raw `(line, repeats)` instruction entries and
+        /// `(line, kind, repeats)` data entries (adjacent same-line
+        /// entries collapse, as extraction would collapse them).
+        fn streams_from(entries: &[(u64, u32)], data: &[(u64, u8, u32)]) -> SweepStreams {
+            let mut streams = SweepStreams::default();
+            for &(line, n) in entries {
+                for _ in 0..n {
+                    streams.push_ifetch(line << 6);
+                }
+            }
+            for &(line, kind, n) in data {
+                for _ in 0..n {
+                    streams.push_data(line << 6, kind);
+                }
+            }
+            streams
+        }
+
+        /// Both L1s replayed access by access in machine order.
+        fn machine_order_oracle(
+            config: CacheConfig,
+            entries: &[(u64, u32)],
+            data: &[(u64, u8, u32)],
+        ) -> (CacheStats, CacheStats) {
+            let mut l1i = Cache::new(config);
+            for &(line, n) in entries {
+                for _ in 0..n {
+                    if !l1i.access(line << 6, false) {
+                        l1i.install((line + 1) << 6);
+                    }
+                }
+            }
+            let mut l1d = Cache::new(config);
+            for &(line, kind, n) in data {
+                for _ in 0..n {
+                    if kind == D_INSTALL {
+                        l1d.install(line << 6);
+                    } else {
+                        l1d.access(line << 6, kind == D_STORE);
+                    }
+                }
+            }
+            (l1i.stats(), l1d.stats())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1294,11 +1763,11 @@ mod tests {
             /// the first access and the repeats, exactly as
             /// `Machine::fetch` would emit it). With at least two sets
             /// the install lands in a different set, so the batched
-            /// run-at-once order is exact — the same argument
-            /// `cache_replay_point` makes.
+            /// run-at-once order is exact; with one set (`set_bits` 0)
+            /// the replay re-touches the run's line after the install.
             #[test]
             fn batched_ifetch_replay_matches_machine_order(
-                set_bits in 1u32..6,
+                set_bits in 0u32..6,
                 assoc in 1usize..=12,
                 entries in proptest::collection::vec((0u64..96, 1u32..20), 1..200),
             ) {
@@ -1370,31 +1839,21 @@ mod tests {
 
             /// The batched sweep point end to end: random RLE streams
             /// replayed through `lru_replay_point` (order lists, probe8)
-            /// vs `cache_replay_point` (stamp LRU) at a non-pow2-sets
-            /// geometry note — the pow2 check routes non-pow2 sets to
-            /// the stamp path in production, so here we pin the pow2
-            /// geometries the fast path actually owns.
+            /// vs `cache_replay_point` (the machine's `Cache`) at the
+            /// power-of-two geometries the fast path owns (the pow2
+            /// check routes any other set count to `Cache` in
+            /// production).
             #[test]
             fn lru_replay_point_matches_cache_replay_point_random_streams(
                 entries in proptest::collection::vec((0u64..96, 1u32..12), 1..120),
                 data in proptest::collection::vec(data_op(), 1..120),
             ) {
-                let mut streams = SweepStreams::default();
-                for &(line, n) in &entries {
-                    for _ in 0..n {
-                        streams.push_ifetch(line << 6);
-                    }
-                }
-                for &(line, kind, n) in &data {
-                    for _ in 0..n {
-                        streams.push_data(line << 6, kind);
-                    }
-                }
+                let streams = streams_from(&entries, &data);
                 let family = SweepFamily::atom();
                 for kib in [4u64, 16, 64] {
                     let config = family.l1_config(kib);
                     let sets = config.sets();
-                    if !sets.is_power_of_two() || sets < 2 {
+                    if !sets.is_power_of_two() {
                         continue;
                     }
                     let (fast_i, fast_d) = lru_replay_point(sets, config.assoc, &streams);
@@ -1404,6 +1863,48 @@ mod tests {
                         (ref_i.accesses, ref_i.misses, ref_d.accesses, ref_d.misses)
                     );
                 }
+            }
+
+            /// Fully associative LRU against the machine-order oracle: a
+            /// `Cache` replaying every access, with the next-line install
+            /// right after each instruction miss. Both sweep routes must
+            /// match it — the single-pass stack engine (`fused_points`)
+            /// and the per-capacity `Cache` replay in its single set
+            /// (`fused_point`). Capacities of 16 to 64 lines over a
+            /// 97-line universe keep evictions frequent.
+            #[test]
+            fn fully_associative_replay_matches_expanded_cache(
+                entries in proptest::collection::vec((0u64..96, 1u32..12), 1..150),
+                data in proptest::collection::vec(data_op(), 1..150),
+            ) {
+                let streams = streams_from(&entries, &data);
+                let family = SweepFamily::fully_associative();
+                let caps = [1u64, 2, 4];
+                let single_pass = fused_points(&family, &caps, &streams);
+                for (&kib, &point) in caps.iter().zip(&single_pass) {
+                    let (oracle_i, oracle_d) =
+                        machine_order_oracle(family.l1_config(kib), &entries, &data);
+                    let want = ratio_bits(&[point_ratios(oracle_i, oracle_d)]);
+                    prop_assert_eq!(ratio_bits(&[point]), want.clone(), "stack engine at {} KiB", kib);
+                    prop_assert_eq!(
+                        ratio_bits(&[fused_point(&family, kib, &streams)]),
+                        want,
+                        "Cache replay at {} KiB", kib
+                    );
+                }
+            }
+
+            /// Chunking at any size is invisible: the chunks concatenate
+            /// to exactly the recorded streams, runs that straddle a
+            /// boundary included.
+            #[test]
+            fn random_chunk_sizes_concatenate_to_recorded_streams(
+                chunk_entries in 1usize..5000,
+            ) {
+                let recorded = SweepStreams::record(mixed_workload);
+                let chunks = chunks_of(chunk_entries, mixed_workload);
+                prop_assert!(!chunks.is_empty());
+                assert_same_streams(&concat(&chunks), &recorded);
             }
         }
     }

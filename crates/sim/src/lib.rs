@@ -49,7 +49,8 @@ pub mod tlb;
 pub use branch::{BranchStats, BranchUnit, DirectionScheme};
 pub use cache::{Cache, CacheConfig, CacheStats, Replacement};
 pub use fused::{
-    fused_point, fused_points, fused_points_parallel, StreamArena, SweepFamily, SweepStreams,
+    fused_point, fused_points, fused_points_pipelined, SweepFamily, SweepStreams,
+    PIPELINE_CHUNK_ENTRIES,
 };
 pub use machine::{Machine, MachineConfig, PerfReport};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineKind, ServiceLevel};
