@@ -44,6 +44,13 @@
 //! losing a machine recompute nothing: every surviving entry is routed
 //! to a worker that still has it on disk.
 //!
+//! Deferral can only see holders that have said so. Until every alive
+//! initial worker's `Hello` has landed, or [`HELLO_DEADLINE_TICKS`]
+//! have passed, a worker takes only tasks it holds itself; unheld work
+//! waits, since a worker still to say `Hello` may hold it. The
+//! coordinator dispatches after every event, so work resumes on the
+//! event that delivers the last `Hello`.
+//!
 //! The task set is *conserved* through all of this: an incomplete task
 //! lives in exactly one place (one plan, one in-flight slot, or the
 //! retry queue), and a completed task is merged exactly once.
@@ -52,6 +59,10 @@
 
 use crate::coordinator::ClusterConfig;
 use std::collections::{BTreeSet, VecDeque};
+
+/// Ticks unheld dispatch waits for every initial worker's `Hello` (see
+/// the module docs): one second at the default tick.
+pub const HELLO_DEADLINE_TICKS: u64 = 20;
 
 /// Why the fleet cannot finish the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +145,8 @@ pub struct Fleet {
     attempts: Vec<u32>,
     last_error: Vec<String>,
     retry: VecDeque<Retry>,
+    /// Slots `0..initial` are the workers the run started with.
+    initial: usize,
     done: usize,
     now: u64,
     next_probe_seq: u64,
@@ -176,6 +189,7 @@ impl Fleet {
             last_error: vec![String::new(); tasks],
             fingerprints,
             retry,
+            initial: workers,
             done: 0,
             now: 0,
             next_probe_seq: 0,
@@ -425,9 +439,10 @@ impl Fleet {
     /// Picks the next task for `slot` and marks it in-flight with a
     /// fresh deadline, or `None` when admission control defers the
     /// worker or no candidate is available. Preference order: tasks the
-    /// worker already holds (retry queue, own plan, then stolen), then
-    /// unheld work — skipping tasks held by *another* alive, ready
-    /// worker, which will claim them through its own affinity.
+    /// worker already holds (retry queue, own plan, then stolen), then —
+    /// once every initial worker has said `Hello` or the deadline has
+    /// passed — unheld work, skipping tasks held by *another* alive,
+    /// ready worker, which will claim them through its own affinity.
     pub fn next_assignment(&mut self, slot: usize) -> Option<usize> {
         loop {
             if !self.assignable(slot) {
@@ -462,6 +477,9 @@ impl Fleet {
         }
         // 4–6. Unheld work, deferring tasks held by another alive,
         // ready worker (that holder will take them itself).
+        if self.awaiting_hello() {
+            return None;
+        }
         if let Some(pos) = self.best_retry(slot, false) {
             return self.retry.remove(pos).map(|r| r.task);
         }
@@ -550,6 +568,17 @@ impl Fleet {
             .iter()
             .rposition(|&task| !self.task_held_elsewhere(slot, task))?;
         Some((victim, pos))
+    }
+
+    /// Whether an alive initial worker has yet to say `Hello` within the
+    /// deadline: until it does, it may hold any unheld task.
+    fn awaiting_hello(&self) -> bool {
+        self.now < HELLO_DEADLINE_TICKS
+            && self
+                .slots
+                .iter()
+                .take(self.initial)
+                .any(|s| s.alive && !s.ready)
     }
 
     /// Whether `fingerprint` is held by an alive, ready worker other
@@ -812,6 +841,50 @@ mod tests {
         assert_eq!(fleet.next_assignment(0), Some(0));
         // Worker 1 claims its held task 1 out of worker 0's plan.
         assert_eq!(fleet.next_assignment(1), Some(1));
+        fleet.check_conservation().unwrap();
+    }
+
+    /// Assigns and completes tasks for `slot` until none is offered.
+    fn drain_slot(fleet: &mut Fleet, slot: usize) -> Vec<usize> {
+        let mut order = Vec::new();
+        while let Some(task) = fleet.next_assignment(slot) {
+            order.push(task);
+            fleet.clear_inflight(slot, task);
+            fleet.complete(task);
+        }
+        order
+    }
+
+    #[test]
+    fn unheld_dispatch_waits_for_every_initial_hello() {
+        // Worker 1 caches tasks 2-3, but its Hello is still in flight.
+        // Worker 0 must not take them as unheld work in the meantime.
+        let mut fleet = Fleet::new(2, vec![100, 200, 300, 400], config());
+        fleet.hello(0, &[100, 200]);
+        assert_eq!(drain_slot(&mut fleet, 0), vec![0, 1]);
+        fleet.hello(1, &[300, 400]);
+        assert_eq!(drain_slot(&mut fleet, 1), vec![2, 3]);
+        fleet.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn hello_wait_ends_at_the_deadline() {
+        // A worker that never says Hello stops holding work back once
+        // the deadline passes.
+        let mut fleet = Fleet::new(2, vec![100, 200, 300, 400], config());
+        fleet.hello(0, &[100, 200]);
+        assert_eq!(drain_slot(&mut fleet, 0), vec![0, 1]);
+        let tick = |fleet: &mut Fleet| {
+            for (slot, seq) in fleet.tick().probes {
+                fleet.heartbeat(slot, seq);
+            }
+        };
+        for _ in 1..HELLO_DEADLINE_TICKS {
+            tick(&mut fleet);
+            assert_eq!(fleet.next_assignment(0), None);
+        }
+        tick(&mut fleet);
+        assert_eq!(drain_slot(&mut fleet, 0), vec![3, 2]);
         fleet.check_conservation().unwrap();
     }
 

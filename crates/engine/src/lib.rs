@@ -293,8 +293,9 @@ impl EngineConfig {
     /// * `BDB_NO_CACHE=1` — disable the disk cache for this run.
     /// * `BDB_THREADS=<n>` — cap the worker pool (default: all cores).
     /// * `BDB_POINT_THREADS=<n>` — run each sweep's pipeline `n` wide:
-    ///   the extracting thread plus `n - 1` replay helpers (default: the
-    ///   worker pool's width).
+    ///   the extracting thread plus `n - 1` helpers replaying its lanes,
+    ///   one L1I lane per capacity point and one L1D lane for all of
+    ///   them (default: the worker pool's width).
     /// * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache; LRU entries are
     ///   evicted past the cap (default: unbounded).
     /// * `BDB_CACHE_FORMAT=binary` — persist new cache entries and
@@ -709,9 +710,13 @@ impl Engine {
     /// ([`bdb_sim::fused_points_pipelined`]): the calling thread extracts
     /// the L1 event streams straight from the generator — no trace is
     /// materialized — and hands them off in chunks, which the other
-    /// threads replay at every capacity while extraction goes on. At
-    /// width 1, or when the streams fit in one chunk, it replays inline
-    /// and spawns no thread. In per-point mode
+    /// threads replay while extraction goes on. The replay runs in
+    /// lanes: one L1I lane per capacity, and one L1D lane that cascades
+    /// each data entry up the capacities in ascending order, stopping
+    /// where its line is already most recent in its set (it stays most
+    /// recent at every larger capacity, so replaying it there would
+    /// change nothing). At width 1, or when the streams fit in one
+    /// chunk, it replays inline and spawns no thread. In per-point mode
     /// (`BDB_SWEEP_MODE=per-point`) the trace is recorded into a pooled
     /// buffer and a full machine replays it per capacity
     /// ([`bdb_sim::sweep_point_replay`]), the points fanned across the

@@ -155,15 +155,19 @@ const HOT_LOOP: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "sim",
-            suffix: &["PointReplay", "feed"],
+            suffix: &["Lane", "feed"],
+        },
+        RootSpec {
+            krate: "sim",
+            suffix: &["InstructionLane", "feed"],
+        },
+        RootSpec {
+            krate: "sim",
+            suffix: &["DataLane", "feed"],
         },
         RootSpec {
             krate: "sim",
             suffix: &["ReplayLru", "replay_ifetch"],
-        },
-        RootSpec {
-            krate: "sim",
-            suffix: &["ReplayLru", "replay_data"],
         },
         RootSpec {
             krate: "sim",

@@ -115,8 +115,7 @@ pub fn sweep_on(
 }
 
 /// Sweeps an already-recorded trace: extract the L1 event streams once,
-/// then compute every point (single-pass where the family's inclusion
-/// property holds, exact per-capacity replay otherwise).
+/// then replay them at every point ([`fused_points`]).
 ///
 /// # Panics
 ///
