@@ -21,8 +21,9 @@
 //! * `BDB_THREADS=<n>` — cap the worker pool (default: all cores).
 //! * `BDB_POINT_THREADS=<n>` — run each capacity sweep's pipeline `n`
 //!   wide: the extracting thread plus `n - 1` helpers replaying its
-//!   lanes, one L1I lane per capacity point and one L1D lane for all of
-//!   them (default: the worker pool's width).
+//!   lanes: one L1I lane per capacity point, and the L1D of all of them
+//!   split by set into one lane per helper, rounded down to a power of
+//!   two (default: the worker pool's width).
 //! * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache (LRU eviction).
 //! * `BDB_CLUSTER=<addr,addr>` — profile via remote `bdb-clusterd`
 //!   workers instead of the local engine (also `--cluster addr,addr`).
@@ -146,7 +147,7 @@ OPTIONS:
 
 ENVIRONMENT:
     BDB_THREADS          Worker-pool width for the local engine (default: all cores)
-    BDB_POINT_THREADS    Threads per capacity sweep, sharing one L1I lane per point and one L1D lane (default: worker-pool width)
+    BDB_POINT_THREADS    Threads per capacity sweep, sharing one L1I lane per point and one L1D lane per helper, rounded down to a power of two (default: worker-pool width)
     BDB_CACHE_DIR        Profile-cache directory (default: results/cache/)
     BDB_NO_CACHE         Set to disable the disk cache
     BDB_CACHE_MAX_BYTES  Disk-cache size cap in bytes with LRU eviction (default: unbounded)

@@ -61,7 +61,10 @@ use crate::coordinator::ClusterConfig;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Ticks unheld dispatch waits for every initial worker's `Hello` (see
-/// the module docs): one second at the default tick.
+/// the module docs). Fleet time advances only on quiet ticks — a poll
+/// interval with no event — so the wait is 20 quiet coordinator ticks:
+/// at least one second at the default 50 ms tick, and longer while
+/// other workers keep the event loop busy.
 pub const HELLO_DEADLINE_TICKS: u64 = 20;
 
 /// Why the fleet cannot finish the batch.

@@ -25,7 +25,7 @@ pub const DAEMON_ENGINE_ENV: &[HelpEntry<'static>] = &[
     ),
     (
         "BDB_POINT_THREADS",
-        "Threads per capacity sweep, sharing one L1I lane per point and one L1D lane (default: worker-pool width)",
+        "Threads per capacity sweep, sharing one L1I lane per point and one L1D lane per helper, rounded down to a power of two (default: worker-pool width)",
     ),
     (
         "BDB_CACHE_DIR",

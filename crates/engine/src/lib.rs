@@ -294,8 +294,9 @@ impl EngineConfig {
     /// * `BDB_THREADS=<n>` — cap the worker pool (default: all cores).
     /// * `BDB_POINT_THREADS=<n>` — run each sweep's pipeline `n` wide:
     ///   the extracting thread plus `n - 1` helpers replaying its lanes,
-    ///   one L1I lane per capacity point and one L1D lane for all of
-    ///   them (default: the worker pool's width).
+    ///   one L1I lane per capacity point, and the L1D of all of them
+    ///   split by set into one lane per helper, rounded down to a power
+    ///   of two (default: the worker pool's width).
     /// * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache; LRU entries are
     ///   evicted past the cap (default: unbounded).
     /// * `BDB_CACHE_FORMAT=binary` — persist new cache entries and
@@ -711,12 +712,16 @@ impl Engine {
     /// the L1 event streams straight from the generator — no trace is
     /// materialized — and hands them off in chunks, which the other
     /// threads replay while extraction goes on. The replay runs in
-    /// lanes: one L1I lane per capacity, and one L1D lane that cascades
+    /// lanes: one L1I lane per capacity, and L1D lanes that cascade
     /// each data entry up the capacities in ascending order, stopping
     /// where its line is already most recent in its set (it stays most
     /// recent at every larger capacity, so replaying it there would
-    /// change nothing). At width 1, or when the streams fit in one
-    /// chunk, it replays inline and spawns no thread. In per-point mode
+    /// change nothing). The L1D side is one lane up to width 2; a wider
+    /// pipeline splits it by the low bits of the line number, which pick
+    /// the set at every capacity, into one lane per helper rounded down
+    /// to a power of two, so no single lane holds most of the replay.
+    /// At width 1, or when the streams fit in one chunk, it replays
+    /// inline and spawns no thread. In per-point mode
     /// (`BDB_SWEEP_MODE=per-point`) the trace is recorded into a pooled
     /// buffer and a full machine replays it per capacity
     /// ([`bdb_sim::sweep_point_replay`]), the points fanned across the

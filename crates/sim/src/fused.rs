@@ -1,64 +1,48 @@
 //! Fused multi-capacity sweep: trace once, then replay cheap L1 streams
 //! at every capacity, cascading the data side through the capacities so
 //! an entry stops where replaying it further would change nothing.
+//! DESIGN.md §13 has the full argument and the oracles that pin it.
 //!
-//! The per-point sweep re-executes the entire workload generator once per
-//! L1 size, even though everything outside the two L1 caches (generator,
-//! TLBs, branch unit, pipeline, L2) behaves identically at every point.
-//! This module splits the work:
+//! Everything outside the two L1 caches (generator, TLBs, branch unit,
+//! pipeline, L2) behaves identically at every sweep point, so:
 //!
 //! 1. **Extract** ([`SweepStreams::extract`] from a recorded trace, or
 //!    [`SweepStreams::record`] straight from a running workload): one
-//!    pass through a sink that mirrors `Machine`'s front end — the
-//!    fetch-line filter and the stride-1 stream prefetcher — emitting
-//!    the exact, capacity-independent, run-length-compressed event
-//!    streams that reach the L1I and L1D. (Both filters are
-//!    capacity-independent: the fetch filter only compares consecutive
-//!    line addresses, and the prefetcher only observes the demand line
-//!    sequence. Drift between this mirror and `Machine` is caught by
-//!    `extractor_matches_machine_l1_traffic`.)
-//! 2. **Replay** ([`fused_point`] / [`fused_points`]): drive bare L1
-//!    models with those streams in *lanes*. Each capacity point has an
-//!    instruction lane of its own; one data lane owns every point's
-//!    L1D. Set-associative LRU with power-of-two sets — every paper
-//!    sweep point — goes through the compact `ReplayLru` order lists
-//!    (one 64-byte host cache line per 8-way set, the same LRU order as
-//!    [`Cache`]); everything else executes the same [`Cache`] code over
-//!    the same event sequence as the full machine. Both are exact: same
-//!    access and miss counts, bit for bit.
-//! 3. **Cascade** (the data lane): under LRU, the front of a set is the
-//!    line most recently touched in it. With power-of-two set counts the
-//!    sets nest — a set of the bigger cache receives a subset of the
-//!    touches its parent set in the smaller cache receives — so a line
-//!    that is most recent in its set at one capacity is most recent at
-//!    every larger one (set refinement; Mattson et al. 1970, Hill & Smith
-//!    1989). Touching a most-recent line is a hit that changes nothing.
-//!    The data lane therefore walks the points in ascending set-count
-//!    order and stops each entry at the first point where its line is
-//!    already at the front; the skipped points count its repeats as hits
-//!    through a per-point tally. The instruction side cannot cascade:
-//!    `Machine::fetch` installs the next line only on a miss, and misses
-//!    depend on capacity, so a small cache can hold a freshly installed
-//!    line at the front of a set that a bigger cache, having hit, never
-//!    touched (`instruction_install_breaks_the_lemma` pins an example).
+//!    pass through a mirror of `Machine`'s front end — the fetch-line
+//!    filter and the stride-1 stream prefetcher, both
+//!    capacity-independent — emits the exact run-length-compressed
+//!    event streams that reach the L1I and L1D.
+//! 2. **Replay** ([`fused_point`] / [`fused_points`]): bare L1 models
+//!    replay those streams in *lanes*, an instruction lane per capacity
+//!    point and data lanes that between them own every point's L1D.
+//!    Set-associative LRU with power-of-two sets — every paper sweep
+//!    point — goes through the compact `ReplayLru` order lists, anything
+//!    else through the machine's own [`Cache`]; both give the machine's
+//!    access and miss counts bit for bit.
+//! 3. **Cascade** (the data lanes): under LRU the front of a set is the
+//!    line most recently touched in it. Power-of-two set counts nest — a
+//!    set of the bigger cache sees a subset of the touches its parent
+//!    set in the smaller cache sees — so a line most recent at one
+//!    capacity is most recent at every larger one (set refinement;
+//!    Mattson et al. 1970, Hill & Smith 1989), where touching it changes
+//!    nothing. A data lane walks the points in ascending set-count order
+//!    and stops each entry at the first point where its line is already
+//!    at the front; the skipped points count its repeats as hits. The
+//!    instruction side cannot cascade: `Machine::fetch` installs the next
+//!    line only on a miss, and misses depend on capacity
+//!    (`instruction_install_breaks_the_lemma` pins an example).
 //!
-//! The workload generator runs exactly once per sweep instead of once per
-//! point. Replay is built to run at hardware limits:
-//!
-//! * **Pipelined sweep** ([`fused_points_pipelined`]): the extractor runs
-//!   on the calling thread and hands off fixed-size chunks of finished
-//!   RLE entries ([`PIPELINE_CHUNK_ENTRIES`]); the other `width - 1`
-//!   threads advance every lane over each chunk as it arrives, while the
-//!   chunk is still resident in the host's caches, and the calling thread
-//!   joins in on the remaining chunks once extraction ends. Each lane
-//!   sees the chunks in stream order, and the chunks concatenate to
-//!   exactly the streams [`SweepStreams::record`] produces, so the curves
-//!   are byte-identical to [`fused_points`] at any width. At width 1, or
-//!   when extraction yields a single chunk, the sweep replays inline and
-//!   spawns no thread.
-//! * **Batched probes**: `ReplayLru` probes one RLE entry per call
-//!   whatever its repeat count, and the 8-way order-list line is matched
-//!   with a branch-free bitwise way mask.
+//! **Pipelined sweep** ([`fused_points_pipelined`]): the extractor runs
+//! on the calling thread and hands off chunks of finished RLE entries
+//! ([`PIPELINE_CHUNK_ENTRIES`]); the other `width - 1` threads advance
+//! every lane over each chunk while it is still in the host's caches,
+//! and the calling thread joins them once extraction ends. Past width 2
+//! the data side splits by the low bits of the line number into one
+//! cascade per helper, rounded down to a power of two; the bits pick the
+//! set at every capacity, so each split owns whole sets. Each lane sees
+//! the chunks in stream order, so the curves are byte-identical to
+//! [`fused_points`] at any width. At width 1, or when extraction yields a
+//! single chunk, the sweep replays inline and spawns no thread.
 
 use crate::cache::{Cache, CacheConfig, CacheStats, Replacement};
 use crate::machine::MachineConfig;
@@ -82,8 +66,8 @@ const D_INSTALL: u8 = 2;
 /// point through [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepFamily {
-    /// Ways per set; `None` means fully associative at every capacity.
-    pub l1_assoc: Option<usize>,
+    /// Ways per set.
+    pub l1_assoc: usize,
     /// Replacement policy.
     pub replacement: Replacement,
 }
@@ -93,17 +77,16 @@ impl SweepFamily {
     /// [`MachineConfig::atom_sweep`] byte for byte.
     pub fn atom() -> Self {
         SweepFamily {
-            l1_assoc: Some(8),
+            l1_assoc: 8,
             replacement: Replacement::Lru,
         }
     }
 
     /// L1 geometry at `kib` of capacity.
     pub fn l1_config(&self, kib: u64) -> CacheConfig {
-        let size_bytes = kib * 1024;
         CacheConfig {
-            size_bytes,
-            assoc: self.l1_assoc.unwrap_or((size_bytes / 64) as usize),
+            size_bytes: kib * 1024,
+            assoc: self.l1_assoc,
             line_bytes: 64,
             replacement: self.replacement,
         }
@@ -447,13 +430,8 @@ impl<F: FnMut(SweepStreams)> TraceSink for ChunkedExtractor<F> {
 
 /// One fused sweep point: replays the extracted streams against bare L1
 /// models at `kib` and returns `(instruction, data, unified)` miss ratios
-/// — bit-identical to `sweep_point` on the same recorded workload.
-///
-/// Exact for any associativity/replacement: set-associative LRU with a
-/// power-of-two set count (every paper sweep point) replays through the
-/// compact `ReplayLru` order lists, everything else executes the same
-/// [`Cache`] code over the same event sequence as the full machine; both
-/// produce the machine's exact access and miss counts.
+/// — bit-identical to `sweep_point` on the same recorded workload, for
+/// any associativity and replacement.
 pub fn fused_point(family: &SweepFamily, kib: u64, streams: &SweepStreams) -> (f64, f64, f64) {
     fused_points(family, &[kib], streams)[0]
 }
@@ -466,7 +444,7 @@ pub fn fused_points(
     capacities_kib: &[u64],
     streams: &SweepStreams,
 ) -> Vec<(f64, f64, f64)> {
-    let mut lanes = sweep_lanes(family, capacities_kib);
+    let mut lanes = sweep_lanes(family, capacities_kib, 1);
     for lane in &mut lanes {
         lane.feed(streams);
     }
@@ -485,24 +463,34 @@ fn lru_fast_path(family: &SweepFamily, kib: u64) -> Option<(usize, usize)> {
 }
 
 /// Every lane of one sweep: an instruction lane per capacity point, in
-/// capacity order, then the data lane.
-fn sweep_lanes(family: &SweepFamily, capacities_kib: &[u64]) -> Vec<Lane> {
+/// capacity order, then up to `data` data lanes (see [`data_lanes`]).
+fn sweep_lanes(family: &SweepFamily, capacities_kib: &[u64], data: usize) -> Vec<Lane> {
     capacities_kib
         .iter()
         .map(|&kib| Lane::Instruction(InstructionLane::new(family, kib)))
-        .chain([Lane::Data(DataLane::new(family, capacities_kib))])
+        .chain(
+            data_lanes(family, capacities_kib, data)
+                .into_iter()
+                .map(Lane::Data),
+        )
         .collect()
 }
 
 /// `(L1I, L1D)` stats per capacity point, in capacity order, of the
 /// lanes [`sweep_lanes`] built.
 fn sweep_stats(lanes: &[Lane]) -> Vec<(CacheStats, CacheStats)> {
-    let mut l1i = Vec::with_capacity(lanes.len());
-    let mut l1d = Vec::new();
+    let l1i: Vec<CacheStats> = lanes
+        .iter()
+        .filter_map(|lane| match lane {
+            Lane::Instruction(lane) => Some(lane.stats()),
+            Lane::Data(_) => None,
+        })
+        .collect();
+    // bdb-lint: allow(hot-loop-allocation): once per sweep, after the replay
+    let mut l1d = vec![CacheStats::default(); l1i.len()];
     for lane in lanes {
-        match lane {
-            Lane::Instruction(lane) => l1i.push(lane.stats()),
-            Lane::Data(lane) => l1d = lane.stats(),
+        if let Lane::Data(lane) = lane {
+            lane.add_stats(&mut l1d);
         }
     }
     l1i.into_iter().zip(l1d).collect()
@@ -545,14 +533,11 @@ enum InstructionLane {
     Full {
         cache: Cache,
         /// Replay runs access by access. A miss injects a next-line
-        /// install *between* the first access of a run and its repeats.
-        /// With two or more sets under LRU that is irrelevant — the
-        /// victim is never the just-accessed MRU line, and the next line
-        /// lives in another set, so no set's recency order changes — and
-        /// the bulk path is exact. With one set the install lands ahead
+        /// install between the first access of a run and its repeats.
+        /// Under LRU with two or more sets the install lands in another
+        /// set and the bulk path is exact; with one set it lands ahead
         /// of the run's line, and under Random replacement it could
-        /// evict it, so there runs are replayed exactly as the machine
-        /// would.
+        /// evict it, so there runs replay exactly as the machine would.
         expand_runs: bool,
     },
 }
@@ -600,15 +585,19 @@ impl InstructionLane {
     }
 }
 
-/// The L1D of every capacity point, advanced together.
+/// One of the independent lanes the L1D side splits into (see
+/// [`data_lanes`]); their stats add up to every point's L1D.
 #[derive(Debug)]
 enum DataLane {
     /// Every point replays through [`ReplayLru`] (LRU with power-of-two
-    /// set counts). The points are kept in ascending set-count order, and
-    /// an entry stops at the first point whose set already holds its
-    /// line at the front: by set refinement it is at the front of its
-    /// set at every later point too, where touching it changes nothing.
+    /// set counts), in ascending set-count order, and an entry stops at
+    /// the first point whose set already holds its line at the front.
+    /// The lane keeps only the lines whose low `shard_bits` bits equal
+    /// `shard`: those bits pick the set at every point, so its order
+    /// lists hold just its own sets, indexed by the line without them.
     Cascade {
+        shard: u64,
+        shard_bits: u32,
         /// Capacity-list index of each point, in cascade order.
         order: Vec<usize>,
         lrus: Vec<ReplayLru>,
@@ -616,42 +605,65 @@ enum DataLane {
         /// `k`. They hit at point `k` and at every later point.
         skipped: Vec<u64>,
     },
-    /// Any other family: every point, in capacity order, replays every
-    /// entry through the machine's [`Cache`].
-    Each(Vec<Cache>),
+    /// Any other family: one point, by capacity-list index, replaying
+    /// every entry through the machine's [`Cache`].
+    Each(usize, Cache),
+}
+
+/// The L1D side of a sweep. A cascading family splits into up to
+/// `lanes` cascades by the low bits of the line number — at most as many
+/// as the smallest capacity has sets, so each owns whole sets at every
+/// point. Any other family gets a lane per point.
+fn data_lanes(family: &SweepFamily, capacities_kib: &[u64], lanes: usize) -> Vec<DataLane> {
+    let geometry: Option<Vec<(usize, usize)>> = capacities_kib
+        .iter()
+        .map(|&kib| lru_fast_path(family, kib))
+        .collect();
+    let Some(geometry) = geometry else {
+        return capacities_kib
+            .iter()
+            .enumerate()
+            .map(|(i, &kib)| DataLane::Each(i, Cache::new(family.l1_config(kib))))
+            .collect();
+    };
+    let min_sets = geometry.iter().map(|&(sets, _)| sets).min().unwrap_or(1);
+    let lanes = lanes.max(1).min(min_sets);
+    // Round down to a power of two, which stays within `min_sets`.
+    let shard_bits = lanes.ilog2();
+    let mut order: Vec<usize> = (0..geometry.len()).collect();
+    order.sort_by_key(|&i| geometry[i].0);
+    (0..1u64 << shard_bits)
+        .map(|shard| DataLane::Cascade {
+            shard,
+            shard_bits,
+            lrus: order
+                .iter()
+                .map(|&i| ReplayLru::new(geometry[i].0 >> shard_bits, geometry[i].1))
+                .collect(),
+            // bdb-lint: allow(hot-loop-allocation): once per lane, before the replay
+            skipped: vec![0; order.len()],
+            order: order.clone(),
+        })
+        .collect()
 }
 
 impl DataLane {
-    fn new(family: &SweepFamily, capacities_kib: &[u64]) -> Self {
-        let geometry: Option<Vec<(usize, usize)>> = capacities_kib
-            .iter()
-            .map(|&kib| lru_fast_path(family, kib))
-            .collect();
-        let Some(geometry) = geometry else {
-            return DataLane::Each(
-                capacities_kib
-                    .iter()
-                    .map(|&kib| Cache::new(family.l1_config(kib)))
-                    .collect(),
-            );
-        };
-        let mut order: Vec<usize> = (0..geometry.len()).collect();
-        order.sort_by_key(|&i| geometry[i].0);
-        DataLane::Cascade {
-            lrus: order
-                .iter()
-                .map(|&i| ReplayLru::new(geometry[i].0, geometry[i].1))
-                .collect(),
-            skipped: vec![0; order.len()],
-            order,
-        }
-    }
-
     fn feed(&mut self, addrs: &[u64], kinds: &[u8], repeats: &[u32]) {
         match self {
-            DataLane::Cascade { lrus, skipped, .. } => {
+            DataLane::Cascade {
+                shard,
+                shard_bits,
+                lrus,
+                skipped,
+                ..
+            } => {
+                let shard_mask = (1u64 << *shard_bits) - 1;
                 for ((&addr, &kind), &n) in addrs.iter().zip(kinds).zip(repeats) {
                     let line = addr >> 6;
+                    if line & shard_mask != *shard {
+                        continue;
+                    }
+                    let line = line >> *shard_bits;
                     // Loads and stores count the same: dirtiness only
                     // feeds the writeback counter, which replay does not
                     // track. Installs refresh recency without counting as
@@ -675,14 +687,12 @@ impl DataLane {
             // install in between would have ended the run at
             // extraction), so the bulk path is exact for every
             // replacement policy.
-            DataLane::Each(caches) => {
-                for cache in caches {
-                    for ((&addr, &kind), &n) in addrs.iter().zip(kinds).zip(repeats) {
-                        match kind {
-                            D_INSTALL => cache.install(addr),
-                            _ => {
-                                cache.access_run(addr, kind == D_STORE, u64::from(n));
-                            }
+            DataLane::Each(_, cache) => {
+                for ((&addr, &kind), &n) in addrs.iter().zip(kinds).zip(repeats) {
+                    match kind {
+                        D_INSTALL => cache.install(addr),
+                        _ => {
+                            cache.access_run(addr, kind == D_STORE, u64::from(n));
                         }
                     }
                 }
@@ -690,26 +700,29 @@ impl DataLane {
         }
     }
 
-    /// Stats per capacity point, in capacity order.
-    fn stats(&self) -> Vec<CacheStats> {
+    /// Adds this lane's counts into `l1d`, indexed like the capacity list.
+    fn add_stats(&self, l1d: &mut [CacheStats]) {
+        let mut add = |i: usize, point: CacheStats| {
+            l1d[i].accesses += point.accesses;
+            l1d[i].misses += point.misses;
+            l1d[i].writebacks += point.writebacks;
+        };
         match self {
             DataLane::Cascade {
                 order,
                 lrus,
                 skipped,
+                ..
             } => {
-                // bdb-lint: allow(hot-loop-allocation): once per sweep, after the replay
-                let mut stats = vec![CacheStats::default(); order.len()];
                 let mut skipped_hits = 0;
                 for ((&i, lru), &skip) in order.iter().zip(lrus).zip(skipped) {
                     skipped_hits += skip;
                     let mut point = lru.stats();
                     point.accesses += skipped_hits;
-                    stats[i] = point;
+                    add(i, point);
                 }
-                stats
             }
-            DataLane::Each(caches) => caches.iter().map(Cache::stats).collect(),
+            DataLane::Each(i, cache) => add(*i, cache.stats()),
         }
     }
 }
@@ -717,16 +730,11 @@ impl DataLane {
 /// Replay-only true-LRU set-associative model: per set, `assoc` line
 /// numbers stored most-recent-first in one contiguous slab, so an 8-way
 /// set is a single 64-byte cache line of host memory. It keeps
-/// [`Cache`]'s order-list layout but drops what replay never reads: the
-/// dirty bit, the writeback counter and the replacement-policy dispatch,
+/// [`Cache`]'s order lists and LRU update (a hit rotates the line to the
+/// front, a miss shifts the new line in and drops the last slot), so
+/// accesses and misses come out identical, but drops what replay never
+/// reads — the dirty bit, writebacks and the replacement dispatch —
 /// which lets the 8-way probe run branch-free over a fixed-size array.
-///
-/// A hit rotates the line to the front, a miss shifts the new line in at
-/// the front and drops the last slot — the least-recently-used valid
-/// line, or an invalid slot (invalid slots always form a suffix). That is
-/// [`Cache`]'s LRU update, so accesses and misses come out identical;
-/// writebacks are not modelled, which is fine for miss-ratio sweeps —
-/// `point_ratios` never reads them.
 #[derive(Debug)]
 struct ReplayLru {
     /// `tags[set * assoc ..][..assoc]`, most-recent-first; `u64::MAX`
@@ -901,7 +909,7 @@ pub(crate) fn pipelined_points(
     chunk_entries: usize,
     workload: impl FnOnce(&mut dyn TraceSink),
 ) -> (Vec<(f64, f64, f64)>, usize) {
-    let lanes: Vec<Mutex<PipelineLane>> = sweep_lanes(family, capacities_kib)
+    let lanes: Vec<Mutex<PipelineLane>> = sweep_lanes(family, capacities_kib, data_width(width))
         .into_iter()
         .map(|lane| Mutex::new(PipelineLane { lane, fed: 0 }))
         .collect();
@@ -936,6 +944,15 @@ pub(crate) fn pipelined_points(
         })
         .collect();
     (sweep_points(&lanes), helpers)
+}
+
+/// Data lanes for a pipeline `width` threads wide: the largest power of
+/// two no greater than its helper-thread count, so the data side — most
+/// of the replay — spreads over the helpers instead of bounding the
+/// sweep from one lane. Up to width 2 that is a single lane.
+fn data_width(width: usize) -> usize {
+    let helpers = width.saturating_sub(1).max(1);
+    1 << helpers.ilog2()
 }
 
 /// One lane in the pipeline, with the number of chunks it has replayed
@@ -1086,9 +1103,11 @@ mod tests {
         let config = family.l1_config(kib);
         let mut l1i = InstructionLane::full(config);
         l1i.feed(&streams.ifetch, &streams.irepeat);
-        let mut l1d = DataLane::Each(vec![Cache::new(config)]);
+        let mut l1d = DataLane::Each(0, Cache::new(config));
         l1d.feed(&streams.daddr, &streams.dkind, &streams.drepeat);
-        (l1i.stats(), l1d.stats()[0])
+        let mut stats = [CacheStats::default()];
+        l1d.add_stats(&mut stats);
+        (l1i.stats(), stats[0])
     }
 
     /// `(L1I, L1D)` stats per point of the production lanes.
@@ -1097,7 +1116,7 @@ mod tests {
         capacities_kib: &[u64],
         streams: &SweepStreams,
     ) -> Vec<(CacheStats, CacheStats)> {
-        let mut lanes = sweep_lanes(family, capacities_kib);
+        let mut lanes = sweep_lanes(family, capacities_kib, 1);
         for lane in &mut lanes {
             lane.feed(streams);
         }
@@ -1208,18 +1227,12 @@ mod tests {
             );
         }
         // Random replacement must not take the fast path (a random victim
-        // stream needs the RNG); a fully associative LRU cache is one
-        // power-of-two set and does.
+        // stream needs the RNG).
         let random = SweepFamily {
-            l1_assoc: Some(8),
+            l1_assoc: 8,
             replacement: Replacement::Random,
         };
         assert_eq!(lru_fast_path(&random, 64), None);
-        let fully_associative = SweepFamily {
-            l1_assoc: None,
-            replacement: Replacement::Lru,
-        };
-        assert_eq!(lru_fast_path(&fully_associative, 64), Some((1, 1024)));
     }
 
     #[test]
@@ -1245,11 +1258,15 @@ mod tests {
         // (same xorshift evolution) runs over the identical event
         // sequence.
         let family = SweepFamily {
-            l1_assoc: Some(8),
+            l1_assoc: 8,
             replacement: Replacement::Random,
         };
         let caps = [16u64, 64];
-        assert!(matches!(DataLane::new(&family, &caps), DataLane::Each(_)));
+        for lanes in [1, 2, 4] {
+            assert!(data_lanes(&family, &caps, lanes)
+                .iter()
+                .all(|lane| matches!(lane, DataLane::Each(..))));
+        }
         let fused = sweep_replay(&family, "rnd", &caps, &TraceBuffer::capture(mixed_workload));
         let per_point = sweep_per_point(&family, "rnd", &caps, mixed_workload);
         assert_eq!(fused, per_point);
@@ -1281,11 +1298,11 @@ mod tests {
         [
             SweepFamily::atom(),
             SweepFamily {
-                l1_assoc: Some(8),
+                l1_assoc: 8,
                 replacement: Replacement::Random,
             },
             SweepFamily {
-                l1_assoc: Some(256),
+                l1_assoc: 256,
                 replacement: Replacement::Lru,
             },
         ]
@@ -1309,7 +1326,7 @@ mod tests {
                     streams.compressed_entries() >= 3 * chunk_entries,
                     "{chunk_entries}-entry chunks must split the stream at least three ways"
                 );
-                for width in 1usize..=4 {
+                for width in [1usize, 2, 3, 4, 8] {
                     let (points, helpers) =
                         pipelined_points(&family, &caps, width, chunk_entries, mixed_workload);
                     assert_eq!(
@@ -1442,6 +1459,8 @@ mod tests {
         let kinds: Vec<u8> = ops.iter().map(|&(_, kind, _)| kind).collect();
         let repeats: Vec<u32> = ops.iter().map(|&(_, _, n)| n).collect();
         let mut fast = DataLane::Cascade {
+            shard: 0,
+            shard_bits: 0,
             order: vec![0],
             lrus: vec![ReplayLru::new(sets, assoc)],
             skipped: vec![0],
@@ -1467,7 +1486,9 @@ mod tests {
                 }
             }
         }
-        let fast = fast.stats()[0];
+        let mut fast_stats = [CacheStats::default()];
+        fast.add_stats(&mut fast_stats);
+        let fast = fast_stats[0];
         let bulk = bulk.stats();
         let scalar = scalar.stats();
         [
@@ -1559,7 +1580,7 @@ mod tests {
                 _ => (4, Replacement::Lru, 3),
             };
             let family = SweepFamily {
-                l1_assoc: Some(assoc),
+                l1_assoc: assoc,
                 replacement,
             };
             (family, picks.iter().map(|&p| base_kib << p).collect())
@@ -1568,41 +1589,61 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The data lane, fed in random chunks, against an
+            /// The data lanes, fed in random chunks, against an
             /// independent access-by-access [`Cache`] replay of every
-            /// point. Only the power-of-two LRU family may cascade;
-            /// Random replacement and other set counts visit every point.
+            /// point. Only the power-of-two LRU family may cascade, split
+            /// by line into at most as many lanes as its smallest
+            /// capacity has sets; Random replacement and other set counts
+            /// get a lane per point.
             #[test]
             fn data_lane_matches_independent_point_replays(
                 kind in 0usize..3,
                 assoc_bits in 0u32..4,
                 picks in proptest::collection::vec(0usize..5, 1..7),
+                lanes in 1usize..9,
                 data in proptest::collection::vec(long_data_op(), 1..150),
                 raw_splits in proptest::collection::vec(0usize..150, 0..5),
             ) {
                 let (family, caps) = lane_family(kind, assoc_bits, &picks);
                 let streams = streams_from(&[], &data);
-                let mut lane = DataLane::new(&family, &caps);
-                prop_assert_eq!(matches!(lane, DataLane::Cascade { .. }), kind == 0);
+                let mut split = data_lanes(&family, &caps, lanes);
+                let cascades = split
+                    .iter()
+                    .filter(|lane| matches!(lane, DataLane::Cascade { .. }))
+                    .count();
+                let expected = if kind == 0 {
+                    let min_sets = caps.iter().map(|&kib| family.l1_config(kib).sets()).min();
+                    (1 << lanes.ilog2()).min(min_sets.unwrap_or(1))
+                } else {
+                    0
+                };
+                prop_assert_eq!(cascades, expected);
+                prop_assert_eq!(split.len(), if kind == 0 { expected } else { caps.len() });
                 let entries = streams.daddr.len();
                 let mut splits = raw_splits;
                 splits.sort_unstable();
                 let mut start = 0usize;
                 for &end in splits.iter().chain([entries].iter()) {
                     let end = end.clamp(start, entries);
-                    lane.feed(
-                        &streams.daddr[start..end],
-                        &streams.dkind[start..end],
-                        &streams.drepeat[start..end],
-                    );
+                    for lane in &mut split {
+                        lane.feed(
+                            &streams.daddr[start..end],
+                            &streams.dkind[start..end],
+                            &streams.drepeat[start..end],
+                        );
+                    }
                     start = end;
                 }
-                for (&kib, got) in caps.iter().zip(lane.stats()) {
+                let mut stats = vec![CacheStats::default(); caps.len()];
+                for lane in &split {
+                    lane.add_stats(&mut stats);
+                }
+                for (&kib, got) in caps.iter().zip(stats) {
                     let (_, want) = machine_order_oracle(family.l1_config(kib), &[], &data);
                     prop_assert_eq!(
                         (got.accesses, got.misses),
                         (want.accesses, want.misses),
-                        "{:?} at {} KiB of {:?}", family, kib, caps
+                        "{:?} at {} KiB of {:?} in {} lanes", family, kib, caps, lanes
                     );
                 }
             }
@@ -1747,9 +1788,9 @@ mod tests {
     #[test]
     fn data_cascade_skips_entries_on_a_workload_with_reuse() {
         let streams = SweepStreams::record(mixed_workload);
-        let mut lane = DataLane::new(&SweepFamily::atom(), &crate::sweep::PAPER_SWEEP_KIB);
-        lane.feed(&streams.daddr, &streams.dkind, &streams.drepeat);
-        let DataLane::Cascade { skipped, .. } = &lane else {
+        let mut lanes = data_lanes(&SweepFamily::atom(), &crate::sweep::PAPER_SWEEP_KIB, 1);
+        lanes[0].feed(&streams.daddr, &streams.dkind, &streams.drepeat);
+        let DataLane::Cascade { skipped, .. } = &lanes[0] else {
             panic!("the atom family cascades");
         };
         assert!(skipped.iter().sum::<u64>() > 0, "no entry stopped early");
