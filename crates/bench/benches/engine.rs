@@ -14,11 +14,11 @@
 //! serial fails the bench run loudly instead of reporting a fake 1.0×.
 
 use bdb_cluster::{loopback_pair, profile_all_distributed, run_worker, wire};
-use bdb_cluster::{Message, Transport, WireFormat, WorkerConfig};
+use bdb_cluster::{proto, Message, Transport, WorkerConfig};
 use bdb_codec::{columnar, RecordKind};
 use bdb_engine::{json::Value, Engine, EngineConfig, SweepMode};
 use bdb_node::NodeConfig;
-use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig};
+use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig, WireFormat};
 use bdb_sim::{sweep_per_point, MachineConfig, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
 use bdb_trace::TraceBuffer;
 use bdb_wcrt::WorkloadProfile;
@@ -118,8 +118,8 @@ fn run_reference_sweeps(defs: &[WorkloadDef], at: Scale) -> Vec<SweepResult> {
         .collect()
 }
 
-/// Times a 3-worker loopback distributed run under whatever
-/// `BDB_WIRE_FORMAT` is currently set, returning `(seconds, profiles)`.
+/// Times a 3-worker loopback distributed run, returning
+/// `(seconds, profiles)`.
 fn run_distributed(
     defs: &[WorkloadDef],
     at: Scale,
@@ -350,25 +350,16 @@ fn measure_and_report() {
         fingerprint: 0,
         outcome: Ok(Box::new(serial[0].clone())),
     };
-    let wire_json_bytes = wire::encode_frame_with(WireFormat::Json, &result_msg).len();
-    let wire_binary_bytes = wire::encode_frame_with(WireFormat::Binary, &result_msg).len();
+    // The same message as a canonical-JSON frame, for the size ratio.
+    let wire_json_bytes = proto::message_to_value(&result_msg).encode().len() + 4;
+    let wire_binary_bytes = wire::encode_frame(&result_msg).len();
 
-    // Cluster merge, JSON wire vs binary wire: same loopback fleet, same
-    // tasks, byte-identical profiles — only the frame encoding differs.
-    std::env::remove_var("BDB_WIRE_FORMAT");
-    let (merge_json_s, merged_json) = run_distributed(&defs, scale(), &machine, &node);
-    std::env::set_var("BDB_WIRE_FORMAT", "binary");
-    let (merge_binary_s, merged_binary) = run_distributed(&defs, scale(), &machine, &node);
-    std::env::remove_var("BDB_WIRE_FORMAT");
+    // Cluster merge over a loopback fleet: byte-identical to serial.
+    let (merge_s, merged) = run_distributed(&defs, scale(), &machine, &node);
     assert_eq!(
         fingerprint(&serial),
-        fingerprint(&merged_json),
-        "JSON-wire merge must be bit-identical to serial"
-    );
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&merged_binary),
-        "binary-wire merge must be bit-identical to serial"
+        fingerprint(&merged),
+        "distributed merge must be bit-identical to serial"
     );
 
     // Serve section: cold catalog materialization, warm query latency
@@ -536,14 +527,7 @@ fn measure_and_report() {
             "wire_result_frame_binary_bytes",
             Value::UInt(wire_binary_bytes as u64),
         ),
-        (
-            "cluster_merge_json_wire_seconds",
-            Value::Float(merge_json_s),
-        ),
-        (
-            "cluster_merge_binary_wire_seconds",
-            Value::Float(merge_binary_s),
-        ),
+        ("cluster_merge_seconds", Value::Float(merge_s)),
         ("serve_entries", Value::UInt(serve_entries)),
         ("serve_cold_materialize_seconds", Value::Float(serve_cold_s)),
         ("serve_warm_query_us", Value::Float(serve_query_us)),
@@ -602,7 +586,7 @@ fn measure_and_report() {
          ({trace_ratio:.1}x; {trace_array_ratio:.1}x vs the array form), \
          cache entry {cache_binary_bytes}B vs {cache_json_bytes}B, \
          result frame {wire_binary_bytes}B vs {wire_json_bytes}B, \
-         merge json-wire {merge_json_s:.2}s vs binary-wire {merge_binary_s:.2}s",
+         merge {merge_s:.2}s",
         spill.len()
     );
     println!(

@@ -125,3 +125,42 @@ fn served_help_documents_its_own_knobs() {
         );
     }
 }
+
+/// Knobs that no longer exist: BDBC is the only encoding for cache
+/// entries, journal frames and cluster frames.
+const RETIRED_KNOBS: &[&str] = &["BDB_CACHE_FORMAT", "BDB_WIRE_FORMAT"];
+
+#[test]
+fn no_help_advertises_a_retired_knob() {
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut texts = vec![
+        (
+            "shared help".to_owned(),
+            bdb_bench::help_text("fig1_instruction_mix"),
+        ),
+        (
+            "daemon env block".to_owned(),
+            bdb_cluster::daemon_help_text("bdb-testd", "", "", &[], &[]),
+        ),
+    ];
+    for rel in DAEMON_BINS {
+        let source = std::fs::read_to_string(crate_dir.join(rel)).expect("read daemon source");
+        texts.push(((*rel).to_owned(), source));
+    }
+    for (what, text) in &texts {
+        for knob in RETIRED_KNOBS {
+            assert!(!text.contains(knob), "{what} still mentions {knob}");
+        }
+    }
+    // The serve protocol keeps both formats, JSON by default.
+    for rel in [
+        "../serve/src/bin/bdb_served.rs",
+        "../serve/src/bin/serve_smoke.rs",
+    ] {
+        let source = std::fs::read_to_string(crate_dir.join(rel)).expect("read serve source");
+        assert!(
+            source.contains("json (default) | binary"),
+            "{rel} must document BDB_SERVE_FORMAT's json default"
+        );
+    }
+}

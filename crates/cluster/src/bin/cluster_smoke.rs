@@ -14,9 +14,7 @@
 
 use bdb_cluster::{fleet_tasks, ClusterConfig, Coordinator};
 use bdb_cluster::{TcpTransport, Transport};
-use bdb_engine::{
-    argv_journal_context, codec, CacheStore, Engine, EngineConfig, RealFs, RunJournal,
-};
+use bdb_engine::{argv_journal_context, codec, CacheStore, Engine, RealFs, RunJournal};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_workloads::{catalog, Scale};
@@ -112,9 +110,7 @@ fn main() -> ExitCode {
     // the identical invocation replays journaled results.
     let mut journal = journal_path.map(|path| {
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-        let format = EngineConfig::from_env().cache_format;
-        let (journal, stats) =
-            RunJournal::open(store, path, &argv_journal_context(), resume, format);
+        let (journal, stats) = RunJournal::open(store, path, &argv_journal_context(), resume);
         eprintln!(
             "cluster-smoke: journal preloaded {} of {count} tasks",
             stats.loaded_tasks

@@ -12,10 +12,10 @@
 //! Layers, bottom up:
 //!
 //! * [`proto`] — the six-message protocol (`Hello`/`Assign`/`Result`/
-//!   `Replicate`/`Heartbeat`/`Bye`) encoded as `bdb-engine` canonical
-//!   JSON.
-//! * [`wire`] — 4-byte length-prefixed framing with a size cap and a
-//!   strict truncated-stream error.
+//!   `Replicate`/`Heartbeat`/`Bye`) as `bdb-engine` canonical value
+//!   trees.
+//! * [`wire`] — 4-byte length-prefixed framing of BDBC records with a
+//!   size cap and a strict truncated-stream error.
 //! * [`transport`] — the [`Transport`] trait plus the in-process
 //!   loopback implementation; [`tcp`] adds the std-only blocking TCP
 //!   implementation (no async runtime).
@@ -80,7 +80,7 @@ pub use help::DAEMON_ENGINE_ENV;
 pub use proto::{Message, PROTOCOL_VERSION};
 pub use tcp::TcpTransport;
 pub use transport::{loopback_pair, FrameTransport, LoopbackTransport, Transport, TransportError};
-pub use wire::{WireError, WireFormat, MAX_FRAME_BYTES};
+pub use wire::{WireError, MAX_FRAME_BYTES};
 pub use worker::{run_worker, WorkerConfig, WorkerError};
 
 use bdb_engine::Task;

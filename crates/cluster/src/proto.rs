@@ -21,8 +21,9 @@
 //!   sending it leaves the fleet cleanly (its in-flight work re-queues
 //!   without being charged a failed attempt).
 //!
-//! Encoding reuses `bdb-engine`'s canonical JSON (insertion-ordered
-//! objects, shortest-roundtrip floats), so every message — including the
+//! Encoding reuses `bdb-engine`'s canonical JSON value tree
+//! (insertion-ordered objects, shortest-roundtrip floats), which the
+//! wire ships as a BDBC record, so every message — including the
 //! embedded profile — is byte-stable: `encode(decode(bytes)) == bytes`.
 //! Decoding is strict; unknown message types or malformed fields are
 //! [`DecodeError`]s, which the transport layer surfaces as protocol

@@ -1,44 +1,16 @@
 //! Length-prefixed framing for [`Message`]s over byte streams.
 //!
 //! A frame is a 4-byte big-endian payload length followed by the
-//! message payload: canonical JSON bytes, or — when
-//! `BDB_WIRE_FORMAT=binary` — a checksummed BDBC `WireMessage` record
-//! ([`bdb_codec`]). Decoding sniffs each payload's bytes (the BDBC
-//! magic can never open a JSON object), so a mixed fleet interoperates:
-//! the knob chooses what a sender writes, never what a receiver
-//! accepts. The length cap ([`MAX_FRAME_BYTES`]) bounds allocation on
-//! garbage input; a stream that ends mid-frame is a
+//! message payload: a checksummed BDBC `WireMessage` record
+//! ([`bdb_codec`]) holding the message's canonical value tree. A
+//! payload that is not such a record (a JSON message included) is a
+//! [`WireError::Decode`]. The length cap ([`MAX_FRAME_BYTES`]) bounds
+//! allocation on garbage input; a stream that ends mid-frame is a
 //! [`WireError::Truncated`], distinct from the clean end-of-stream
 //! (`Ok(None)`) at a frame boundary.
 
 use crate::proto::{message_from_value, message_to_value, Message};
-use bdb_engine::json;
 use std::io::{ErrorKind, Read, Write};
-
-/// Payload encoding for outgoing frames. The outer `[u32 BE len]`
-/// framing is format-independent, and receivers sniff per payload, so
-/// the two formats coexist on one connection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WireFormat {
-    /// Canonical-JSON payloads — the debug/interchange form.
-    #[default]
-    Json,
-    /// BDBC `WireMessage` payloads — compact and CRC-64-checksummed.
-    Binary,
-}
-
-impl WireFormat {
-    /// The format selected by `BDB_WIRE_FORMAT` (`binary` / `bin` /
-    /// `bdbc` pick [`WireFormat::Binary`]; anything else, or unset, is
-    /// JSON). Read per call so tests and long-lived daemons observe
-    /// changes without re-construction.
-    pub fn from_env() -> Self {
-        match std::env::var("BDB_WIRE_FORMAT") {
-            Ok(v) if matches!(v.as_str(), "binary" | "bin" | "bdbc") => WireFormat::Binary,
-            _ => WireFormat::Json,
-        }
-    }
-}
 
 /// Upper bound on one frame's payload (a full 77-task assign batch plus
 /// profile results stay far under this; anything bigger is garbage).
@@ -51,7 +23,7 @@ pub enum WireError {
     Truncated,
     /// The length prefix exceeds [`MAX_FRAME_BYTES`].
     TooLarge(u32),
-    /// The payload is not a valid message (JSON or schema error).
+    /// The payload is not a valid message (codec or schema error).
     Decode(String),
     /// An I/O error from the underlying stream.
     Io(String),
@@ -72,22 +44,12 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Encodes one message as a length-prefixed frame in the format
-/// selected by `BDB_WIRE_FORMAT` (see [`WireFormat::from_env`]).
+/// Encodes one message as a length-prefixed BDBC frame.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    encode_frame_with(WireFormat::from_env(), msg)
-}
-
-/// Encodes one message as a length-prefixed frame in `format`.
-pub fn encode_frame_with(format: WireFormat, msg: &Message) -> Vec<u8> {
-    let payload = match format {
-        WireFormat::Json => message_to_value(msg).encode().into_bytes(),
-        WireFormat::Binary => bdb_codec::encode_record(
-            bdb_codec::RecordKind::WireMessage,
-            &bdb_codec::bval::encode_value(&message_to_value(msg)),
-        ),
-    };
-    encode_payload_frame(&payload)
+    encode_payload_frame(&bdb_codec::encode_record(
+        bdb_codec::RecordKind::WireMessage,
+        &bdb_codec::bval::encode_value(&message_to_value(msg)),
+    ))
 }
 
 /// Wraps an already-encoded payload in the outer `[u32 BE len]` frame.
@@ -153,17 +115,13 @@ pub fn decode_frames(buf: &[u8]) -> Result<Vec<Message>, (usize, WireError)> {
     }
 }
 
-/// Decodes one frame payload (format-sniffed) into a [`Message`].
+/// Decodes one frame payload (a BDBC `WireMessage` record) into a
+/// [`Message`].
 pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
-    let value = if bdb_codec::is_binary(payload) {
-        let inner = bdb_codec::decode_record_of(bdb_codec::RecordKind::WireMessage, payload)
-            .map_err(|e| WireError::Decode(e.to_string()))?;
-        bdb_codec::bval::decode_value(inner).map_err(|e| WireError::Decode(e.to_string()))?
-    } else {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| WireError::Decode(format!("not UTF-8: {e}")))?;
-        json::parse(text).map_err(|e| WireError::Decode(format!("{e:?}")))?
-    };
+    let inner = bdb_codec::decode_record_of(bdb_codec::RecordKind::WireMessage, payload)
+        .map_err(|e| WireError::Decode(e.to_string()))?;
+    let value =
+        bdb_codec::bval::decode_value(inner).map_err(|e| WireError::Decode(e.to_string()))?;
     message_from_value(&value).map_err(|e| WireError::Decode(e.0))
 }
 
@@ -230,46 +188,19 @@ mod tests {
     }
 
     #[test]
-    fn binary_frames_roundtrip_and_mix_with_json_on_one_stream() {
-        // A stream alternating formats decodes message-for-message: the
-        // receiver sniffs each payload, so a mixed fleet interoperates.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&encode_frame_with(WireFormat::Binary, &hello()));
-        buf.extend_from_slice(&encode_frame_with(
-            WireFormat::Json,
-            &Message::Heartbeat { seq: 9 },
+    fn frames_are_bdbc_records_and_json_payloads_are_rejected() {
+        let frame = encode_frame(&hello());
+        assert!(bdb_codec::is_binary(&frame[4..]));
+        let json = message_to_value(&hello()).encode().into_bytes();
+        assert!(matches!(
+            decode_frames(&encode_payload_frame(&json)),
+            Err((0, WireError::Decode(_)))
         ));
-        buf.extend_from_slice(&encode_frame_with(WireFormat::Binary, &Message::Bye));
-        let msgs = decode_frames(&buf).unwrap();
-        assert_eq!(msgs.len(), 3);
-        // Decoded messages re-encode identically in either format.
-        for (msg, original) in
-            msgs.iter()
-                .zip([hello(), Message::Heartbeat { seq: 9 }, Message::Bye])
-        {
-            assert_eq!(
-                encode_frame_with(WireFormat::Binary, msg),
-                encode_frame_with(WireFormat::Binary, &original)
-            );
-            assert_eq!(
-                encode_frame_with(WireFormat::Json, msg),
-                encode_frame_with(WireFormat::Json, &original)
-            );
-        }
     }
 
     #[test]
-    fn truncated_binary_frame_is_an_error_not_eof() {
-        let frame = encode_frame_with(WireFormat::Binary, &hello());
-        for cut in 1..frame.len() {
-            let err = decode_frames(&frame[..cut]).unwrap_err();
-            assert_eq!(err, (0, WireError::Truncated), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn bit_flips_in_a_binary_payload_are_decode_errors() {
-        let frame = encode_frame_with(WireFormat::Binary, &hello());
+    fn bit_flips_in_a_payload_are_decode_errors() {
+        let frame = encode_frame(&hello());
         // Flip payload bits only (past the 4-byte length prefix); every
         // flip must surface as a decode error, never a wrong message.
         for bit in 32..frame.len() * 8 {

@@ -155,7 +155,7 @@ fn single_worker_cluster_matches_serial() {
 
 #[test]
 fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
-    use bdb_engine::{CacheFormat, CacheStore, RealFs, RunJournal};
+    use bdb_engine::{CacheStore, RealFs, RunJournal};
     use std::path::PathBuf;
 
     let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(8).collect();
@@ -178,8 +178,7 @@ fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
     let completed = 5usize;
     {
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-        let (mut journal, _) =
-            RunJournal::open(store, path.clone(), context, false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store, path.clone(), context, false);
         let partial = Coordinator::new(test_config())
             .run_journaled(
                 vec![spawn_worker("first-life", FaultPlan::default())],
@@ -195,7 +194,7 @@ fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
     // remaining shards, so any re-dispatch of a finished shard fails the
     // whole run — resumption must come purely from the journal.
     let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-    let (mut journal, stats) = RunJournal::open(store, path, context, true, CacheFormat::Json);
+    let (mut journal, stats) = RunJournal::open(store, path, context, true);
     assert_eq!(
         stats.loaded_tasks, completed,
         "journal must replay all completed shards"

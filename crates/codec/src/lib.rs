@@ -3,8 +3,10 @@
 //! canonical JSON reference form it interchanges with.
 //!
 //! Every layer that persists or ships bytes — the engine's profile cache
-//! and run journal, `TraceBuffer` chunk spill, and the cluster wire —
-//! encodes through this crate, in one of two forms:
+//! and run journal, `TraceBuffer` chunk spill, the cluster wire and the
+//! serve wire — encodes through this crate. All but the serve wire store
+//! and ship BDBC records only; canonical JSON is the form of reports,
+//! figures and fingerprints, and one of the serve wire's two formats:
 //!
 //! * **Canonical JSON** ([`json`]): the human-readable debug/interchange
 //!   form. Byte-stable (`encode(decode(b)) == b`), shortest-roundtrip
@@ -171,9 +173,8 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Whether `bytes` look like a BDBC binary record (vs canonical JSON).
-/// Sniffing on the magic lets every reader stay format-agnostic: the
-/// `BDB_*_FORMAT` knobs select what gets *written*, while mixed-format
-/// caches, journals, and fleets always read cleanly.
+/// Sniffing on the magic lets a serve reader accept either payload
+/// format: `BDB_SERVE_FORMAT` selects only what gets *written*.
 pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }

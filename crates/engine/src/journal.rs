@@ -4,9 +4,8 @@
 //! the same framing discipline as the cluster wire protocol
 //! (`crates/cluster/src/wire.rs`): a 4-byte big-endian payload length,
 //! the payload, then a big-endian CRC-64 of the payload. The payload is
-//! either a canonical-JSON record or a BDBC `JournalRecord` (per the
-//! engine's [`CacheFormat`]); loading sniffs each payload's bytes, so a
-//! journal written in one format resumes under the other. The
+//! a BDBC `JournalRecord`; a journal from before BDBC was the only
+//! encoding has a JSON `start` record, fails to load, and is reset. The
 //! journal checkpoints every completed profile and sweep, so an
 //! interrupted `profile_all`, sweep campaign, or cluster coordinator
 //! resumes exactly where it stopped instead of re-running finished work.
@@ -31,7 +30,6 @@
 use crate::codec;
 use crate::json::Value;
 use crate::store::{crc64, CacheStore, StoreError};
-use crate::CacheFormat;
 use bdb_sim::SweepResult;
 use bdb_wcrt::WorkloadProfile;
 use std::collections::BTreeMap;
@@ -70,7 +68,6 @@ struct Loaded {
 pub struct RunJournal {
     store: Arc<dyn CacheStore>,
     path: PathBuf,
-    format: CacheFormat,
     tasks: BTreeMap<u64, WorkloadProfile>,
     sweeps: BTreeMap<u64, SweepResult>,
     broken: bool,
@@ -85,14 +82,12 @@ impl RunJournal {
     /// [`completed_sweep`](Self::completed_sweep), and any damaged tail
     /// is truncated away. Without `resume`, or when the context does not
     /// match, the file is overwritten with a fresh journal containing
-    /// just the `start` record. `format` selects the payload encoding
-    /// for new records; loading accepts both regardless.
+    /// just the `start` record.
     pub fn open(
         store: Arc<dyn CacheStore>,
         path: PathBuf,
         context: &str,
         resume: bool,
-        format: CacheFormat,
     ) -> (RunJournal, JournalStats) {
         let mut stats = JournalStats::default();
         if resume {
@@ -116,7 +111,6 @@ impl RunJournal {
                             RunJournal {
                                 store,
                                 path,
-                                format,
                                 tasks: loaded.tasks,
                                 sweeps: loaded.sweeps,
                                 broken,
@@ -138,7 +132,7 @@ impl RunJournal {
             ("kind", Value::Str("start".to_owned())),
             ("context", Value::Str(context.to_owned())),
         ]);
-        let broken = match store.write(&path, &frame(&start, format)) {
+        let broken = match store.write(&path, &frame(&start)) {
             Ok(()) => false,
             Err(_) => {
                 stats.io_errors += 1;
@@ -149,7 +143,6 @@ impl RunJournal {
             RunJournal {
                 store,
                 path,
-                format,
                 tasks: BTreeMap::new(),
                 sweeps: BTreeMap::new(),
                 broken,
@@ -202,7 +195,7 @@ impl RunJournal {
             ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
             ("profile", codec::profile_to_value(profile)),
         ]);
-        match self.store.append(&self.path, &frame(&record, self.format)) {
+        match self.store.append(&self.path, &frame(&record)) {
             Ok(()) => {
                 self.tasks.insert(fingerprint, profile.clone());
                 Ok(true)
@@ -225,7 +218,7 @@ impl RunJournal {
             ("key", Value::Str(format!("{key:016x}"))),
             ("result", codec::sweep_result_to_value(result)),
         ]);
-        match self.store.append(&self.path, &frame(&record, self.format)) {
+        match self.store.append(&self.path, &frame(&record)) {
             Ok(()) => {
                 self.sweeps.insert(key, result.clone());
                 Ok(true)
@@ -248,7 +241,7 @@ impl RunJournal {
             ("kind", Value::Str("assign".to_owned())),
             ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
         ]);
-        match self.store.append(&self.path, &frame(&record, self.format)) {
+        match self.store.append(&self.path, &frame(&record)) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.broken = true;
@@ -334,16 +327,13 @@ pub fn sweep_key(label: &str, capacities_kib: &[u64]) -> u64 {
     crc64(&bytes)
 }
 
-/// One framed record: `[u32 BE payload len][payload][u64 BE CRC-64]`.
-/// The payload is canonical JSON or a BDBC `JournalRecord` per `format`.
-fn frame(record: &Value, format: CacheFormat) -> Vec<u8> {
-    let payload = match format {
-        CacheFormat::Json => record.encode().into_bytes(),
-        CacheFormat::Binary => bdb_codec::encode_record(
-            bdb_codec::RecordKind::JournalRecord,
-            &bdb_codec::bval::encode_value(record),
-        ),
-    };
+/// One framed record: `[u32 BE payload len][payload][u64 BE CRC-64]`,
+/// the payload a BDBC `JournalRecord`.
+fn frame(record: &Value) -> Vec<u8> {
+    let payload = bdb_codec::encode_record(
+        bdb_codec::RecordKind::JournalRecord,
+        &bdb_codec::bval::encode_value(record),
+    );
     let mut out = Vec::with_capacity(payload.len() + 12);
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(&payload);
@@ -351,19 +341,11 @@ fn frame(record: &Value, format: CacheFormat) -> Vec<u8> {
     out
 }
 
-/// Sniffs a frame payload's encoding from its bytes and decodes it:
-/// BDBC-magic payloads are binary journal records, anything else is
-/// canonical JSON. `None` on any decode failure (a damaged tail).
+/// Decodes a frame payload as a BDBC journal record. `None` on any
+/// decode failure (a damaged tail, or a pre-BDBC JSON record).
 fn decode_payload(payload: &[u8]) -> Option<Value> {
-    if bdb_codec::is_binary(payload) {
-        let inner =
-            bdb_codec::decode_record_of(bdb_codec::RecordKind::JournalRecord, payload).ok()?;
-        bdb_codec::bval::decode_value(inner).ok()
-    } else {
-        std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| crate::json::parse(text).ok())
-    }
+    let inner = bdb_codec::decode_record_of(bdb_codec::RecordKind::JournalRecord, payload).ok()?;
+    bdb_codec::bval::decode_value(inner).ok()
 }
 
 /// Decodes the frame at `offset`; `None` when it is short, oversized,
@@ -436,16 +418,14 @@ mod tests {
         let p = sample_profile("H-WordCount");
         let s = sample_sweep();
 
-        let (mut journal, stats) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, stats) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         assert_eq!(stats, JournalStats::default());
         assert!(journal.record_task(0xabc, &p).unwrap());
         assert!(!journal.record_task(0xabc, &p).unwrap(), "dedup");
         assert!(journal.record_sweep(0xdef, &s).unwrap());
         journal.record_assign(0x123).unwrap();
 
-        let (resumed, stats) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", true, CacheFormat::Json);
+        let (resumed, stats) = RunJournal::open(store.clone(), path.clone(), "ctx", true);
         assert_eq!((stats.loaded_tasks, stats.loaded_sweeps), (1, 1));
         assert_eq!(stats.discarded_bytes, 0);
         assert!(!stats.reset);
@@ -466,8 +446,7 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         journal.record_task(1, &p).unwrap();
         let good = std::fs::read(&path).unwrap();
         let good_len = good.len();
@@ -482,8 +461,7 @@ mod tests {
             let mut torn = good.clone();
             torn.extend_from_slice(&record2[..cut]);
             std::fs::write(&path, &torn).unwrap();
-            let (resumed, stats) =
-                RunJournal::open(store.clone(), path.clone(), "ctx", true, CacheFormat::Json);
+            let (resumed, stats) = RunJournal::open(store.clone(), path.clone(), "ctx", true);
             assert_eq!(stats.loaded_tasks, 1, "cut {cut}");
             assert_eq!(stats.discarded_bytes, cut, "cut {cut}");
             assert!(resumed.completed_task(1).is_some());
@@ -503,8 +481,7 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         journal.record_task(1, &p).unwrap();
         let good_len = std::fs::read(&path).unwrap().len();
         journal.record_task(2, &p).unwrap();
@@ -514,7 +491,7 @@ mod tests {
         let target = good_len + 20;
         bytes[target] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let (resumed, stats) = RunJournal::open(store, path, "ctx", true, CacheFormat::Json);
+        let (resumed, stats) = RunJournal::open(store, path, "ctx", true);
         assert_eq!(stats.loaded_tasks, 1);
         assert!(stats.discarded_bytes > 0);
         assert!(resumed.completed_task(2).is_none());
@@ -527,25 +504,13 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) = RunJournal::open(
-            store.clone(),
-            path.clone(),
-            "run A",
-            false,
-            CacheFormat::Json,
-        );
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "run A", false);
         journal.record_task(1, &p).unwrap();
-        let (resumed, stats) = RunJournal::open(
-            store.clone(),
-            path.clone(),
-            "run B",
-            true,
-            CacheFormat::Json,
-        );
+        let (resumed, stats) = RunJournal::open(store.clone(), path.clone(), "run B", true);
         assert!(stats.reset, "different context must not replay");
         assert_eq!(resumed.task_count(), 0);
         // And the reset journal is usable under the new context.
-        let (again, stats) = RunJournal::open(store, path, "run B", true, CacheFormat::Json);
+        let (again, stats) = RunJournal::open(store, path, "run B", true);
         assert!(!stats.reset);
         assert_eq!(again.task_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -557,62 +522,41 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         journal.record_task(1, &p).unwrap();
-        let (fresh, stats) = RunJournal::open(store, path, "ctx", false, CacheFormat::Json);
+        let (fresh, stats) = RunJournal::open(store, path, "ctx", false);
         assert_eq!(fresh.task_count(), 0);
         assert_eq!(stats.loaded_tasks, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn binary_journal_resumes_in_either_format() {
-        let dir = scratch("binary");
+    fn records_are_bdbc_and_a_json_era_journal_resets() {
+        let dir = scratch("legacy");
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let s = sample_sweep();
-        let (mut journal, _) = RunJournal::open(
-            store.clone(),
-            path.clone(),
-            "ctx",
-            false,
-            CacheFormat::Binary,
-        );
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         assert!(journal.record_task(0xabc, &p).unwrap());
-        assert!(journal.record_sweep(0xdef, &s).unwrap());
-        let binary_len = std::fs::metadata(&path).unwrap().len();
+        let bytes = std::fs::read(&path).unwrap();
+        let (start, _) = next_frame(&bytes, 0).expect("start frame");
+        assert!(bdb_codec::is_binary(start), "payloads are BDBC records");
 
-        // A JSON-configured engine resumes the binary journal: loading
-        // sniffs each payload, so the format knob never strands a run.
-        let (resumed, stats) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", true, CacheFormat::Json);
-        assert_eq!((stats.loaded_tasks, stats.loaded_sweeps), (1, 1));
-        assert_eq!(
-            crate::codec::profile_to_value(resumed.completed_task(0xabc).unwrap()).encode(),
-            crate::codec::profile_to_value(&p).encode(),
-        );
-        assert_eq!(resumed.completed_sweep(0xdef).unwrap(), &s);
-
-        // The binary journal is smaller than the same records framed as
-        // canonical JSON (modestly — profiles are float-heavy; the big
-        // wins are in the columnar trace chunks).
-        let json_path = dir.join("run-json.wal");
-        let (mut json_journal, _) = RunJournal::open(
-            store.clone(),
-            json_path.clone(),
-            "ctx",
-            false,
-            CacheFormat::Json,
-        );
-        json_journal.record_task(0xabc, &p).unwrap();
-        json_journal.record_sweep(0xdef, &s).unwrap();
-        let json_len = std::fs::metadata(&json_path).unwrap().len();
-        assert!(
-            binary_len * 4 < json_len * 3,
-            "binary journal ({binary_len} B) should be at least 25% under the JSON one ({json_len} B)"
-        );
+        // A journal whose start record is canonical JSON, framed as
+        // before BDBC became the only encoding: resume resets it.
+        let json_start = Value::object(vec![
+            ("kind", Value::Str("start".to_owned())),
+            ("context", Value::Str("ctx".to_owned())),
+        ])
+        .encode()
+        .into_bytes();
+        let mut legacy = (json_start.len() as u32).to_be_bytes().to_vec();
+        legacy.extend_from_slice(&json_start);
+        legacy.extend_from_slice(&crc64(&json_start).to_be_bytes());
+        std::fs::write(&path, &legacy).unwrap();
+        let (resumed, stats) = RunJournal::open(store, path, "ctx", true);
+        assert!(stats.reset, "a JSON start record is not loadable");
+        assert_eq!(resumed.task_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

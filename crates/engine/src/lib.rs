@@ -13,7 +13,7 @@
 //! * **Profile cache** — profiling the full catalog at paper scale takes
 //!   minutes; the 45-metric vector for a given (workload, scale, machine
 //!   config, node config) never changes. The engine memoizes profiles in
-//!   memory and, when a cache directory is configured, as one JSON file
+//!   memory and, when a cache directory is configured, as one BDBC record
 //!   per profile keyed by a content fingerprint. Re-running a figure
 //!   binary after changing only presentation code touches no simulation.
 //!
@@ -89,43 +89,13 @@ use std::sync::{Arc, Mutex};
 /// referenced (their keys no longer occur) and fresh entries are written
 /// under new names. Version 2 added the `crc64` content checksum;
 /// version 3 moved the canonical encoder into `bdb-codec` and added the
-/// binary (BDBC) entry form selected by [`CacheFormat`].
+/// binary (BDBC) entry form, now the only one. Entries from the JSON era
+/// of version 3 (`.json` files) are never read: they are plain misses.
 pub const CACHE_FORMAT_VERSION: u64 = 3;
 
-/// On-disk encoding for cache entries and journal frame payloads.
-/// Readers sniff the bytes (the binary container opens with the `BDBC`
-/// magic, which can never begin a JSON entry), so the two formats
-/// interoperate: the knob only chooses what new writes look like.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CacheFormat {
-    /// One canonical-JSON envelope per entry (`.json`) — the
-    /// human-readable debug/interchange form.
-    #[default]
-    Json,
-    /// One checksummed BDBC binary record per entry (`.bin`) — the
-    /// compact form; losslessly convertible to and from the JSON form.
-    Binary,
-}
-
-impl CacheFormat {
-    /// File extension entries of this format are stored under.
-    pub fn extension(self) -> &'static str {
-        match self {
-            CacheFormat::Json => "json",
-            CacheFormat::Binary => "bin",
-        }
-    }
-
-    /// The other format — the read path falls back to it so flipping
-    /// `BDB_CACHE_FORMAT` over an existing cache re-serves entries
-    /// instead of recomputing them.
-    pub fn other(self) -> Self {
-        match self {
-            CacheFormat::Json => CacheFormat::Binary,
-            CacheFormat::Binary => CacheFormat::Json,
-        }
-    }
-}
+/// File extension of cache entries: one checksummed BDBC
+/// `CacheEntry` record per file.
+const CACHE_EXTENSION: &str = "bin";
 
 /// Subdirectory of the cache dir where entries that fail verification
 /// are moved (bytes preserved for forensics, never reused or
@@ -154,7 +124,7 @@ pub struct EngineConfig {
     /// extracting thread plus `point_threads - 1` replay helpers. `None`
     /// follows the worker pool's width.
     pub point_threads: Option<usize>,
-    /// Directory for the on-disk profile cache (one JSON file per
+    /// Directory for the on-disk profile cache (one BDBC record per
     /// profile). `None` disables the disk cache.
     pub cache_dir: Option<PathBuf>,
     /// Whether to also memoize profiles in memory (cheap; only worth
@@ -164,9 +134,6 @@ pub struct EngineConfig {
     /// directory past the cap, least-recently-used entries (hits refresh
     /// recency) are evicted until it fits. `None` means unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// Encoding for new cache entries and journal frames (JSON by
-    /// default; readers accept both regardless).
-    pub cache_format: CacheFormat,
     /// Sweep execution strategy (fused trace-replay by default).
     pub sweep_mode: SweepMode,
     /// Storage backend behind every engine filesystem access. `None`
@@ -193,7 +160,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("cache_dir", &self.cache_dir)
             .field("no_memory_cache", &self.no_memory_cache)
             .field("cache_max_bytes", &self.cache_max_bytes)
-            .field("cache_format", &self.cache_format)
             .field("sweep_mode", &self.sweep_mode)
             .field("store", &self.store.as_ref().map(|_| "<custom>"))
             .field("journal_path", &self.journal_path)
@@ -237,13 +203,6 @@ impl EngineConfig {
     #[must_use]
     pub fn cache_max_bytes(mut self, bytes: u64) -> Self {
         self.cache_max_bytes = Some(bytes);
-        self
-    }
-
-    /// Selects the encoding for new cache entries and journal frames.
-    #[must_use]
-    pub fn cache_format(mut self, format: CacheFormat) -> Self {
-        self.cache_format = format;
         self
     }
 
@@ -299,10 +258,6 @@ impl EngineConfig {
     ///   of two (default: the worker pool's width).
     /// * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache; LRU entries are
     ///   evicted past the cap (default: unbounded).
-    /// * `BDB_CACHE_FORMAT=binary` — persist new cache entries and
-    ///   journal frames as checksummed BDBC binary records instead of
-    ///   canonical JSON (default: `json`). Readers sniff the bytes, so
-    ///   the two formats interoperate in one cache directory.
     /// * `BDB_SWEEP_MODE=per-point` — use the per-point reference sweep
     ///   instead of the fused trace-replay path (default: `fused`; the
     ///   two are byte-identical by contract).
@@ -338,11 +293,6 @@ impl EngineConfig {
             .and_then(|b| b.parse().ok())
         {
             config = config.cache_max_bytes(bytes);
-        }
-        if let Ok(format) = std::env::var("BDB_CACHE_FORMAT") {
-            if matches!(format.as_str(), "binary" | "bin" | "bdbc") {
-                config = config.cache_format(CacheFormat::Binary);
-            }
         }
         if let Ok(mode) = std::env::var("BDB_SWEEP_MODE") {
             if matches!(mode.as_str(), "per-point" | "perpoint" | "per_point") {
@@ -427,7 +377,6 @@ pub struct Engine {
     store: Arc<dyn CacheStore>,
     cache_dir: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
-    cache_format: CacheFormat,
     sweep_mode: SweepMode,
     /// Width of one sweep's pipeline (`None` = the pool's width).
     point_threads: Option<usize>,
@@ -473,13 +422,8 @@ impl Engine {
             .map_or(0, |dir| reclaim_stale_tmp(store.as_ref(), dir));
         let mut disk_errors = 0u64;
         let journal = config.journal_path.map(|path| {
-            let (journal, stats) = RunJournal::open(
-                store.clone(),
-                path,
-                &config.journal_context,
-                config.resume,
-                config.cache_format,
-            );
+            let (journal, stats) =
+                RunJournal::open(store.clone(), path, &config.journal_context, config.resume);
             disk_errors += stats.io_errors;
             Mutex::new(journal)
         });
@@ -488,7 +432,6 @@ impl Engine {
             store,
             cache_dir,
             cache_max_bytes: config.cache_max_bytes,
-            cache_format: config.cache_format,
             sweep_mode: config.sweep_mode,
             point_threads: config.point_threads,
             buffers: TraceBufferPool::new(),
@@ -586,9 +529,7 @@ impl Engine {
             .iter()
             .filter_map(|meta| {
                 let name = meta.path.file_name()?.to_str()?;
-                let stem = name
-                    .strip_suffix(".json")
-                    .or_else(|| name.strip_suffix(".bin"))?;
+                let stem = name.strip_suffix(CACHE_EXTENSION)?.strip_suffix('.')?;
                 let (_, hex) = stem.rsplit_once('-')?;
                 if hex.len() != 16 {
                     return None;
@@ -638,7 +579,7 @@ impl Engine {
         let key = profile_fingerprint(&workload.spec.id, scale, machine, node);
         self.cache_dir
             .as_ref()
-            .map(|dir| dir.join(cache_file_name(&workload.spec.id, key, self.cache_format)))
+            .map(|dir| dir.join(cache_file_name(&workload.spec.id, key)))
     }
 
     /// Profiles one workload, consulting the caches first.
@@ -650,6 +591,21 @@ impl Engine {
         node: &NodeConfig,
     ) -> WorkloadProfile {
         let key = profile_fingerprint(&workload.spec.id, scale, machine, node);
+        self.profile_keyed(key, workload, scale, machine, node)
+    }
+
+    /// [`Engine::profile`] under a fingerprint the caller already holds:
+    /// `key` must be `profile_fingerprint` of the other arguments.
+    /// [`Engine::run_task`] passes its task's, so a task is fingerprinted
+    /// once.
+    fn profile_keyed(
+        &self,
+        key: u64,
+        workload: &WorkloadDef,
+        scale: Scale,
+        machine: &MachineConfig,
+        node: &NodeConfig,
+    ) -> WorkloadProfile {
         if let Some(memory) = &self.memory {
             if let Some(hit) = lock(memory).get(&key) {
                 self.memory_hits.fetch_add(1, Ordering::Relaxed);
@@ -863,33 +819,30 @@ impl Engine {
 
     fn read_cache_file(&self, id: &str, key: u64) -> Option<WorkloadProfile> {
         let dir = self.cache_dir.as_ref()?;
-        // Prefer the configured format, then fall back to the other
-        // extension: flipping `BDB_CACHE_FORMAT` over an existing cache
-        // keeps serving the old entries instead of recomputing.
-        for format in [self.cache_format, self.cache_format.other()] {
-            let path = dir.join(cache_file_name(id, key, format));
-            let bytes = match self.store.read(&path) {
-                Ok(Some(bytes)) => bytes,
-                Ok(None) => continue,
-                Err(_) => {
-                    self.disk_errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
+        let path = dir.join(cache_file_name(id, key));
+        let bytes = match self.store.read(&path) {
+            Ok(Some(bytes)) => bytes,
+            Ok(None) => return None,
+            Err(_) => {
+                self.disk_errors.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+        };
+        match verify_cache_entry(&bytes, key) {
+            Ok(profile) => {
+                // A hit refreshes the entry's recency so LRU eviction
+                // spares hot entries. Best-effort: a failed touch only
+                // skews eviction order.
+                if self.cache_max_bytes.is_some() {
+                    let _ = self.store.touch(&path);
                 }
-            };
-            match verify_cache_entry(&bytes, key) {
-                Ok(profile) => {
-                    // A hit refreshes the entry's recency so LRU eviction
-                    // spares hot entries. Best-effort: a failed touch only
-                    // skews eviction order.
-                    if self.cache_max_bytes.is_some() {
-                        let _ = self.store.touch(&path);
-                    }
-                    return Some(profile);
-                }
-                Err(_) => self.quarantine(dir, &path),
+                Some(profile)
+            }
+            Err(_) => {
+                self.quarantine(dir, &path);
+                None
             }
         }
-        None
     }
 
     /// Moves an entry that failed verification into [`QUARANTINE_DIR`]:
@@ -921,17 +874,14 @@ impl Engine {
         let Some(dir) = &self.cache_dir else {
             return;
         };
-        let path = dir.join(cache_file_name(id, key, self.cache_format));
-        let bytes = encode_cache_entry(key, profile, self.cache_format);
+        let name = cache_file_name(id, key);
+        let bytes = encode_cache_entry(key, profile);
         // Write-to-temp + rename so concurrent engines never observe a
         // half-written entry; all writers produce identical bytes, so the
         // last rename winning is harmless. Both failure arms remove the
         // temp file — a failed write used to leak its partial `.tmp`.
-        let tmp = dir.join(format!(
-            ".{}.tmp{}",
-            cache_file_name(id, key, self.cache_format),
-            std::process::id()
-        ));
+        let tmp = dir.join(format!(".{name}.tmp{}", std::process::id()));
+        let path = dir.join(name);
         match self.store.write(&tmp, &bytes) {
             Ok(()) => {
                 if self.store.rename(&tmp, &path).is_err() {
@@ -959,7 +909,7 @@ impl Engine {
 }
 
 /// Removes stale temp files left by crashed writers. They are invisible
-/// to [`enforce_cache_cap`] (which only counts `.json` / `.bin`), so
+/// to [`enforce_cache_cap`] (which only counts `.bin` entries), so
 /// without this startup sweep they would accumulate forever.
 fn reclaim_stale_tmp(store: &dyn CacheStore, dir: &Path) -> u64 {
     let Ok(files) = store.list(dir) else {
@@ -980,7 +930,7 @@ fn reclaim_stale_tmp(store: &dyn CacheStore, dir: &Path) -> u64 {
 }
 
 /// Evicts least-recently-used cache entries until the directory's
-/// `.json` and `.bin` entries total at most `max_bytes`. Recency is file
+/// `.bin` entries total at most `max_bytes`. Recency is file
 /// mtime (refreshed on hits); ties break on file name so eviction order
 /// is deterministic.
 /// Eviction removes whole files only — surviving entries are never
@@ -993,11 +943,7 @@ fn enforce_cache_cap(store: &dyn CacheStore, dir: &Path, max_bytes: u64) {
     };
     let mut files: Vec<FileMeta> = listed
         .into_iter()
-        .filter(|meta| {
-            meta.path
-                .extension()
-                .is_some_and(|e| e == "json" || e == "bin")
-        })
+        .filter(|meta| meta.path.extension().is_some_and(|e| e == CACHE_EXTENSION))
         .collect();
     let mut total: u64 = files.iter().map(|meta| meta.len).sum();
     if total <= max_bytes {
@@ -1084,7 +1030,7 @@ impl Fnv {
     }
 }
 
-fn cache_file_name(id: &str, key: u64, format: CacheFormat) -> String {
+fn cache_file_name(id: &str, key: u64) -> String {
     let safe: String = id
         .chars()
         .map(|c| {
@@ -1095,101 +1041,36 @@ fn cache_file_name(id: &str, key: u64, format: CacheFormat) -> String {
             }
         })
         .collect();
-    format!("{safe}-{key:016x}.{}", format.extension())
+    format!("{safe}-{key:016x}.{CACHE_EXTENSION}")
 }
 
-fn encode_cache_entry(key: u64, profile: &WorkloadProfile, format: CacheFormat) -> Vec<u8> {
-    let body = codec::profile_to_value(profile);
-    match format {
-        CacheFormat::Json => {
-            let crc = crc64(body.encode().as_bytes());
-            let mut text = json::Value::object(vec![
-                ("format", json::Value::UInt(CACHE_FORMAT_VERSION)),
-                ("crc64", json::Value::Str(format!("{crc:016x}"))),
-                ("fingerprint", json::Value::Str(format!("{key:016x}"))),
-                ("profile", body),
-            ])
-            .encode();
-            text.push('\n');
-            text.into_bytes()
-        }
-        // The BDBC container carries its own version and CRC-64 trailer,
-        // so the binary entry is just the fingerprinted payload.
-        CacheFormat::Binary => bdb_codec::encode_record(
-            bdb_codec::RecordKind::CacheEntry,
-            &bdb_codec::encode_cache_payload(key, &body),
-        ),
-    }
+/// One cache entry: a BDBC `CacheEntry` record. The container carries
+/// its own version and CRC-64 trailer, so the entry is just the
+/// fingerprinted payload.
+fn encode_cache_entry(key: u64, profile: &WorkloadProfile) -> Vec<u8> {
+    bdb_codec::encode_record(
+        bdb_codec::RecordKind::CacheEntry,
+        &bdb_codec::encode_cache_payload(key, &codec::profile_to_value(profile)),
+    )
 }
 
 /// Verifies and decodes one cache entry against the key it was looked up
 /// under. This is the single decode path for every reader (the engine's
 /// own cache reads and [`read_cache_dir`]), so no two readers can
-/// disagree on what counts as a valid entry. The entry's format is
-/// sniffed from its bytes (binary entries open with the `BDBC` magic),
-/// so readers work regardless of the writer's [`CacheFormat`]. Any
-/// failure — bad UTF-8, bad JSON, non-canonical bytes, wrong format
-/// version, checksum or fingerprint mismatch, undecodable profile — is
-/// grounds for quarantine: entries are written canonically, so a valid
-/// entry can only fail here if its bytes changed underneath us.
+/// disagree on what counts as a valid entry. A hit costs one checksum
+/// and one decode: the container check (magic, version, kind, exact
+/// length, CRC-64 trailer over the payload), then the fingerprint, then
+/// the profile. Any failure — bytes that are not a BDBC `CacheEntry`
+/// record (a JSON entry included), a checksum or fingerprint mismatch,
+/// an undecodable profile — is grounds for quarantine: a valid entry can
+/// only fail here if its bytes changed underneath us.
 pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
-    if bdb_codec::is_binary(bytes) {
-        return verify_binary_cache_entry(bytes, expected_key);
-    }
-    let text = std::str::from_utf8(bytes).map_err(|_| "entry is not UTF-8".to_owned())?;
-    let body = text.trim_end();
-    let value = json::parse(body).map_err(|_| "entry is not valid JSON".to_owned())?;
-    // Canonical-byte stability first: stored entries are canonical, so
-    // even damage that still parses to an equal JSON value (e.g. a case
-    // flip inside a float exponent) re-encodes differently and is
-    // caught before the checksum is even consulted.
-    if value.encode() != body {
-        return Err("entry bytes are not canonical".to_owned());
-    }
-    if value.get("format").and_then(|v| v.as_u64()) != Some(CACHE_FORMAT_VERSION) {
-        return Err(format!(
-            "unsupported cache format (want {CACHE_FORMAT_VERSION})"
-        ));
-    }
-    let stored_crc = value
-        .get("crc64")
-        .and_then(|v| v.as_str())
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| "missing or malformed crc64".to_owned())?;
-    let profile_value = value
-        .get("profile")
-        .ok_or_else(|| "missing profile".to_owned())?;
-    let actual_crc = crc64(profile_value.encode().as_bytes());
-    if stored_crc != actual_crc {
-        return Err(format!(
-            "checksum mismatch: stored {stored_crc:016x}, computed {actual_crc:016x}"
-        ));
-    }
-    let expected = format!("{expected_key:016x}");
-    if value.get("fingerprint").and_then(|v| v.as_str()) != Some(expected.as_str()) {
-        return Err(format!("fingerprint mismatch (want {expected})"));
-    }
-    codec::profile_from_value(profile_value).map_err(|e| e.to_string())
-}
-
-/// The binary arm of [`verify_cache_entry`]: container (magic, version,
-/// kind, exact length, CRC-64 trailer), fingerprint, byte-stability
-/// under re-encode, then profile decode — the same failure classes the
-/// JSON arm checks, in the same order of cheapness.
-fn verify_binary_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
     let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, bytes)
         .map_err(|e| e.to_string())?;
     let (fingerprint, profile_value) =
         bdb_codec::decode_cache_payload(payload).map_err(|e| e.to_string())?;
     if fingerprint != expected_key {
         return Err(format!("fingerprint mismatch (want {expected_key:016x})"));
-    }
-    let reencoded = bdb_codec::encode_record(
-        bdb_codec::RecordKind::CacheEntry,
-        &bdb_codec::encode_cache_payload(fingerprint, &profile_value),
-    );
-    if reencoded != bytes {
-        return Err("entry bytes are not canonical".to_owned());
     }
     codec::profile_from_value(&profile_value).map_err(|e| e.to_string())
 }
@@ -1207,8 +1088,7 @@ pub fn read_cache_dir(dir: &Path) -> Vec<WorkloadProfile> {
         .into_iter()
         .filter_map(|meta| {
             let path = meta.path;
-            let ext = path.extension()?;
-            if ext != "json" && ext != "bin" {
+            if path.extension()? != CACHE_EXTENSION {
                 return None;
             }
             // `cache_file_name` ends the stem with `-{key:016x}`.
@@ -1319,7 +1199,12 @@ mod tests {
         let path = cold_engine
             .cache_file(&workloads[0], Scale::tiny(), &machine, &node)
             .unwrap();
-        let cold_bytes = std::fs::read_to_string(&path).expect("cache file written");
+        assert_eq!(path.extension().unwrap(), "bin");
+        let cold_bytes = std::fs::read(&path).expect("cache file written");
+        assert!(
+            bdb_codec::is_binary(&cold_bytes),
+            "entries are BDBC records"
+        );
 
         // A fresh engine over the same directory must hit, not recompute,
         // and leave the exact bytes in place.
@@ -1333,77 +1218,11 @@ mod tests {
         assert_eq!(warm_engine.counters().disk_hits, 1);
         assert_eq!(warm_engine.counters().computed, 0);
         assert_eq!(profile_bits(&cold), profile_bits(&warm));
-        let warm_bytes = std::fs::read_to_string(&path).unwrap();
+        let warm_bytes = std::fs::read(&path).unwrap();
         assert_eq!(warm_bytes, cold_bytes, "warm read must return cold bytes");
 
         // The diagnostics loader sees the entry too.
         assert_eq!(read_cache_dir(&dir).len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn binary_cache_round_trips_and_interops_with_json_readers() {
-        let dir = scratch_dir("bincache");
-        let workloads = reps(1);
-        let machine = MachineConfig::xeon_e5645();
-        let node = NodeConfig::default();
-        let binary = Engine::new(
-            EngineConfig::default()
-                .threads(1)
-                .cache_dir(&dir)
-                .without_memory_cache()
-                .cache_format(CacheFormat::Binary),
-        );
-        let cold = binary.profile(&workloads[0], Scale::tiny(), &machine, &node);
-        let path = binary
-            .cache_file(&workloads[0], Scale::tiny(), &machine, &node)
-            .unwrap();
-        assert_eq!(path.extension().unwrap(), "bin");
-        let bytes = std::fs::read(&path).expect("binary entry written");
-        assert!(bdb_codec::is_binary(&bytes));
-
-        // A fresh binary engine hits the entry.
-        let warm = Engine::new(
-            EngineConfig::default()
-                .threads(1)
-                .cache_dir(&dir)
-                .without_memory_cache()
-                .cache_format(CacheFormat::Binary),
-        );
-        let served = warm.profile(&workloads[0], Scale::tiny(), &machine, &node);
-        assert_eq!(warm.counters().disk_hits, 1);
-        assert_eq!(profile_bits(&cold), profile_bits(&served));
-
-        // A JSON-configured engine falls back to the .bin entry — the
-        // knob only affects writers, never what readers accept.
-        let json_reader = Engine::new(
-            EngineConfig::default()
-                .threads(1)
-                .cache_dir(&dir)
-                .without_memory_cache(),
-        );
-        let via_json = json_reader.profile(&workloads[0], Scale::tiny(), &machine, &node);
-        assert_eq!(json_reader.counters().disk_hits, 1);
-        assert_eq!(json_reader.counters().computed, 0);
-        assert_eq!(profile_bits(&cold), profile_bits(&via_json));
-
-        // The diagnostics loader decodes the binary entry too, and the
-        // binary entry is a fraction of the JSON entry's size.
-        assert_eq!(read_cache_dir(&dir).len(), 1);
-        let json_len = encode_cache_entry(
-            profile_fingerprint(&workloads[0].spec.id, Scale::tiny(), &machine, &node),
-            &cold,
-            CacheFormat::Json,
-        )
-        .len();
-        // Profiles are float-heavy (45 f64 metrics at 9 B each in
-        // binary), so the entry-level win is modest; the ≥10x win lives
-        // in the columnar trace chunks. Still: strictly, usefully smaller.
-        assert!(
-            bytes.len() * 4 < json_len * 3,
-            "binary entry ({} B) should be at least 25% under the JSON entry ({json_len} B)",
-            bytes.len()
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1417,8 +1236,7 @@ mod tests {
             EngineConfig::default()
                 .threads(1)
                 .cache_dir(&dir)
-                .without_memory_cache()
-                .cache_format(CacheFormat::Binary),
+                .without_memory_cache(),
         );
         let p = engine.profile(&workloads[0], Scale::tiny(), &machine, &node);
         let path = engine

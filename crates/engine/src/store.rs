@@ -192,7 +192,7 @@ pub struct ChaosPlan {
     pub rename_error_period: Option<u64>,
     /// Read failures on existing files.
     pub read_error_period: Option<u64>,
-    /// Read-time single-bit corruption of `.json` / `.bin` payloads.
+    /// Read-time single-bit corruption of `.bin` cache entries.
     pub read_corruption_period: Option<u64>,
 }
 
@@ -240,7 +240,7 @@ pub struct ChaosCounters {
     pub rename_errors: u64,
     /// Reads of existing files failed.
     pub read_errors: u64,
-    /// `.json` / `.bin` reads returned payloads with one flipped bit.
+    /// `.bin` reads returned payloads with one flipped bit.
     pub read_corruptions: u64,
 }
 
@@ -257,10 +257,9 @@ impl ChaosCounters {
 /// seeded [`ChaosPlan`]. Only the data path is fault-eligible (`read`,
 /// `write`, `append`, `rename`); `list`/`remove`/`touch`/`create_dir_all`
 /// pass through untouched so fault accounting stays exact. Bit
-/// corruption targets `.json` and `.bin` payloads (the checksummed
-/// artifact classes), flips exactly one bit, and never touches the
-/// final byte (the JSON entry terminator, which decoding tolerates) —
-/// so every injected corruption is guaranteed to be detectable.
+/// corruption targets `.bin` cache entries (BDBC records, whose
+/// checksum covers every byte) and flips exactly one bit — so every
+/// injected corruption is guaranteed to be detectable.
 pub struct ChaosFs {
     inner: RealFs,
     plan: ChaosPlan,
@@ -358,13 +357,9 @@ impl CacheStore for ChaosFs {
             self.read_errors.fetch_add(1, Ordering::Relaxed);
             return Err(Self::fail("read", path, "read error"));
         }
-        let checksummed = path.extension().is_some_and(|e| e == "json" || e == "bin");
-        if checksummed && bytes.len() >= 2 && self.fire(self.plan.read_corruption_period) {
-            // Flip one bit anywhere except the final byte: decoding
-            // tolerates a missing terminator, so a flip there could be
-            // invisible, and accounting demands every injected
-            // corruption be detected.
-            let bit = (self.next() as usize) % ((bytes.len() - 1) * 8);
+        let checksummed = path.extension().is_some_and(|e| e == "bin");
+        if checksummed && !bytes.is_empty() && self.fire(self.plan.read_corruption_period) {
+            let bit = (self.next() as usize) % (bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
             self.read_corruptions.fetch_add(1, Ordering::Relaxed);
         }
@@ -449,7 +444,7 @@ mod tests {
             let chaos = ChaosFs::new(ChaosPlan::storm(seed));
             let mut outcomes = Vec::new();
             for i in 0..40 {
-                let path = dir.join(format!("f{i}.json"));
+                let path = dir.join(format!("f{i}.bin"));
                 outcomes.push(chaos.write(&path, b"{\"k\":1}\n").is_ok());
                 outcomes.push(matches!(chaos.read(&path), Ok(Some(_))));
             }
@@ -482,35 +477,35 @@ mod tests {
     }
 
     #[test]
-    fn read_corruption_flips_one_bit_outside_the_last_byte() {
+    fn read_corruption_flips_exactly_one_bit_of_a_cache_entry() {
         let dir = scratch("chaos-flip");
         let chaos = ChaosFs::new(ChaosPlan {
-            read_corruption_period: Some(1), // every json read corrupts
+            read_corruption_period: Some(1), // every .bin read corrupts
             ..ChaosPlan::clean(3)
         });
-        let path = dir.join("c.json");
-        let clean = b"{\"format\":2,\"profile\":{\"x\":12345678}}\n".to_vec();
+        let path = dir.join("c.bin");
+        let clean = b"BDBC\x01\x00\x02\x00payload-bytes".to_vec();
         RealFs.write(&path, &clean).unwrap();
-        for _ in 0..32 {
+        let mut last_byte_hit = false;
+        for _ in 0..64 {
             let got = chaos.read(&path).unwrap().unwrap();
             let diff: Vec<usize> = (0..clean.len()).filter(|&i| got[i] != clean[i]).collect();
             assert_eq!(diff.len(), 1, "exactly one byte differs");
-            assert!(diff[0] < clean.len() - 1, "last byte never corrupted");
+            last_byte_hit |= diff[0] == clean.len() - 1;
             assert_eq!(
                 (got[diff[0]] ^ clean[diff[0]]).count_ones(),
                 1,
                 "exactly one bit flipped"
             );
         }
-        assert_eq!(chaos.counters().read_corruptions, 32);
-        // Binary cache entries are corruption-eligible too.
-        let bin = dir.join("c.bin");
-        RealFs.write(&bin, &clean).unwrap();
-        assert_ne!(chaos.read(&bin).unwrap().unwrap(), clean);
+        assert_eq!(chaos.counters().read_corruptions, 64);
+        assert!(last_byte_hit, "the final byte is corruption-eligible too");
         // Reads of other extensions are never corrupted.
-        let wal = dir.join("c.wal");
-        RealFs.write(&wal, &clean).unwrap();
-        assert_eq!(chaos.read(&wal).unwrap().unwrap(), clean);
+        for other in ["c.wal", "c.json"] {
+            let path = dir.join(other);
+            RealFs.write(&path, &clean).unwrap();
+            assert_eq!(chaos.read(&path).unwrap().unwrap(), clean, "{other}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,6 +21,7 @@ use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
+use std::sync::OnceLock;
 
 /// One unit of profiling work, self-describing across process boundaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,17 +91,31 @@ impl std::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-/// Resolves a workload id against the full shipped universe: the 77
-/// catalog workloads, the six MPI controls, and every comparison suite's
-/// kernels — exactly the sets the bench binaries profile. First match
-/// wins; ids are unique within each set.
-pub fn resolve_workload(id: &str) -> Option<WorkloadDef> {
+/// The full shipped universe in catalog order: the 77 catalog
+/// workloads, the six MPI controls, and every comparison suite's kernels
+/// — exactly the sets the bench binaries profile.
+fn universe() -> Vec<WorkloadDef> {
     let mut universe = catalog::full_catalog();
     universe.extend(catalog::mpi_workloads());
     for &suite in &catalog::ALL_SUITES {
         universe.extend(catalog::suite_workloads(suite));
     }
-    universe.into_iter().find(|w| w.spec.id == id)
+    universe
+}
+
+/// Resolves a workload id against the shipped universe (see
+/// [`universe`]). The index is built once per process and sorted by id;
+/// the stable sort keeps equal ids in catalog order, so first match wins
+/// (ids are unique across the universe, which a test pins).
+pub fn resolve_workload(id: &str) -> Option<&'static WorkloadDef> {
+    static INDEX: OnceLock<Vec<WorkloadDef>> = OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        let mut defs = universe();
+        defs.sort_by(|a, b| a.spec.id.cmp(&b.spec.id));
+        defs
+    });
+    let first = index.partition_point(|w| w.spec.id.as_str() < id);
+    index.get(first).filter(|w| w.spec.id == id)
 }
 
 impl Engine {
@@ -108,13 +123,16 @@ impl Engine {
     /// the caches, and returns the profile tagged with the task's
     /// fingerprint. This is the entry point cluster workers call; its
     /// output is bit-identical to [`Engine::profile`] with the same
-    /// inputs on any node.
+    /// inputs on any node. The fingerprint is computed once and keys the
+    /// cache lookup too.
     pub fn run_task(&self, task: &Task) -> Result<TaskResult, TaskError> {
         let workload = resolve_workload(&task.workload_id)
             .ok_or_else(|| TaskError::UnknownWorkload(task.workload_id.clone()))?;
-        let profile = self.profile(&workload, task.scale, &task.machine, &task.node);
+        let fingerprint = task.fingerprint();
+        let profile =
+            self.profile_keyed(fingerprint, workload, task.scale, &task.machine, &task.node);
         Ok(TaskResult {
-            fingerprint: task.fingerprint(),
+            fingerprint,
             profile,
         })
     }
@@ -135,6 +153,10 @@ mod tests {
         let via_task = engine.run_task(&task).unwrap();
         let direct = engine.profile(def, Scale::tiny(), &machine, &node);
         assert_eq!(via_task.fingerprint, task.fingerprint());
+        assert_eq!(
+            via_task.fingerprint,
+            profile_fingerprint(&def.spec.id, Scale::tiny(), &machine, &node)
+        );
         assert_eq!(
             crate::codec::profile_to_value(&via_task.profile).encode(),
             crate::codec::profile_to_value(&direct).encode(),
@@ -159,12 +181,22 @@ mod tests {
 
     #[test]
     fn resolver_covers_catalog_mpi_and_suites() {
-        for id in ["H-WordCount", "M-Sort"] {
-            assert!(resolve_workload(id).is_some(), "{id} must resolve");
+        // Every id of the catalog, the MPI controls and every suite
+        // resolves to its own def, and ids are unique, so the index's
+        // first-match semantics cannot pick a different def.
+        let defs = universe();
+        assert!(defs.len() > 77, "MPI and suite kernels are included");
+        let mut ids: Vec<&str> = defs.iter().map(|w| w.spec.id.as_str()).collect();
+        ids.sort_unstable();
+        let total = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), total, "ids must be unique for first-match");
+        for def in &defs {
+            let resolved = resolve_workload(&def.spec.id).expect("every id resolves");
+            assert_eq!(resolved.spec, def.spec, "{}", def.spec.id);
         }
-        let suite_id = &catalog::suite_workloads(bdb_workloads::Suite::Hpcc)[0]
-            .spec
-            .id;
-        assert!(resolve_workload(suite_id).is_some(), "{suite_id}");
+        for missing in ["", "H-WordCount ", "h-wordcount", "~"] {
+            assert!(resolve_workload(missing).is_none(), "{missing:?}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Corruption properties of the checksummed cache format.
 //!
-//! Starting from a genuine cache entry written by the engine, truncate
+//! Starting from a genuine BDBC cache entry written by the engine, truncate
 //! it at **every** byte offset and flip random bits: decoding must
 //! always be a clean, detected failure — never a panic, never a wrong
 //! profile — and at the engine level a damaged entry must land in
@@ -38,6 +38,7 @@ fn compute_genuine_entry(tag: &str) -> (Vec<u8>, u64, String) {
         .cache_file(&workload, Scale::tiny(), &machine, &node)
         .expect("disk cache configured");
     let bytes = std::fs::read(&path).expect("engine wrote the entry");
+    assert!(bdb_codec::is_binary(&bytes), "entries are BDBC records");
     let key = bdb_engine::profile_fingerprint(&workload.spec.id, Scale::tiny(), &machine, &node);
     let canonical = codec::profile_to_value(&profile).encode();
     let _ = std::fs::remove_dir_all(&dir);
@@ -51,33 +52,22 @@ fn truncation_at_every_offset_is_a_detected_failure() {
     let whole = verify_cache_entry(&bytes, key).expect("pristine entry verifies");
     assert_eq!(codec::profile_to_value(&whole).encode(), canonical);
     for cut in 0..bytes.len() {
-        let outcome = verify_cache_entry(&bytes[..cut], key);
-        if cut == bytes.len() - 1 {
-            // Only the trailing newline is gone — the body is intact,
-            // and decoding tolerates a missing terminator.
-            let profile = outcome.expect("terminator-only truncation still verifies");
-            assert_eq!(codec::profile_to_value(&profile).encode(), canonical);
-        } else {
-            assert!(
-                outcome.is_err(),
-                "truncation at byte {cut} of {} must be detected",
-                bytes.len()
-            );
-        }
+        assert!(
+            verify_cache_entry(&bytes[..cut], key).is_err(),
+            "truncation at byte {cut} of {} must be detected",
+            bytes.len()
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any single bit flip outside the trailing newline is detected.
-    /// (The terminator byte is excluded for the same reason `ChaosFs`
-    /// never corrupts it: whitespace damage there is trimmed away
-    /// before decoding, so nothing was actually lost.)
+    /// Any single bit flip, anywhere in the entry, is detected.
     #[test]
     fn any_single_bit_flip_is_a_detected_failure(bit_seed in any::<u64>()) {
         let (bytes, key, _) = genuine_entry("flip1");
-        let bit = (bit_seed as usize) % ((bytes.len() - 1) * 8);
+        let bit = (bit_seed as usize) % (bytes.len() * 8);
         let mut damaged = bytes.clone();
         damaged[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(
@@ -96,7 +86,7 @@ proptest! {
         let (bytes, key, canonical) = genuine_entry("burst");
         let mut damaged = bytes.clone();
         for seed in seeds {
-            let bit = (seed as usize) % ((bytes.len() - 1) * 8);
+            let bit = (seed as usize) % (bytes.len() * 8);
             damaged[bit / 8] ^= 1 << (bit % 8);
         }
         match verify_cache_entry(&damaged, key) {
@@ -128,7 +118,7 @@ fn engine_quarantines_damaged_entries_and_recomputes_cleanly() {
 
     for (round, bit) in [0usize, 7, 123].into_iter().enumerate() {
         let mut damaged = pristine.clone();
-        let bit = bit % ((damaged.len() - 1) * 8);
+        let bit = bit % (damaged.len() * 8);
         damaged[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &damaged).expect("plant damaged entry");
 

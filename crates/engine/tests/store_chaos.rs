@@ -18,7 +18,7 @@
 //! `BDB_CHAOS_SEEDS=<n>` widens the seed sweep (CI's chaos-smoke job
 //! sets it); the default keeps local runs quick.
 
-use bdb_engine::{codec, CacheFormat, CacheStore, ChaosFs, ChaosPlan, Engine, EngineConfig};
+use bdb_engine::{codec, CacheStore, ChaosFs, ChaosPlan, Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
@@ -57,13 +57,12 @@ fn baseline(workloads: &[WorkloadDef]) -> Vec<String> {
 
 /// A single-threaded journaled engine over `chaos`, so the fault
 /// schedule (and therefore the accounting) is deterministic per seed.
-fn chaos_engine(chaos: &Arc<ChaosFs>, dir: &Path, resume: bool, format: CacheFormat) -> Engine {
+fn chaos_engine(chaos: &Arc<ChaosFs>, dir: &Path, resume: bool) -> Engine {
     let store: Arc<dyn CacheStore> = Arc::<ChaosFs>::clone(chaos);
     let mut config = EngineConfig::default()
         .threads(1)
         .store(store)
         .cache_dir(dir.join("cache"))
-        .cache_format(format)
         .journal(dir.join("run.wal"))
         .journal_context(CONTEXT);
     if resume {
@@ -98,11 +97,7 @@ fn assert_no_silent_damage(dir: &Path) {
         .map(|entries| {
             entries
                 .flatten()
-                .filter(|e| {
-                    e.path()
-                        .extension()
-                        .is_some_and(|x| x == "json" || x == "bin")
-                })
+                .filter(|e| e.path().extension().is_some_and(|x| x == "bin"))
                 .count()
         })
         .unwrap_or(0);
@@ -131,22 +126,11 @@ fn resumed_chaos_runs_are_byte_identical_and_fully_accounted() {
         for kill_point in 0..=workloads.len() {
             let dir = scratch(&format!("soak-{seed}-{kill_point}"));
 
-            // Alternate the cache format across seeds, and flip it
-            // between lives: the fault accounting and quarantine
-            // contracts are format-independent, and a resumed engine
-            // must read whatever format the first life wrote (readers
-            // sniff bytes; the knob only selects what gets written).
-            let (format1, format2) = if seed % 2 == 0 {
-                (CacheFormat::Json, CacheFormat::Binary)
-            } else {
-                (CacheFormat::Binary, CacheFormat::Json)
-            };
-
             // First life: profile the first `kill_point` workloads under
             // a storm of injected faults, then "die" (drop the engine).
             let chaos1 = Arc::new(ChaosFs::new(ChaosPlan::storm(seed)));
             {
-                let engine = chaos_engine(&chaos1, &dir, false, format1);
+                let engine = chaos_engine(&chaos1, &dir, false);
                 for w in &workloads[..kill_point] {
                     let p = engine.profile(w, Scale::tiny(), &machine, &node);
                     assert_eq!(
@@ -164,7 +148,7 @@ fn resumed_chaos_runs_are_byte_identical_and_fully_accounted() {
             // Second life: resume over the same directory, under a
             // *different* fault schedule, and finish the whole fleet.
             let chaos2 = Arc::new(ChaosFs::new(ChaosPlan::storm(seed.wrapping_add(1000))));
-            let engine = chaos_engine(&chaos2, &dir, true, format2);
+            let engine = chaos_engine(&chaos2, &dir, true);
             let resumed = engine.profile_all(&workloads, Scale::tiny(), &machine, &node);
             assert_eq!(
                 bytes_of(&resumed),

@@ -53,7 +53,7 @@ fn usage() -> String {
             ),
             (
                 "BDB_SERVE_FORMAT",
-                "Reply/delta payload format: json | binary (default: BDB_WIRE_FORMAT)",
+                "Reply/delta payload format: json (default) | binary",
             ),
         ],
     )

@@ -75,7 +75,7 @@ fn usage() -> String {
         ],
         &[(
             "BDB_SERVE_FORMAT",
-            "Request payload format: json | binary (default: BDB_WIRE_FORMAT)",
+            "Request payload format: json (default) | binary",
         )],
     )
 }

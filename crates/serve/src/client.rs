@@ -14,8 +14,8 @@ use crate::proto::{
 };
 use crate::spec::{EntryKey, Mutation};
 use crate::state::{Delta, DeltaBatch};
-use crate::ServeError;
-use bdb_cluster::{FrameTransport, TcpTransport, WireFormat};
+use crate::{ServeError, WireFormat};
+use bdb_cluster::{FrameTransport, TcpTransport};
 use bdb_wcrt::WorkloadProfile;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;

@@ -71,7 +71,7 @@ pub use index::{DepIndex, IndexDiff};
 pub use knob::{apply_machine_knob, machine_knobs};
 pub use proto::{
     decode_reply, decode_request, encode_reply, encode_request, serve_format_from_env, ServeReply,
-    ServeRequest, ServeStats, SnapshotEntry, SERVE_PROTOCOL_VERSION,
+    ServeRequest, ServeStats, SnapshotEntry, WireFormat, SERVE_PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, RETRY_QUANTUM_TICKS};
 pub use spec::{EntryKey, Mutation, ServeSpec};

@@ -17,11 +17,24 @@
 use crate::spec::{mutation_from_value, mutation_to_value, EntryKey, Mutation};
 use crate::state::{Delta, DeltaBatch};
 use crate::ServeError;
-use bdb_cluster::WireFormat;
 use bdb_codec::{bval, RecordKind};
 use bdb_engine::codec::{profile_from_value, profile_to_value};
 use bdb_engine::json::{self, Value};
 use bdb_wcrt::WorkloadProfile;
+
+/// Payload encoding for outgoing serve frames. The outer `[u32 BE len]`
+/// framing is format-independent, and receivers sniff per payload, so
+/// the two formats coexist on one connection. The serve protocol is the
+/// one wire that keeps JSON: a profile reply decodes faster from JSON
+/// than from bval.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum WireFormat {
+    /// Canonical-JSON payloads (the default).
+    #[default]
+    Json,
+    /// BDBC records — compact and CRC-64-checksummed.
+    Binary,
+}
 
 /// Version tag exchanged in `Hello`; bumped on incompatible changes.
 ///
@@ -656,14 +669,12 @@ fn payload_value(payload: &[u8], kind: RecordKind) -> Result<Value, ServeError> 
     }
 }
 
-/// The payload format selected by `BDB_SERVE_FORMAT` (`binary` / `bin`
-/// / `bdbc` / `json`), falling back to `BDB_WIRE_FORMAT` when unset so
-/// a mixed serve + cluster deployment needs one knob.
+/// The payload format selected by `BDB_SERVE_FORMAT`: `binary` / `bin`
+/// / `bdbc` pick BDBC; anything else, or unset, is JSON.
 pub fn serve_format_from_env() -> WireFormat {
     match std::env::var("BDB_SERVE_FORMAT") {
         Ok(v) if matches!(v.as_str(), "binary" | "bin" | "bdbc") => WireFormat::Binary,
-        Ok(v) if v.as_str() == "json" => WireFormat::Json,
-        _ => WireFormat::from_env(),
+        _ => WireFormat::Json,
     }
 }
 

@@ -28,8 +28,8 @@ use crate::proto::{
     SERVE_PROTOCOL_VERSION,
 };
 use crate::state::{DeltaBatch, ServeState};
-use crate::{Delta, ServeError};
-use bdb_cluster::{FrameTransport, TcpTransport, TransportError, WireFormat};
+use crate::{Delta, ServeError, WireFormat};
+use bdb_cluster::{FrameTransport, TcpTransport, TransportError};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -251,8 +251,8 @@ fn materialize_entries(
         let def = resolve_workload(&key.workload)
             .ok_or_else(|| ServeError::UnknownWorkload(key.workload.clone()))?;
         match groups.last_mut() {
-            Some((config, defs)) if *config == key.config => defs.push(def),
-            _ => groups.push((&key.config, vec![def])),
+            Some((config, defs)) if *config == key.config => defs.push(def.clone()),
+            _ => groups.push((&key.config, vec![def.clone()])),
         }
     }
     let mut out = BTreeMap::new();

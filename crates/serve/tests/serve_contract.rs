@@ -6,13 +6,13 @@
 //! subscriber patching its snapshot with streamed deltas converges to
 //! the server's own catalog bytes.
 
-use bdb_cluster::{loopback_pair, WireFormat};
+use bdb_cluster::loopback_pair;
 use bdb_engine::codec::profile_to_value;
 use bdb_engine::json::Value;
 use bdb_engine::{Engine, EngineConfig};
 use bdb_serve::{
     apply_delta_batch, Mutation, ServeClient, ServeError, ServeSpec, ServeState, Server,
-    ServerConfig, SnapshotEntry,
+    ServerConfig, SnapshotEntry, WireFormat,
 };
 use bdb_sim::MachineConfig;
 use bdb_workloads::Scale;

@@ -9,14 +9,13 @@
 //! in both payload formats and that truncated or bit-flipped binary
 //! frames are always rejected, never misdecoded.
 
-use bdb_cluster::WireFormat;
 use bdb_engine::codec::profile_to_value;
 use bdb_engine::json::Value;
 use bdb_engine::{resolve_workload, Engine};
 use bdb_node::NodeConfig;
 use bdb_serve::{
     decode_request, encode_reply, encode_request, Delta, DeltaBatch, EntryKey, Mutation,
-    ServeReply, ServeRequest, ServeSpec, ServeState, SERVE_PROTOCOL_VERSION,
+    ServeReply, ServeRequest, ServeSpec, ServeState, WireFormat, SERVE_PROTOCOL_VERSION,
 };
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
@@ -199,7 +198,7 @@ fn sample_profile() -> &'static WorkloadProfile {
     PROFILE.get_or_init(|| {
         let workload = resolve_workload("H-WordCount").expect("catalog id");
         Engine::in_memory().profile(
-            &workload,
+            workload,
             Scale::tiny(),
             &MachineConfig::xeon_e5645(),
             &NodeConfig::default(),
