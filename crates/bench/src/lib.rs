@@ -10,7 +10,9 @@
 //! Binaries obtain profiles exclusively via [`profile_on`] /
 //! [`profile_on_xeon`] and sweeps via [`group_sweep`], which all route
 //! through one lazily-built [`bdb_engine::Engine`]. That gives every
-//! binary parallel fan-out plus the on-disk profile cache for free.
+//! binary parallel fan-out plus the on-disk cache of profiles and
+//! sweeps for free: rerunning an interrupted binary over the same cache
+//! recomputes only what it had not finished.
 //! Environment knobs (parsed by [`EngineConfig::from_env`], shared with
 //! `bdb-clusterd` so the harness and workers cannot drift; every binary's
 //! `--help` renders the same list via [`help_text`]):
@@ -29,11 +31,6 @@
 //!   workers instead of the local engine (also `--cluster addr,addr`).
 //! * `BDB_SWEEP_MODE=per-point` — disable the fused trace-once/replay-many
 //!   capacity sweep and re-simulate each point (debug aid; same bits).
-//! * `BDB_JOURNAL=<path>` — checkpoint completed profiles/sweeps into a
-//!   write-ahead run journal.
-//! * `BDB_RESUME=1` (or the `--resume` flag) — resume completed work
-//!   from the journal instead of recomputing it; with no explicit
-//!   journal path, each binary journals to `results/journal/<bin>.wal`.
 
 use bdb_cluster::{profile_all_distributed, TcpTransport, Transport};
 use bdb_engine::{Engine, EngineConfig};
@@ -42,7 +39,6 @@ use bdb_sim::MachineConfig;
 use bdb_wcrt::profile::WorkloadProfile;
 use bdb_wcrt::SystemClass;
 use bdb_workloads::{Category, Scale, WorkloadDef};
-use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -56,44 +52,11 @@ static CLUSTER: OnceLock<Option<Vec<String>>> = OnceLock::new();
 /// one instance, so a profile computed for one table is a memory-cache
 /// hit for the next.
 pub fn engine() -> &'static Engine {
-    ENGINE.get_or_init(|| {
-        let engine = Engine::new(engine_config_from_invocation());
-        if let Some((tasks, sweeps)) = engine.journal_preloaded() {
-            if tasks + sweeps > 0 {
-                eprintln!("bdb-bench: journal preloaded {tasks} profiles and {sweeps} sweeps");
-            }
-        }
-        engine
-    })
+    ENGINE.get_or_init(|| Engine::new(EngineConfig::from_env()))
 }
 
-/// [`EngineConfig::from_env`] plus the bench-only `--resume` argv flag.
-///
-/// `--resume` behaves exactly like `BDB_RESUME=1`, except that the
-/// default journal path is per-binary (`results/journal/<bin>.wal`) so
-/// two figure binaries interrupted back to back never splice into each
-/// other's journal. An explicit `BDB_JOURNAL` always wins.
-fn engine_config_from_invocation() -> EngineConfig {
-    let mut config = EngineConfig::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().skip(1).any(|a| a == "--resume") {
-        config = config.resume();
-    }
-    if config.resume && config.journal_path.is_none() {
-        let path = PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/journal"
-        ))
-        .join(format!("{}.wal", bin_name(&args)));
-        config = config
-            .journal(path)
-            .journal_context(bdb_engine::argv_journal_context());
-    }
-    config
-}
-
-/// The invoking binary's name (argv\[0\] file stem), for per-binary
-/// journal paths and `--help` headers.
+/// The invoking binary's name (argv\[0\] file stem), for `--help`
+/// headers.
 fn bin_name(args: &[String]) -> String {
     args.first()
         .map(|p| {
@@ -137,24 +100,21 @@ pub fn help_text(bin: &str) -> String {
 {bin}: regenerates one table/figure of the paper reproduction
 
 USAGE:
-    {bin} [--scale tiny|small|paper|<factor>] [--cluster <addr,addr,...>] [--resume]
+    {bin} [--scale tiny|small|paper|<factor>] [--cluster <addr,addr,...>]
 
 OPTIONS:
     --scale <s>       Input scale (default small; paper regenerates reported numbers)
     --cluster <list>  Profile via remote bdb-clusterd workers (comma-separated addresses)
-    --resume          Resume completed work from the run journal (results/journal/{bin}.wal)
     -h, --help        Print this help
 
 ENVIRONMENT:
     BDB_THREADS          Worker-pool width for the local engine (default: all cores)
     BDB_POINT_THREADS    Threads per capacity sweep, sharing one L1I lane per point and one L1D lane per helper, rounded down to a power of two (default: worker-pool width)
-    BDB_CACHE_DIR        Profile-cache directory (default: results/cache/)
+    BDB_CACHE_DIR        Profile- and sweep-cache directory (default: results/cache/)
     BDB_NO_CACHE         Set to disable the disk cache
     BDB_CACHE_MAX_BYTES  Disk-cache size cap in bytes with LRU eviction (default: unbounded)
     BDB_CLUSTER          Worker addresses, same meaning as --cluster
     BDB_SWEEP_MODE       Capacity-sweep strategy: fused (default) or per-point
-    BDB_JOURNAL          Write-ahead run-journal path (default: results/journal/{bin}.wal)
-    BDB_RESUME           Set to resume from the journal, same meaning as --resume
 "
     )
 }
@@ -288,7 +248,8 @@ pub fn suite_profiles(scale: Scale) -> Vec<(String, Vec<WorkloadProfile>)> {
 }
 
 /// Averages per-workload capacity-sweep curves point-wise over a workload
-/// group (how Figures 6–9 aggregate "Hadoop-workloads" etc.).
+/// group (how Figures 6–9 aggregate "Hadoop-workloads" etc.). Each
+/// workload's sweep is a cache entry, so a warm rerun traces nothing.
 pub fn group_sweep(
     label: &str,
     defs: &[WorkloadDef],
@@ -298,9 +259,7 @@ pub fn group_sweep(
     use bdb_sim::PAPER_SWEEP_KIB;
     let mut acc = vec![0.0f64; PAPER_SWEEP_KIB.len()];
     for def in defs {
-        let result = engine().sweep(&def.spec.id, &PAPER_SWEEP_KIB, |machine| {
-            let _ = def.run(machine, scale);
-        });
+        let result = engine().sweep_workload(def, scale, &PAPER_SWEEP_KIB);
         let curve = pick(&result);
         for (a, (_, r)) in acc.iter_mut().zip(&curve.points) {
             *a += r / defs.len() as f64;

@@ -21,9 +21,6 @@ const REQUIRED_KNOBS: &[&str] = &[
     "BDB_CACHE_MAX_BYTES",
     "BDB_CLUSTER",
     "BDB_SWEEP_MODE",
-    "--resume",
-    "BDB_JOURNAL",
-    "BDB_RESUME",
 ];
 
 #[test]
@@ -127,7 +124,7 @@ fn served_help_documents_its_own_knobs() {
 }
 
 /// Knobs that no longer exist: BDBC is the only encoding for cache
-/// entries, journal frames and cluster frames.
+/// entries and cluster frames.
 const RETIRED_KNOBS: &[&str] = &["BDB_CACHE_FORMAT", "BDB_WIRE_FORMAT"];
 
 #[test]
@@ -151,6 +148,11 @@ fn no_help_advertises_a_retired_knob() {
         for knob in RETIRED_KNOBS {
             assert!(!text.contains(knob), "{what} still mentions {knob}");
         }
+        // The run journal and its knobs are gone: a warm cache resumes.
+        assert!(
+            !text.to_ascii_lowercase().contains("journal"),
+            "{what} still mentions the run journal"
+        );
     }
     // The serve protocol keeps both formats, JSON by default.
     for rel in [

@@ -14,12 +14,11 @@
 
 use bdb_cluster::{fleet_tasks, ClusterConfig, Coordinator};
 use bdb_cluster::{TcpTransport, Transport};
-use bdb_engine::{argv_journal_context, codec, CacheStore, Engine, RealFs, RunJournal};
+use bdb_engine::{codec, Engine};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_workloads::{catalog, Scale};
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +28,7 @@ cluster-smoke: print canonical profile bytes, serially or via a cluster
 
 USAGE:
     cluster-smoke [--workloads <n>] [--scale tiny|small|paper|<factor>] [--cluster <addr,addr,...>]
-                  [--join-listen <addr>] [--replication <r>] [--journal <path>] [--resume]
+                  [--join-listen <addr>] [--replication <r>]
 
 OPTIONS:
     --workloads <n>     Profile the first n catalog workloads (default 12)
@@ -44,8 +43,6 @@ OPTIONS:
                         aborts the run with an error instead of waiting forever
     --replication <r>   Replicate each verified result to r peer workers (default from
                         BDB_REPLICATION, else 0)
-    --journal <path>    Checkpoint completed tasks into a write-ahead run journal
-    --resume            Merge completed tasks from the journal instead of re-running them
     -h, --help          Print this help
 ";
 
@@ -61,8 +58,6 @@ fn main() -> ExitCode {
     let mut join_listen: Option<String> = None;
     let mut join_idle_secs: u64 = 0;
     let mut replication: Option<usize> = None;
-    let mut journal_path: Option<PathBuf> = None;
-    let resume = argv.iter().any(|a| a == "--resume");
     for pair in argv.windows(2) {
         match pair[0].as_str() {
             "--workloads" => match pair[1].parse() {
@@ -102,21 +97,9 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--journal" => journal_path = Some(PathBuf::from(&pair[1])),
             _ => {}
         }
     }
-    // The journal context is the command line minus --resume, so only
-    // the identical invocation replays journaled results.
-    let mut journal = journal_path.map(|path| {
-        let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-        let (journal, stats) = RunJournal::open(store, path, &argv_journal_context(), resume);
-        eprintln!(
-            "cluster-smoke: journal preloaded {} of {count} tasks",
-            stats.loaded_tasks
-        );
-        journal
-    });
     let workloads: Vec<_> = catalog::full_catalog().into_iter().take(count).collect();
     let machine = MachineConfig::xeon_e5645();
     let node = NodeConfig::default();
@@ -212,7 +195,7 @@ fn main() -> ExitCode {
         }
         let tasks = fleet_tasks(&workloads, scale, &machine, &node);
         let coordinator = Coordinator::new(config);
-        let outcome = coordinator.run_elastic(workers, join_rx, &tasks, journal.as_mut());
+        let outcome = coordinator.run_elastic(workers, join_rx, &tasks);
         match outcome {
             Ok(profiles) => profiles,
             Err(e) => {

@@ -62,7 +62,7 @@
 use crate::fleet::{Fleet, FleetError};
 use crate::proto::{Message, PROTOCOL_VERSION};
 use crate::transport::Transport;
-use bdb_engine::{RunJournal, Task};
+use bdb_engine::Task;
 use bdb_wcrt::WorkloadProfile;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -198,10 +198,6 @@ struct Run<'a> {
     /// While true, an empty or fully-dead fleet waits for joins instead
     /// of failing with [`ClusterError::AllWorkersDead`].
     joins_open: bool,
-    /// Optional write-ahead journal: verified results are checkpointed
-    /// as they land, assignments are logged for provenance, and a
-    /// resumed run starts with journaled tasks already merged.
-    journal: Option<&'a mut RunJournal>,
 }
 
 /// Shards task batches across a worker fleet. See the module docs.
@@ -226,26 +222,7 @@ impl Coordinator {
         if workers.is_empty() {
             return Err(ClusterError::NoWorkers);
         }
-        self.run_elastic(workers, closed_joins(), tasks, None)
-    }
-
-    /// Like [`run`](Self::run), but checkpoints progress into `journal`:
-    /// every verified result is appended as it lands, and tasks the
-    /// journal already holds (from a previous, killed coordinator) are
-    /// merged up front without being re-dispatched. The merged output is
-    /// byte-identical to an uninterrupted run — journaled profiles are
-    /// replayed, not recomputed, and the determinism contract makes the
-    /// two indistinguishable.
-    pub fn run_journaled(
-        &self,
-        workers: Vec<Arc<dyn Transport>>,
-        tasks: &[Task],
-        journal: &mut RunJournal,
-    ) -> Result<Vec<WorkloadProfile>, ClusterError> {
-        if workers.is_empty() {
-            return Err(ClusterError::NoWorkers);
-        }
-        self.run_elastic(workers, closed_joins(), tasks, Some(journal))
+        self.run_elastic(workers, closed_joins(), tasks)
     }
 
     /// The elastic entry point: starts with `workers` (possibly empty)
@@ -263,7 +240,6 @@ impl Coordinator {
         workers: Vec<Arc<dyn Transport>>,
         joins: Receiver<Arc<dyn Transport>>,
         tasks: &[Task],
-        journal: Option<&mut RunJournal>,
     ) -> Result<Vec<WorkloadProfile>, ClusterError> {
         if tasks.is_empty() {
             return Ok(Vec::new());
@@ -282,25 +258,7 @@ impl Coordinator {
             results: tasks.iter().map(|_| None).collect(),
             tx,
             joins_open: true,
-            journal,
         };
-        // Resume: merge journaled results up front. Dispatch skips
-        // completed tasks, so finished shards are never re-run; stale
-        // journal entries (foreign fingerprints) simply never match.
-        if let Some(journal) = run.journal.as_deref() {
-            for task in 0..tasks.len() {
-                let Some(fingerprint) = run.fleet.fingerprint(task) else {
-                    continue;
-                };
-                if let Some(profile) = journal.completed_task(fingerprint) {
-                    if run.fleet.complete(task) {
-                        if let Some(slot) = run.results.get_mut(task) {
-                            *slot = Some(profile.clone());
-                        }
-                    }
-                }
-            }
-        }
         let outcome = run.event_loop(&rx);
         run.farewell();
         outcome?;
@@ -373,13 +331,6 @@ impl Run<'_> {
             task: Box::new(def.clone()),
         };
         if self.transport_send(idx, &msg) {
-            // Provenance only (ignored on resume): a crashed
-            // coordinator's journal shows what was in flight.
-            if let (Some(journal), Some(fp)) =
-                (self.journal.as_deref_mut(), self.fleet.fingerprint(task))
-            {
-                let _ = journal.record_assign(fp);
-            }
             Ok(true)
         } else {
             // The worker never saw the task: roll back without charging
@@ -465,12 +416,6 @@ impl Run<'_> {
         }
         match outcome {
             Ok(profile) => {
-                // Checkpoint before merging: once journaled, a killed
-                // coordinator never re-runs this shard. Best-effort —
-                // a broken journal degrades resume, not the run.
-                if let Some(journal) = self.journal.as_deref_mut() {
-                    let _ = journal.record_task(fingerprint, &profile);
-                }
                 self.replicate(idx, task, fingerprint, &profile)?;
                 if let Some(slot) = self.results.get_mut(task) {
                     *slot = Some(*profile);

@@ -3,7 +3,7 @@
 //! [`Fleet`] owns every scheduling decision the coordinator makes —
 //! which worker gets which task, when a slow worker is declared dead,
 //! how failed tasks back off — but never touches a transport, a clock,
-//! or a journal. The coordinator translates wire events into calls on
+//! or a cache. The coordinator translates wire events into calls on
 //! this machine and performs the sends it prescribes; property tests
 //! drive the same machine through arbitrary join/leave/death/steal
 //! interleavings without a single socket.
@@ -379,8 +379,11 @@ impl Fleet {
         }
     }
 
-    /// Marks `task` merged. Returns `false` for a duplicate or late
-    /// delivery (first verified result wins).
+    /// Marks `task` merged when its verified result lands; the run keeps
+    /// no record of it past its own end, so a restarted coordinator
+    /// dispatches every task again and warm workers answer from their
+    /// caches. Returns `false` for a duplicate or late delivery (first
+    /// verified result wins).
     pub fn complete(&mut self, task: usize) -> bool {
         match self.completed.get_mut(task) {
             Some(done) if !*done => {
@@ -636,12 +639,6 @@ impl Fleet {
             }
         }
         out
-    }
-
-    /// Merges a task completed by a previous run (journal resume): it
-    /// will never be dispatched. Safe to call before any scheduling.
-    pub fn preload(&mut self, task: usize) {
-        self.complete(task);
     }
 
     /// Verifies task-set conservation: every incomplete task lives in

@@ -29,7 +29,7 @@ pub const DAEMON_ENGINE_ENV: &[HelpEntry<'static>] = &[
     ),
     (
         "BDB_CACHE_DIR",
-        "Profile-cache directory (default: results/cache/)",
+        "Profile- and sweep-cache directory (default: results/cache/)",
     ),
     ("BDB_NO_CACHE", "Set to disable the disk cache"),
     (
@@ -39,11 +39,6 @@ pub const DAEMON_ENGINE_ENV: &[HelpEntry<'static>] = &[
     (
         "BDB_SWEEP_MODE",
         "Capacity-sweep strategy: fused (default) or per-point",
-    ),
-    ("BDB_JOURNAL", "Write-ahead run-journal path"),
-    (
-        "BDB_RESUME",
-        "Set to resume completed work from the journal",
     ),
 ];
 

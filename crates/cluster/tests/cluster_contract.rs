@@ -11,7 +11,7 @@ use bdb_cluster::{
     Transport, WorkerConfig,
 };
 use bdb_engine::codec::profile_to_value;
-use bdb_engine::Engine;
+use bdb_engine::{CacheCounters, Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
@@ -153,11 +153,27 @@ fn single_worker_cluster_matches_serial() {
     );
 }
 
-#[test]
-fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
-    use bdb_engine::{CacheStore, RealFs, RunJournal};
-    use std::path::PathBuf;
+/// A loopback worker over a disk cache at `dir`; the handle yields its
+/// engine's counters once the session ends.
+fn spawn_cached_worker(
+    name: &str,
+    dir: &std::path::Path,
+) -> (Arc<dyn Transport>, std::thread::JoinHandle<CacheCounters>) {
+    let (coord_end, worker_end) = loopback_pair(name);
+    let config = WorkerConfig {
+        name: name.to_owned(),
+        faults: FaultPlan::default(),
+    };
+    let engine = Engine::new(EngineConfig::default().cache_dir(dir));
+    let handle = std::thread::spawn(move || {
+        let _ = run_worker(&worker_end, &engine, &config);
+        engine.counters()
+    });
+    (Arc::new(coord_end), handle)
+}
 
+#[test]
+fn killed_coordinator_reruns_over_a_warm_cache_without_recomputing() {
     let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(8).collect();
     let scale = Scale::tiny();
     let serial = serial_baseline(&workloads, scale);
@@ -167,52 +183,30 @@ fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
         &MachineConfig::xeon_e5645(),
         &NodeConfig::default(),
     );
-    let dir = std::env::temp_dir().join(format!("bdb-cluster-journal-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("bdb-cluster-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let path: PathBuf = dir.join("run.wal");
-    let context = "cluster-contract restart";
 
     // First coordinator: completes only the first five shards before the
-    // process "dies" (we simply stop after a partial batch — every
-    // verified result is already on disk in the write-ahead journal).
+    // process "dies" (we simply stop after a partial batch). Its worker
+    // has already cached every verified result.
     let completed = 5usize;
-    {
-        let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-        let (mut journal, _) = RunJournal::open(store, path.clone(), context, false);
-        let partial = Coordinator::new(test_config())
-            .run_journaled(
-                vec![spawn_worker("first-life", FaultPlan::default())],
-                &tasks[..completed],
-                &mut journal,
-            )
-            .expect("partial journaled run must converge");
-        assert_eq!(partial.len(), completed);
-    }
+    let (worker, first_life) = spawn_cached_worker("first-life", &dir);
+    let partial = Coordinator::new(test_config())
+        .run(vec![worker], &tasks[..completed])
+        .expect("partial run must converge");
+    assert_eq!(partial.len(), completed);
+    assert_eq!(first_life.join().unwrap().computed, completed as u64);
 
-    // Second coordinator: resumes from the journal. Its only worker is
-    // rigged to crash if it is ever assigned more than the three
-    // remaining shards, so any re-dispatch of a finished shard fails the
-    // whole run — resumption must come purely from the journal.
-    let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-    let (mut journal, stats) = RunJournal::open(store, path, context, true);
-    assert_eq!(
-        stats.loaded_tasks, completed,
-        "journal must replay all completed shards"
-    );
-    let remaining = (tasks.len() - completed) as u64;
+    // Second coordinator: dispatches every task again to a worker over
+    // the same cache directory. Finished shards are disk hits; only the
+    // three unfinished ones are simulated.
+    let (worker, second_life) = spawn_cached_worker("second-life", &dir);
     let resumed = Coordinator::new(test_config())
-        .run_journaled(
-            vec![spawn_worker(
-                "second-life",
-                FaultPlan {
-                    crash_on_task: Some(remaining),
-                    ..FaultPlan::default()
-                },
-            )],
-            &tasks,
-            &mut journal,
-        )
-        .expect("resumed run must converge without re-dispatching finished shards");
+        .run(vec![worker], &tasks)
+        .expect("rerun must converge");
+    let counters = second_life.join().unwrap();
+    assert_eq!(counters.computed, (tasks.len() - completed) as u64);
+    assert_eq!(counters.disk_hits, completed as u64);
     assert_eq!(
         canonical_bytes(&resumed),
         serial,

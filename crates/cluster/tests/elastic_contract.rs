@@ -142,7 +142,7 @@ fn topology_churn_schedules_merge_byte_identically_to_serial() {
                 // clean error rather than an infinite wait.
             });
             let profiles = Coordinator::new(elastic_config())
-                .run_elastic(workers, join_rx, &tasks, None)
+                .run_elastic(workers, join_rx, &tasks)
                 .unwrap_or_else(|e| panic!("schedule {label}/join@{join_delay_ms}ms: {e}"));
             assert_eq!(
                 canonical_bytes(&profiles),
@@ -175,7 +175,7 @@ fn run_elastic_from_an_empty_fleet_converges_once_workers_join() {
         }
     });
     let profiles = Coordinator::new(elastic_config())
-        .run_elastic(Vec::new(), join_rx, &tasks, None)
+        .run_elastic(Vec::new(), join_rx, &tasks)
         .expect("join-only fleet converges");
     assert_eq!(canonical_bytes(&profiles), serial);
 }

@@ -1,10 +1,10 @@
 //! CRC-64/XZ — the single content checksum used by every byte format in
 //! the workspace.
 //!
-//! The engine's cache entries and journal frames, the binary container
-//! trailer, and the linter's artifact re-verification all stamp and check
-//! this exact function, so a checksum mismatch means the *content*
-//! drifted, never the checksum implementation.
+//! The engine's cache entries, the binary container trailer, and the
+//! linter's artifact re-verification all stamp and check this exact
+//! function, so a checksum mismatch means the *content* drifted, never
+//! the checksum implementation.
 
 /// CRC-64/XZ (reflected ECMA polynomial) over `bytes`. The check value
 /// for `b"123456789"` is `0x995dc9bbdf1939fa`.

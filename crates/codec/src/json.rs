@@ -2,7 +2,7 @@
 //! parser shared by every layer that touches bytes.
 //!
 //! This module is the **single** canonical-JSON implementation in the
-//! workspace — the engine's cache/journal, the cluster wire, and the
+//! workspace — the engine's cache, the cluster wire, and the
 //! linter's artifact passes all re-export it, so "canonical bytes" means
 //! exactly one thing everywhere. It is also the interchange form of the
 //! binary format in [`crate::bval`]: every binary record decodes to a

@@ -2,8 +2,8 @@
 //! CRC-64-checksummed, little-endian binary columnar format plus the
 //! canonical JSON reference form it interchanges with.
 //!
-//! Every layer that persists or ships bytes — the engine's profile cache
-//! and run journal, `TraceBuffer` chunk spill, the cluster wire and the
+//! Every layer that persists or ships bytes — the engine's cache of
+//! profiles and sweeps, `TraceBuffer` chunk spill, the cluster wire and the
 //! serve wire — encodes through this crate. All but the serve wire store
 //! and ship BDBC records only; canonical JSON is the form of reports,
 //! figures and fingerprints, and one of the serve wire's two formats:
@@ -72,10 +72,9 @@ pub const TRAILER_BYTES: usize = 8;
 pub enum RecordKind {
     /// A columnar trace chunk ([`columnar`]).
     TraceChunk,
-    /// A profile-cache entry (`[u64 LE fingerprint][bval profile]`).
+    /// A cache entry (`[u64 LE fingerprint][bval value]`): a profile or
+    /// a capacity sweep.
     CacheEntry,
-    /// A run-journal record ([`bval`] of the record object).
-    JournalRecord,
     /// A cluster wire message ([`bval`] of the message object).
     WireMessage,
     /// A `bdb-serve` client request ([`bval`] of the request object).
@@ -86,12 +85,12 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    /// The on-disk kind tag.
+    /// The on-disk kind tag. Tag 3 belonged to the retired run-journal
+    /// record; it is never reused and decodes as an unknown kind.
     pub fn tag(self) -> u16 {
         match self {
             RecordKind::TraceChunk => 1,
             RecordKind::CacheEntry => 2,
-            RecordKind::JournalRecord => 3,
             RecordKind::WireMessage => 4,
             RecordKind::ServeRequest => 5,
             RecordKind::ServeDelta => 6,
@@ -103,7 +102,6 @@ impl RecordKind {
         match tag {
             1 => Some(RecordKind::TraceChunk),
             2 => Some(RecordKind::CacheEntry),
-            3 => Some(RecordKind::JournalRecord),
             4 => Some(RecordKind::WireMessage),
             5 => Some(RecordKind::ServeRequest),
             6 => Some(RecordKind::ServeDelta),
@@ -284,14 +282,14 @@ mod tests {
     #[test]
     fn record_roundtrips_and_is_sniffable() {
         let payload = b"hello columnar world";
-        let record = encode_record(RecordKind::JournalRecord, payload);
+        let record = encode_record(RecordKind::WireMessage, payload);
         assert!(is_binary(&record));
         assert!(!is_binary(b"{\"format\":3}"));
         let (kind, got) = decode_record(&record).unwrap();
-        assert_eq!(kind, RecordKind::JournalRecord);
+        assert_eq!(kind, RecordKind::WireMessage);
         assert_eq!(got, payload);
         assert_eq!(
-            decode_record_of(RecordKind::JournalRecord, &record).unwrap(),
+            decode_record_of(RecordKind::WireMessage, &record).unwrap(),
             payload
         );
         assert!(matches!(
@@ -356,6 +354,10 @@ mod tests {
             decode_record(&record),
             Err(CodecError::UnknownKind(_))
         ));
+        // The retired run-journal tag stays unknown.
+        let mut record = encode_record(RecordKind::TraceChunk, b"x");
+        record[6] = 3;
+        assert_eq!(decode_record(&record), Err(CodecError::UnknownKind(3)));
     }
 
     #[test]

@@ -48,13 +48,6 @@ fn genuine_records() -> Vec<(RecordKind, Vec<u8>)> {
             ),
         ),
         (
-            RecordKind::JournalRecord,
-            encode_record(
-                RecordKind::JournalRecord,
-                &bval::encode_value(&sample_value("journal")),
-            ),
-        ),
-        (
             RecordKind::WireMessage,
             encode_record(
                 RecordKind::WireMessage,
@@ -95,10 +88,7 @@ fn deep_decode(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
                 &encode_cache_payload(fingerprint, &profile),
             ))
         }
-        RecordKind::JournalRecord
-        | RecordKind::WireMessage
-        | RecordKind::ServeRequest
-        | RecordKind::ServeDelta => {
+        RecordKind::WireMessage | RecordKind::ServeRequest | RecordKind::ServeDelta => {
             let value = bval::decode_value(payload)?;
             Ok(encode_record(kind, &bval::encode_value(&value)))
         }

@@ -57,11 +57,6 @@ fn golden() -> Vec<(&'static str, Vec<u8>, Value)> {
         ("profile", profile),
     ]);
 
-    let journal_value = sample_object("journal_record");
-    let journal = encode_record(
-        RecordKind::JournalRecord,
-        &bval::encode_value(&journal_value),
-    );
     let wire_value = sample_object("wire_message");
     let wire = encode_record(RecordKind::WireMessage, &bval::encode_value(&wire_value));
 
@@ -89,7 +84,6 @@ fn golden() -> Vec<(&'static str, Vec<u8>, Value)> {
     vec![
         ("trace_chunk", chunk, chunk_json),
         ("cache_entry", cache, cache_json),
-        ("journal_record", journal, journal_value),
         ("wire_message", wire, wire_value),
         ("serve_request", request, request_value),
         ("serve_delta", delta, delta_value),

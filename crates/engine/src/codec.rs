@@ -581,9 +581,10 @@ fn dec_curve(v: &Value) -> Result<MissRatioCurve, DecodeError> {
     })
 }
 
-/// Encodes a sweep result (the run journal persists completed sweeps so
-/// interrupted campaigns resume without re-tracing). Ratios travel as
-/// canonical floats, so the roundtrip is bit-exact.
+/// Encodes a sweep result: the value of a sweep cache entry (see
+/// `Engine::sweep_workload`), so a warm rerun reads a finished sweep
+/// instead of re-tracing. Ratios travel as canonical floats, so the
+/// roundtrip is bit-exact.
 pub fn sweep_result_to_value(s: &SweepResult) -> Value {
     Value::object(vec![
         ("instruction", enc_curve(&s.instruction)),

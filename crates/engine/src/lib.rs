@@ -22,18 +22,19 @@
 //! (real backend or a seeded fault-injecting [`ChaosFs`]), cache entries
 //! carry a CRC-64 content checksum and are moved to a `quarantine/`
 //! subdirectory when verification fails — never silently reused or
-//! recomputed over — and an optional write-ahead [`RunJournal`]
-//! checkpoints completed profiles and sweeps so an interrupted run
-//! resumes (`BDB_RESUME`) byte-identical to an uninterrupted one.
+//! recomputed over. Resuming an interrupted run is reading a warm
+//! cache: every finished profile and sweep is already an entry.
 //!
 //! Capacity sweeps run the workload generator exactly **once** in either
 //! [`SweepMode`]: the default fused mode streams its events into
 //! capacity-independent L1 event streams and replays those per capacity
 //! (trace-once/replay-many, DESIGN.md §13); per-point mode records the
 //! trace into a pooled buffer and replays a full machine per capacity.
-//! Points parallelize across the pool (each is independent) but are
-//! *not* cached: a sweep is driven by an arbitrary workload closure
-//! whose content cannot be fingerprinted.
+//! Points parallelize across the pool (each is independent).
+//! [`Engine::sweep_workload`] sweeps a catalog workload and caches the
+//! result under a [`sweep_fingerprint`] of its content, next to the
+//! profiles; [`Engine::sweep`] is the uncached primitive over an
+//! arbitrary trace closure, which cannot be fingerprinted.
 //!
 //! # Examples
 //!
@@ -56,12 +57,10 @@
 //! ```
 
 pub mod codec;
-pub mod journal;
 pub mod json;
 pub mod store;
 pub mod task;
 
-pub use journal::{sweep_key, JournalStats, RunJournal};
 pub use store::{
     crc64, CacheStore, ChaosCounters, ChaosFs, ChaosPlan, FileMeta, RealFs, StoreError,
 };
@@ -75,6 +74,7 @@ use bdb_sim::{
 use bdb_trace::{TraceBufferPool, TraceSink};
 use bdb_wcrt::{profile_workload, WorkloadProfile};
 use bdb_workloads::{Scale, WorkloadDef};
+use json::Value;
 use rayon::prelude::*;
 // The in-memory cache below is keyed-lookup only (get/insert by
 // fingerprint, never iterated), so map order cannot reach profile bytes.
@@ -96,6 +96,9 @@ pub const CACHE_FORMAT_VERSION: u64 = 3;
 /// File extension of cache entries: one checksummed BDBC
 /// `CacheEntry` record per file.
 const CACHE_EXTENSION: &str = "bin";
+
+/// File-name suffix of sweep entries (see [`Engine::sweep_workload`]).
+const SWEEP_SUFFIX: &str = ".sweep.bin";
 
 /// Subdirectory of the cache dir where entries that fail verification
 /// are moved (bytes preserved for forensics, never reused or
@@ -140,16 +143,6 @@ pub struct EngineConfig {
     /// uses the real filesystem ([`RealFs`]); chaos tests inject a
     /// seeded [`ChaosFs`].
     pub store: Option<Arc<dyn CacheStore>>,
-    /// Path of the write-ahead run journal (see [`RunJournal`]). `None`
-    /// disables journaling.
-    pub journal_path: Option<PathBuf>,
-    /// Whether to load completed work from an existing journal instead
-    /// of starting it fresh.
-    pub resume: bool,
-    /// Context string pinned into the journal's `start` record; a
-    /// journal resumes only under a byte-identical context (in the
-    /// bench bins: the command line minus `--resume`).
-    pub journal_context: String,
 }
 
 impl std::fmt::Debug for EngineConfig {
@@ -162,9 +155,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("cache_max_bytes", &self.cache_max_bytes)
             .field("sweep_mode", &self.sweep_mode)
             .field("store", &self.store.as_ref().map(|_| "<custom>"))
-            .field("journal_path", &self.journal_path)
-            .field("resume", &self.resume)
-            .field("journal_context", &self.journal_context)
             .finish()
     }
 }
@@ -221,28 +211,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables the write-ahead run journal at `path`.
-    #[must_use]
-    pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal_path = Some(path.into());
-        self
-    }
-
-    /// Resumes completed work from an existing journal (no-op without
-    /// [`journal`](Self::journal)).
-    #[must_use]
-    pub fn resume(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-
-    /// Sets the journal context string (see the field docs).
-    #[must_use]
-    pub fn journal_context(mut self, context: impl Into<String>) -> Self {
-        self.journal_context = context.into();
-        self
-    }
-
     /// Builds a config from the standard `BDB_*` environment knobs — the
     /// one place their semantics live, shared by the bench harness and
     /// the cluster worker daemon so the two cannot drift:
@@ -261,11 +229,6 @@ impl EngineConfig {
     /// * `BDB_SWEEP_MODE=per-point` — use the per-point reference sweep
     ///   instead of the fused trace-replay path (default: `fused`; the
     ///   two are byte-identical by contract).
-    /// * `BDB_JOURNAL=<path>` — write-ahead run journal checkpointing
-    ///   completed profiles and sweeps (default: none).
-    /// * `BDB_RESUME=1` — resume completed work from the journal
-    ///   (implies a default journal path of `results/journal/run.wal`
-    ///   at the workspace root when `BDB_JOURNAL` is unset).
     pub fn from_env() -> Self {
         let mut config = EngineConfig::default();
         if std::env::var_os("BDB_NO_CACHE").is_none() {
@@ -299,34 +262,8 @@ impl EngineConfig {
                 config = config.sweep_mode(SweepMode::PerPoint);
             }
         }
-        if let Some(path) = std::env::var_os("BDB_JOURNAL") {
-            config = config.journal(PathBuf::from(path));
-        }
-        if std::env::var_os("BDB_RESUME").is_some() {
-            config = config.resume();
-            if config.journal_path.is_none() {
-                config = config.journal(PathBuf::from(concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/../../results/journal/run.wal"
-                )));
-            }
-        }
-        if config.journal_path.is_some() {
-            config = config.journal_context(argv_journal_context());
-        }
         config
     }
-}
-
-/// The default journal context: the process's own command line minus the
-/// `--resume` flag itself, so "the same command, resumed" matches while
-/// any change to the inputs (scale, workload list, cluster set) resets
-/// the journal instead of splicing in stale results.
-pub fn argv_journal_context() -> String {
-    std::env::args()
-        .filter(|arg| arg != "--resume")
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 /// Cache-traffic counters (monotonic over the engine's lifetime).
@@ -334,14 +271,12 @@ pub fn argv_journal_context() -> String {
 pub struct CacheCounters {
     /// Profiles served from the in-memory memo.
     pub memory_hits: u64,
-    /// Profiles decoded from a cache file.
+    /// Profiles and sweeps decoded from a cache file.
     pub disk_hits: u64,
-    /// Profiles and sweeps replayed from the run journal.
-    pub journal_hits: u64,
-    /// Profiles actually simulated.
+    /// Profiles and sweeps actually simulated.
     pub computed: u64,
-    /// Store operations that failed (reads, writes, renames, journal
-    /// appends). The old code swallowed all of these with `.ok()`.
+    /// Store operations that failed (reads, writes, renames). The old
+    /// code swallowed all of these with `.ok()`.
     pub disk_errors: u64,
     /// Cache entries that failed verification and were moved to the
     /// [`QUARANTINE_DIR`] subdirectory.
@@ -386,10 +321,8 @@ pub struct Engine {
     buffers: TraceBufferPool,
     // bdb-lint: allow(determinism): keyed-lookup-only memo, never iterated.
     memory: Option<Mutex<HashMap<u64, WorkloadProfile>>>,
-    journal: Option<Mutex<RunJournal>>,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
-    journal_hits: AtomicU64,
     computed: AtomicU64,
     disk_errors: AtomicU64,
     corrupt_quarantined: AtomicU64,
@@ -420,13 +353,6 @@ impl Engine {
         let tmp_reclaimed = cache_dir
             .as_ref()
             .map_or(0, |dir| reclaim_stale_tmp(store.as_ref(), dir));
-        let mut disk_errors = 0u64;
-        let journal = config.journal_path.map(|path| {
-            let (journal, stats) =
-                RunJournal::open(store.clone(), path, &config.journal_context, config.resume);
-            disk_errors += stats.io_errors;
-            Mutex::new(journal)
-        });
         Engine {
             dispatch,
             store,
@@ -437,26 +363,15 @@ impl Engine {
             buffers: TraceBufferPool::new(),
             // bdb-lint: allow(determinism): keyed-lookup-only memo.
             memory: (!config.no_memory_cache).then(|| Mutex::new(HashMap::new())),
-            journal,
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
-            journal_hits: AtomicU64::new(0),
             computed: AtomicU64::new(0),
-            disk_errors: AtomicU64::new(disk_errors),
+            disk_errors: AtomicU64::new(0),
             corrupt_quarantined: AtomicU64::new(0),
             tmp_reclaimed: AtomicU64::new(tmp_reclaimed),
             invalidated: AtomicU64::new(0),
             replicas_admitted: AtomicU64::new(0),
         }
-    }
-
-    /// Completed work currently known to this engine's journal as
-    /// `(tasks, sweeps)`, or `None` when journaling is disabled. Right
-    /// after construction this is what a resume preloaded.
-    pub fn journal_preloaded(&self) -> Option<(usize, usize)> {
-        let journal = self.journal.as_ref()?;
-        let guard = lock_journal(journal);
-        Some((guard.task_count(), guard.sweep_count()))
     }
 
     /// Parallel engine with the in-memory memo only (no disk cache).
@@ -490,7 +405,6 @@ impl Engine {
         CacheCounters {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            journal_hits: self.journal_hits.load(Ordering::Relaxed),
             computed: self.computed.load(Ordering::Relaxed),
             disk_errors: self.disk_errors.load(Ordering::Relaxed),
             corrupt_quarantined: self.corrupt_quarantined.load(Ordering::Relaxed),
@@ -507,7 +421,7 @@ impl Engine {
     /// verification is unchanged, so a replica that corrupts on disk
     /// quarantines independently of every other copy.
     pub fn admit(&self, workload_id: &str, fingerprint: u64, profile: &WorkloadProfile) {
-        self.write_cache_file(workload_id, fingerprint, profile);
+        self.write_entry(workload_id, fingerprint, profile);
         self.remember(fingerprint, profile);
         self.replicas_admitted.fetch_add(1, Ordering::Relaxed);
     }
@@ -527,15 +441,7 @@ impl Engine {
         };
         let mut keys: Vec<u64> = files
             .iter()
-            .filter_map(|meta| {
-                let name = meta.path.file_name()?.to_str()?;
-                let stem = name.strip_suffix(CACHE_EXTENSION)?.strip_suffix('.')?;
-                let (_, hex) = stem.rsplit_once('-')?;
-                if hex.len() != 16 {
-                    return None;
-                }
-                u64::from_str_radix(hex, 16).ok()
-            })
+            .filter_map(|meta| profile_entry_key(&meta.path))
             .collect();
         keys.sort_unstable();
         keys.dedup();
@@ -612,23 +518,14 @@ impl Engine {
                 return hit.clone();
             }
         }
-        if let Some(journal) = &self.journal {
-            let hit = lock_journal(journal).completed_task(key).cloned();
-            if let Some(profile) = hit {
-                self.journal_hits.fetch_add(1, Ordering::Relaxed);
-                self.remember(key, &profile);
-                return profile;
-            }
-        }
-        if let Some(profile) = self.read_cache_file(&workload.spec.id, key) {
+        if let Some(profile) = self.read_entry::<WorkloadProfile>(&workload.spec.id, key) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.remember(key, &profile);
             return profile;
         }
         let profile = profile_workload(workload, scale, machine.clone(), *node);
         self.computed.fetch_add(1, Ordering::Relaxed);
-        self.write_cache_file(&workload.spec.id, key, &profile);
-        self.journal_task(key, &profile);
+        self.write_entry(&workload.spec.id, key, &profile);
         self.remember(key, &profile);
         profile
     }
@@ -694,6 +591,35 @@ impl Engine {
         self.sweep_with_fanout(label, capacities_kib, &workload, None)
     }
 
+    /// [`Engine::sweep`] of one catalog workload at `scale`, labelled by
+    /// its id and cached on disk next to the profiles under
+    /// [`sweep_fingerprint`]. A hit counts as a `disk_hits` tick and
+    /// runs no generator; a miss sweeps, counts as `computed` and stores
+    /// the result through the same checked write path as a profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities_kib` is empty.
+    pub fn sweep_workload(
+        &self,
+        def: &WorkloadDef,
+        scale: Scale,
+        capacities_kib: &[u64],
+    ) -> SweepResult {
+        let id = &def.spec.id;
+        let key = sweep_fingerprint(id, scale, capacities_kib);
+        if let Some(result) = self.read_entry::<SweepResult>(id, key) {
+            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            return result;
+        }
+        let result = self.sweep(id, capacities_kib, |sink| {
+            let _ = def.run(sink, scale);
+        });
+        self.computed.fetch_add(1, Ordering::Relaxed);
+        self.write_entry(id, key, &result);
+        result
+    }
+
     /// Runs every labelled sweep job at the same capacities, fanning
     /// *workloads* across the worker pool and splitting the leftover
     /// width across each sweep's capacity points. With `J` jobs on a
@@ -746,18 +672,6 @@ impl Engine {
             !capacities_kib.is_empty(),
             "sweep needs at least one capacity"
         );
-        // Sweeps are driven by arbitrary closures whose content cannot
-        // be fingerprinted, so journaled sweeps are keyed by (label,
-        // capacities) and gated by the journal's context string: only
-        // the byte-identical command line replays them.
-        let key = journal::sweep_key(label, capacities_kib);
-        if let Some(journal) = &self.journal {
-            let hit = lock_journal(journal).completed_sweep(key).cloned();
-            if let Some(result) = hit {
-                self.journal_hits.fetch_add(1, Ordering::Relaxed);
-                return result;
-            }
-        }
         let width = match fanout_cap {
             Some(cap) => self.point_threads().min(cap.max(1)),
             None => self.point_threads(),
@@ -795,13 +709,7 @@ impl Engine {
                 points
             }
         };
-        let result = assemble_sweep(label, capacities_kib, points);
-        if let Some(journal) = &self.journal {
-            if lock_journal(journal).record_sweep(key, &result).is_err() {
-                self.disk_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        result
+        assemble_sweep(label, capacities_kib, points)
     }
 
     fn install<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -817,9 +725,13 @@ impl Engine {
         }
     }
 
-    fn read_cache_file(&self, id: &str, key: u64) -> Option<WorkloadProfile> {
+    /// Reads, verifies and decodes the entry of workload `id` under
+    /// `key`: the one read path for profiles and sweeps. A miss is
+    /// `None`; an entry that fails verification is quarantined and is a
+    /// miss too.
+    fn read_entry<T: Entry>(&self, id: &str, key: u64) -> Option<T> {
         let dir = self.cache_dir.as_ref()?;
-        let path = dir.join(cache_file_name(id, key));
+        let path = dir.join(T::file_name(id, key));
         let bytes = match self.store.read(&path) {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return None,
@@ -828,15 +740,15 @@ impl Engine {
                 return None;
             }
         };
-        match verify_cache_entry(&bytes, key) {
-            Ok(profile) => {
+        match verify_entry::<T>(&bytes, key) {
+            Ok(entry) => {
                 // A hit refreshes the entry's recency so LRU eviction
                 // spares hot entries. Best-effort: a failed touch only
                 // skews eviction order.
                 if self.cache_max_bytes.is_some() {
                     let _ = self.store.touch(&path);
                 }
-                Some(profile)
+                Some(entry)
             }
             Err(_) => {
                 self.quarantine(dir, &path);
@@ -870,12 +782,17 @@ impl Engine {
         }
     }
 
-    fn write_cache_file(&self, id: &str, key: u64, profile: &WorkloadProfile) {
+    /// Persists `entry` for workload `id` under `key`, within the cap:
+    /// the one write path for profiles and sweeps.
+    fn write_entry<T: Entry>(&self, id: &str, key: u64, entry: &T) {
         let Some(dir) = &self.cache_dir else {
             return;
         };
-        let name = cache_file_name(id, key);
-        let bytes = encode_cache_entry(key, profile);
+        let name = T::file_name(id, key);
+        let bytes = bdb_codec::encode_record(
+            bdb_codec::RecordKind::CacheEntry,
+            &bdb_codec::encode_cache_payload(key, &entry.to_value()),
+        );
         // Write-to-temp + rename so concurrent engines never observe a
         // half-written entry; all writers produce identical bytes, so the
         // last rename winning is harmless. Both failure arms remove the
@@ -896,14 +813,6 @@ impl Engine {
         }
         if let Some(cap) = self.cache_max_bytes {
             enforce_cache_cap(self.store.as_ref(), dir, cap);
-        }
-    }
-
-    fn journal_task(&self, key: u64, profile: &WorkloadProfile) {
-        if let Some(journal) = &self.journal {
-            if lock_journal(journal).record_task(key, profile).is_err() {
-                self.disk_errors.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 }
@@ -974,14 +883,6 @@ fn lock<'a>(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Locks the journal with the same poison-recovery rationale as [`lock`]:
-/// the journal only ever holds fully-appended records.
-fn lock_journal(journal: &Mutex<RunJournal>) -> std::sync::MutexGuard<'_, RunJournal> {
-    journal
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Content fingerprint of one measurement: FNV-1a over the cache format
 /// version, the workload id, the exact scale factor bits, and the full
 /// `Debug` renderings of both hardware configs. Any change to either
@@ -999,6 +900,25 @@ pub fn profile_fingerprint(
     h.write_u64(scale.factor().to_bits());
     h.write(format!("{machine:?}").as_bytes());
     h.write(format!("{node:?}").as_bytes());
+    h.finish()
+}
+
+/// Content fingerprint of one cached sweep: FNV-1a over the cache
+/// format version, a sweep domain tag (so no sweep key can equal a
+/// profile key over the same id and scale), the workload id, the exact
+/// scale factor bits, the `Debug` rendering of the swept
+/// [`SweepFamily`], and the capacities in order.
+pub fn sweep_fingerprint(workload_id: &str, scale: Scale, capacities_kib: &[u64]) -> u64 {
+    let mut h = Fnv::new();
+    h.write_u64(CACHE_FORMAT_VERSION);
+    h.write(b"sweep");
+    h.write(workload_id.as_bytes());
+    h.write_u64(scale.factor().to_bits());
+    h.write(format!("{:?}", SweepFamily::atom()).as_bytes());
+    h.write_u64(capacities_kib.len() as u64);
+    for &kib in capacities_kib {
+        h.write_u64(kib);
+    }
     h.finish()
 }
 
@@ -1030,9 +950,10 @@ impl Fnv {
     }
 }
 
-fn cache_file_name(id: &str, key: u64) -> String {
-    let safe: String = id
-        .chars()
+/// A workload id with every character outside `[A-Za-z0-9_-]` replaced
+/// by `_`, so entry names never contain a `.`.
+fn safe_id(id: &str) -> String {
+    id.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
                 c
@@ -1040,18 +961,67 @@ fn cache_file_name(id: &str, key: u64) -> String {
                 '_'
             }
         })
-        .collect();
-    format!("{safe}-{key:016x}.{CACHE_EXTENSION}")
+        .collect()
 }
 
-/// One cache entry: a BDBC `CacheEntry` record. The container carries
-/// its own version and CRC-64 trailer, so the entry is just the
-/// fingerprinted payload.
-fn encode_cache_entry(key: u64, profile: &WorkloadProfile) -> Vec<u8> {
-    bdb_codec::encode_record(
-        bdb_codec::RecordKind::CacheEntry,
-        &bdb_codec::encode_cache_payload(key, &codec::profile_to_value(profile)),
-    )
+/// `<id>-<key:016x>.bin`: a profile entry.
+fn cache_file_name(id: &str, key: u64) -> String {
+    format!("{}-{key:016x}.{CACHE_EXTENSION}", safe_id(id))
+}
+
+/// `<id>-<key:016x>.sweep.bin`: a sweep entry. The extra `.sweep` is
+/// what tells the two kinds apart; a sanitized id never contains a `.`.
+fn sweep_file_name(id: &str, key: u64) -> String {
+    format!("{}-{key:016x}{SWEEP_SUFFIX}", safe_id(id))
+}
+
+/// The fingerprint a profile entry's file name ends with, or `None` for
+/// anything else: sweep entries, temp files, foreign files.
+fn profile_entry_key(path: &Path) -> Option<u64> {
+    let name = path.file_name()?.to_str()?;
+    if name.ends_with(SWEEP_SUFFIX) {
+        return None;
+    }
+    let stem = name.strip_suffix(CACHE_EXTENSION)?.strip_suffix('.')?;
+    let (_, hex) = stem.rsplit_once('-')?;
+    if hex.len() != 16 {
+        return None;
+    }
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// What a cache entry holds: a profile or a sweep. Every entry is a
+/// BDBC `CacheEntry` record whose payload is the fingerprint and the
+/// value's tree, under the container's version and CRC-64 trailer; the
+/// two kinds differ only in file name and value codec.
+trait Entry: Sized {
+    fn file_name(id: &str, key: u64) -> String;
+    fn to_value(&self) -> Value;
+    fn from_value(value: &Value) -> Result<Self, codec::DecodeError>;
+}
+
+impl Entry for WorkloadProfile {
+    fn file_name(id: &str, key: u64) -> String {
+        cache_file_name(id, key)
+    }
+    fn to_value(&self) -> Value {
+        codec::profile_to_value(self)
+    }
+    fn from_value(value: &Value) -> Result<Self, codec::DecodeError> {
+        codec::profile_from_value(value)
+    }
+}
+
+impl Entry for SweepResult {
+    fn file_name(id: &str, key: u64) -> String {
+        sweep_file_name(id, key)
+    }
+    fn to_value(&self) -> Value {
+        codec::sweep_result_to_value(self)
+    }
+    fn from_value(value: &Value) -> Result<Self, codec::DecodeError> {
+        codec::sweep_result_from_value(value)
+    }
 }
 
 /// Verifies and decodes one cache entry against the key it was looked up
@@ -1065,17 +1035,25 @@ fn encode_cache_entry(key: u64, profile: &WorkloadProfile) -> Vec<u8> {
 /// an undecodable profile — is grounds for quarantine: a valid entry can
 /// only fail here if its bytes changed underneath us.
 pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
+    verify_entry(bytes, expected_key)
+}
+
+/// [`verify_cache_entry`] for either kind of entry: profiles and sweeps
+/// share the container, checksum and fingerprint checks and differ only
+/// in the value decode.
+fn verify_entry<T: Entry>(bytes: &[u8], expected_key: u64) -> Result<T, String> {
     let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, bytes)
         .map_err(|e| e.to_string())?;
-    let (fingerprint, profile_value) =
+    let (fingerprint, value) =
         bdb_codec::decode_cache_payload(payload).map_err(|e| e.to_string())?;
     if fingerprint != expected_key {
         return Err(format!("fingerprint mismatch (want {expected_key:016x})"));
     }
-    codec::profile_from_value(&profile_value).map_err(|e| e.to_string())
+    T::from_value(&value).map_err(|e| e.to_string())
 }
 
-/// Loads every valid cache entry under `dir` (diagnostics / inspection).
+/// Loads every valid profile entry under `dir` (diagnostics /
+/// inspection); sweep entries are skipped.
 /// Each entry is verified by [`verify_cache_entry`] against the
 /// fingerprint in its own file name — the same decode-and-verify path
 /// the engine's cache reads use. Read-only: entries that fail
@@ -1088,12 +1066,7 @@ pub fn read_cache_dir(dir: &Path) -> Vec<WorkloadProfile> {
         .into_iter()
         .filter_map(|meta| {
             let path = meta.path;
-            if path.extension()? != CACHE_EXTENSION {
-                return None;
-            }
-            // `cache_file_name` ends the stem with `-{key:016x}`.
-            let (_, hex) = path.file_stem()?.to_str()?.rsplit_once('-')?;
-            let key = u64::from_str_radix(hex, 16).ok()?;
+            let key = profile_entry_key(&path)?;
             let bytes = RealFs.read(&path).ok()??;
             let profile = verify_cache_entry(&bytes, key).ok()?;
             Some((path, profile))
@@ -1255,6 +1228,54 @@ mod tests {
         assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
         let key = profile_fingerprint(&workloads[0].spec.id, Scale::tiny(), &machine, &node);
         assert!(verify_cache_entry(&std::fs::read(&path).unwrap(), key).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_sweep_entry_is_quarantined_and_recomputed() {
+        let dir = scratch_dir("sweepcorrupt");
+        let def = &reps(1)[0];
+        let caps = [16u64, 64];
+        let engine = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+        let cold = engine.sweep_workload(def, Scale::tiny(), &caps);
+        let key = sweep_fingerprint(&def.spec.id, Scale::tiny(), &caps);
+        let path = dir.join(sweep_file_name(&def.spec.id, key));
+        let mut bytes = std::fs::read(&path).expect("sweep entry written");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let again = engine.sweep_workload(def, Scale::tiny(), &caps);
+        let counters = engine.counters();
+        assert_eq!(counters.computed, 2, "corrupt sweep entry must miss");
+        assert_eq!(counters.corrupt_quarantined, 1);
+        assert_eq!(counters.disk_hits, 0);
+        assert_eq!(
+            codec::sweep_result_to_value(&again).encode(),
+            codec::sweep_result_to_value(&cold).encode(),
+            "recomputed sweep must be bit-identical"
+        );
+        let quarantined = dir.join(QUARANTINE_DIR).join(path.file_name().unwrap());
+        assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
+        let fresh = std::fs::read(&path).unwrap();
+        assert!(verify_entry::<SweepResult>(&fresh, key).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_entries_are_not_advertised_or_listed_as_profiles() {
+        let dir = scratch_dir("sweepskip");
+        let def = &reps(1)[0];
+        let machine = MachineConfig::xeon_e5645();
+        let node = NodeConfig::default();
+        let engine = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+        engine.sweep_workload(def, Scale::tiny(), &[16, 64]);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one entry");
+        assert!(engine.cached_fingerprints().is_empty());
+        assert!(read_cache_dir(&dir).is_empty());
+        engine.profile(def, Scale::tiny(), &machine, &node);
+        let key = profile_fingerprint(&def.spec.id, Scale::tiny(), &machine, &node);
+        assert_eq!(engine.cached_fingerprints(), vec![key]);
+        assert_eq!(read_cache_dir(&dir).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1552,6 +1573,36 @@ mod tests {
         );
     }
 
+    #[test]
+    fn sweep_fingerprint_separates_inputs() {
+        let caps = [16u64, 64, 256];
+        let base = sweep_fingerprint("H-WordCount", Scale::tiny(), &caps);
+        assert_ne!(base, sweep_fingerprint("H-Grep", Scale::tiny(), &caps));
+        assert_ne!(
+            base,
+            sweep_fingerprint("H-WordCount", Scale::small(), &caps)
+        );
+        assert_ne!(
+            base,
+            sweep_fingerprint("H-WordCount", Scale::tiny(), &[16, 64])
+        );
+        assert_ne!(
+            base,
+            sweep_fingerprint("H-WordCount", Scale::tiny(), &[16, 256, 64])
+        );
+        assert_eq!(base, sweep_fingerprint("H-WordCount", Scale::tiny(), &caps));
+        let machine = MachineConfig::atom_sweep(64);
+        assert_ne!(
+            base,
+            profile_fingerprint(
+                "H-WordCount",
+                Scale::tiny(),
+                &machine,
+                &NodeConfig::default()
+            )
+        );
+    }
+
     fn sweep_probe_workload(sink: &mut dyn TraceSink) {
         let mut layout = bdb_trace::CodeLayout::new();
         let region = layout.region("kernel", 16 * 1024);
@@ -1588,8 +1639,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_mode_env_knob_selects_per_point() {
-        // Env-var parsing only; never mutate the process env in tests.
+    fn sweep_mode_defaults_to_fused_and_the_builder_selects_per_point() {
         let fused = EngineConfig::default();
         assert_eq!(fused.sweep_mode, SweepMode::Fused);
         let per_point = EngineConfig::default().sweep_mode(SweepMode::PerPoint);
@@ -1651,10 +1701,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_engine_sweeps_reuse_the_stream_arena() {
-        // Same engine, back-to-back sweeps: the second record reuses the
-        // first sweep's stream buffers (behavioural check: results stay
-        // identical; the capacity reuse itself is pinned in bdb-sim).
+    fn repeated_sweeps_on_one_engine_are_identical() {
         let engine = Engine::new(EngineConfig::default().threads(2));
         let caps = [16u64, 64];
         let first = engine.sweep("probe", &caps, sweep_probe_workload);

@@ -16,7 +16,7 @@
 //!   for every single one.
 //!
 //! The trait's error contract is deliberately coarse: callers degrade
-//! (miss, recompute, stop journaling) rather than branch on error kinds,
+//! (miss, recompute, stop persisting) rather than branch on error kinds,
 //! so a [`StoreError`] only carries the failed operation and a message.
 
 use std::path::{Path, PathBuf};
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// CRC-64/XZ over `bytes` — the content checksum stamped into every
-/// cache entry and journal frame. Re-exported from `bdb-codec`, the
+/// cache entry. Re-exported from `bdb-codec`, the
 /// single reference implementation shared with the binary container.
 pub use bdb_codec::crc64;
 
@@ -82,8 +82,6 @@ pub trait CacheStore: Send + Sync {
     fn read(&self, path: &Path) -> Result<Option<Vec<u8>>, StoreError>;
     /// Writes (creates or truncates) a whole file.
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError>;
-    /// Appends to a file, creating it if missing.
-    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError>;
     /// Atomically renames `from` to `to` (same directory tree).
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError>;
     /// Removes a file; missing files are not an error.
@@ -113,17 +111,6 @@ impl CacheStore for RealFs {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         std::fs::write(path, bytes).map_err(|e| StoreError::new("write", path, e))
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        use std::io::Write as _;
-        let mut file = std::fs::File::options()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::new("append", path, e))?;
-        file.write_all(bytes)
-            .map_err(|e| StoreError::new("append", path, e))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError> {
@@ -232,9 +219,9 @@ impl Default for ChaosPlan {
 /// How many faults a [`ChaosFs`] has injected, by class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosCounters {
-    /// Writes/appends failed with nothing written.
+    /// Writes failed with nothing written.
     pub write_errors: u64,
-    /// Writes/appends that persisted a strict prefix, then failed.
+    /// Writes that persisted a strict prefix, then failed.
     pub torn_writes: u64,
     /// Renames failed with the source left intact.
     pub rename_errors: u64,
@@ -255,7 +242,7 @@ impl ChaosCounters {
 
 /// A [`CacheStore`] that wraps [`RealFs`] and injects faults per a
 /// seeded [`ChaosPlan`]. Only the data path is fault-eligible (`read`,
-/// `write`, `append`, `rename`); `list`/`remove`/`touch`/`create_dir_all`
+/// `write`, `rename`); `list`/`remove`/`touch`/`create_dir_all`
 /// pass through untouched so fault accounting stays exact. Bit
 /// corruption targets `.bin` cache entries (BDBC records, whose
 /// checksum covers every byte) and flips exactly one bit — so every
@@ -318,30 +305,6 @@ impl ChaosFs {
     fn fail(op: &'static str, path: &Path, what: &str) -> StoreError {
         StoreError::new(op, path, format!("injected chaos fault: {what}"))
     }
-
-    /// Shared write/append fault logic: `Err` when a fault fired, after
-    /// persisting a torn prefix via `put_prefix` if the fault is a torn
-    /// write.
-    fn write_fault(
-        &self,
-        op: &'static str,
-        path: &Path,
-        bytes: &[u8],
-        put_prefix: impl FnOnce(&[u8]) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
-        if self.fire(self.plan.write_error_period) {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(Self::fail(op, path, "out of space"));
-        }
-        if self.fire(self.plan.torn_write_period) && !bytes.is_empty() {
-            let cut = (self.next() as usize) % bytes.len();
-            // bdb-lint: allow(panic-reachability): cut < bytes.len() by the modulo above
-            let _ = put_prefix(&bytes[..cut]);
-            self.torn_writes.fetch_add(1, Ordering::Relaxed);
-            return Err(Self::fail(op, path, "torn write"));
-        }
-        Ok(())
-    }
 }
 
 impl CacheStore for ChaosFs {
@@ -367,17 +330,17 @@ impl CacheStore for ChaosFs {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        self.write_fault("write", path, bytes, |prefix| {
-            self.inner.write(path, prefix)
-        })?;
+        if self.fire(self.plan.write_error_period) {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(Self::fail("write", path, "out of space"));
+        }
+        if self.fire(self.plan.torn_write_period) && !bytes.is_empty() {
+            let cut = (self.next() as usize) % bytes.len();
+            let _ = self.inner.write(path, &bytes[..cut]);
+            self.torn_writes.fetch_add(1, Ordering::Relaxed);
+            return Err(Self::fail("write", path, "torn write"));
+        }
         self.inner.write(path, bytes)
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        self.write_fault("append", path, bytes, |prefix| {
-            self.inner.append(path, prefix)
-        })?;
-        self.inner.append(path, bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError> {
@@ -424,8 +387,7 @@ mod tests {
         let path = dir.join("x.bin");
         assert_eq!(RealFs.read(&path).unwrap(), None);
         RealFs.write(&path, b"abc").unwrap();
-        RealFs.append(&path, b"def").unwrap();
-        assert_eq!(RealFs.read(&path).unwrap().unwrap(), b"abcdef");
+        assert_eq!(RealFs.read(&path).unwrap().unwrap(), b"abc");
         let to = dir.join("y.bin");
         RealFs.rename(&path, &to).unwrap();
         assert_eq!(RealFs.read(&path).unwrap(), None);

@@ -2,8 +2,9 @@
 //!
 //! A seeded [`ChaosFs`] injects ENOSPC-style write failures, torn
 //! writes, rename failures, read errors, and read-time bit corruption
-//! under a journaled, disk-cached engine, and the run is killed at every
-//! task boundary. The contract under test:
+//! under a disk-cached engine, and the run is killed at every task
+//! boundary. A resumed run is a fresh engine over the same cache
+//! directory. The contract under test:
 //!
 //! 1. **Byte identity.** A resumed run's profiles are byte-identical to
 //!    an uninterrupted serial run, for every seeded fault schedule and
@@ -24,10 +25,7 @@ use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const CONTEXT: &str = "store-chaos soak";
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bdb-chaos-{}-{tag}", std::process::id()));
@@ -55,20 +53,16 @@ fn baseline(workloads: &[WorkloadDef]) -> Vec<String> {
     ))
 }
 
-/// A single-threaded journaled engine over `chaos`, so the fault
+/// A single-threaded disk-cached engine over `chaos`, so the fault
 /// schedule (and therefore the accounting) is deterministic per seed.
-fn chaos_engine(chaos: &Arc<ChaosFs>, dir: &Path, resume: bool) -> Engine {
+fn chaos_engine(chaos: &Arc<ChaosFs>, dir: &Path) -> Engine {
     let store: Arc<dyn CacheStore> = Arc::<ChaosFs>::clone(chaos);
-    let mut config = EngineConfig::default()
-        .threads(1)
-        .store(store)
-        .cache_dir(dir.join("cache"))
-        .journal(dir.join("run.wal"))
-        .journal_context(CONTEXT);
-    if resume {
-        config = config.resume();
-    }
-    Engine::new(config)
+    Engine::new(
+        EngineConfig::default()
+            .threads(1)
+            .store(store)
+            .cache_dir(dir.join("cache")),
+    )
 }
 
 /// Injected faults and engine counters must balance exactly: every
@@ -130,7 +124,7 @@ fn resumed_chaos_runs_are_byte_identical_and_fully_accounted() {
             // a storm of injected faults, then "die" (drop the engine).
             let chaos1 = Arc::new(ChaosFs::new(ChaosPlan::storm(seed)));
             {
-                let engine = chaos_engine(&chaos1, &dir, false);
+                let engine = chaos_engine(&chaos1, &dir);
                 for w in &workloads[..kill_point] {
                     let p = engine.profile(w, Scale::tiny(), &machine, &node);
                     assert_eq!(
@@ -145,10 +139,10 @@ fn resumed_chaos_runs_are_byte_identical_and_fully_accounted() {
                 assert_accounted(&engine, &chaos1, "first life");
             }
 
-            // Second life: resume over the same directory, under a
-            // *different* fault schedule, and finish the whole fleet.
+            // Second life: a fresh engine over the same directory, under
+            // a *different* fault schedule, finishes the whole fleet.
             let chaos2 = Arc::new(ChaosFs::new(ChaosPlan::storm(seed.wrapping_add(1000))));
-            let engine = chaos_engine(&chaos2, &dir, true);
+            let engine = chaos_engine(&chaos2, &dir);
             let resumed = engine.profile_all(&workloads, Scale::tiny(), &machine, &node);
             assert_eq!(
                 bytes_of(&resumed),
@@ -164,87 +158,33 @@ fn resumed_chaos_runs_are_byte_identical_and_fully_accounted() {
 }
 
 #[test]
-fn resume_replays_journaled_tasks_instead_of_recomputing() {
-    let workloads = fleet();
-    let machine = MachineConfig::xeon_e5645();
-    let node = NodeConfig::default();
-    let dir = scratch("resume-honesty");
-
-    // No disk cache: the journal must be the only reuse channel, so the
-    // counters prove exactly where each profile came from.
-    let journaled = |resume: bool| {
-        let mut config = EngineConfig::default()
-            .threads(1)
-            .journal(dir.join("run.wal"))
-            .journal_context(CONTEXT);
-        if resume {
-            config = config.resume();
-        }
-        Engine::new(config)
-    };
-
-    let first = journaled(false);
-    for w in &workloads[..2] {
-        first.profile(w, Scale::tiny(), &machine, &node);
-    }
-    assert_eq!(first.counters().computed, 2);
-    drop(first);
-
-    let second = journaled(true);
-    assert_eq!(second.journal_preloaded(), Some((2, 0)));
-    second.profile_all(&workloads, Scale::tiny(), &machine, &node);
-    let counters = second.counters();
-    assert_eq!(
-        counters.journal_hits, 2,
-        "two tasks must come from the journal"
-    );
-    assert_eq!(counters.computed, 2, "only the unfinished tasks recompute");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn resumed_sweep_does_not_rerun_the_generator() {
+fn warm_sweep_workload_does_not_rerun_the_generator() {
     let def = fleet().remove(0);
     let capacities = [16u64, 64];
-    let dir = scratch("sweep-resume");
-    let invocations = AtomicU64::new(0);
-    let workload = |machine: &mut dyn bdb_trace::TraceSink| {
-        invocations.fetch_add(1, Ordering::Relaxed);
-        let _ = def.run(machine, Scale::tiny());
-    };
+    let dir = scratch("sweep-warm");
+    let cached = || Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
 
-    let journaled = |resume: bool| {
-        let mut config = EngineConfig::default()
-            .threads(1)
-            .journal(dir.join("run.wal"))
-            .journal_context(CONTEXT);
-        if resume {
-            config = config.resume();
-        }
-        Engine::new(config)
-    };
-
-    let first = journaled(false);
-    let cold = first.sweep("sweep-resume", &capacities, workload);
-    let cold_runs = invocations.load(Ordering::Relaxed);
-    assert!(cold_runs >= 1, "cold sweep must run the generator");
+    let first = cached();
+    let cold = first.sweep_workload(&def, Scale::tiny(), &capacities);
+    assert_eq!(first.counters().computed, 1, "cold sweep must run");
     drop(first);
 
-    let second = journaled(true);
-    assert_eq!(second.journal_preloaded(), Some((0, 1)));
-    let warm = second.sweep("sweep-resume", &capacities, workload);
-    assert_eq!(
-        invocations.load(Ordering::Relaxed),
-        cold_runs,
-        "resumed sweep must not re-run the workload generator"
-    );
-    assert_eq!(second.counters().journal_hits, 1);
+    // A fresh engine over the same directory: the sweep is one disk hit.
+    let second = cached();
+    let warm = second.sweep_workload(&def, Scale::tiny(), &capacities);
+    let counters = second.counters();
+    assert_eq!(counters.computed, 0, "warm sweep must not re-run");
+    assert_eq!(counters.disk_hits, 1);
     assert_eq!(
         codec::sweep_result_to_value(&warm).encode(),
         codec::sweep_result_to_value(&cold).encode(),
-        "journal-replayed sweep must be byte-identical"
+        "cached sweep must be byte-identical"
     );
+    // And identical to the uncached primitive under the same label.
+    let direct = Engine::serial().sweep(&def.spec.id, &capacities, |sink| {
+        let _ = def.run(sink, Scale::tiny());
+    });
+    assert_eq!(warm, direct);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,12 +8,12 @@
 //! * `reduction-config` — `contracts/reduction.txt` pins 17 clusters
 //!   whose representative weights sum to 77 and whose ids exist in the
 //!   catalog spec.
-//! * `cache-format` — every `results/cache/*.json` entry parses, matches
-//!   the v3 cache schema (format version, CRC-64 content checksum,
-//!   fingerprint-in-filename, 45-metric vector), and survives canonical
-//!   re-encoding byte for byte; every `results/cache/*.bin` entry is a
-//!   valid BDBC cache record whose canonical re-encoding is
-//!   byte-identical.
+//! * `cache-format` — every `results/cache/*.bin` entry is a valid BDBC
+//!   cache record whose canonical re-encoding is byte-identical, whose
+//!   fingerprint matches its file name, and whose value has the shape its
+//!   name promises: a profile with the 45-metric vector, or (for a
+//!   `*.sweep.bin` entry) three miss-ratio curves over the same
+//!   capacities.
 //! * `bench-format` — every `BENCH_*.json` record at the repo root is a
 //!   canonical single-line JSON object with a `bench` tag.
 //! * `binary-stability` — the golden fixtures under `contracts/fixtures/`
@@ -27,7 +27,7 @@
 
 use crate::json::{self, Value};
 use crate::{Diagnostic, PAPER_CLUSTERS, PAPER_METRICS, PAPER_WORKLOADS};
-use bdb_codec::{columnar, crc64, RecordKind};
+use bdb_codec::{columnar, RecordKind};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -280,29 +280,21 @@ fn check_cache_dir(root: &Path, diags: &mut Vec<Diagnostic>) {
     let mut files: Vec<_> = entries
         .flatten()
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json" || e == "bin"))
+        .filter(|p| p.extension().is_some_and(|e| e == "bin"))
         .collect();
     files.sort();
     for file in files {
-        if file.extension().is_some_and(|e| e == "bin") {
-            let Ok(bytes) = std::fs::read(&file) else {
-                diags.push(Diagnostic::new(&file, 0, RULE, "unreadable cache entry"));
-                continue;
-            };
-            check_cache_entry_binary(&file, &bytes, diags);
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(&file) else {
+        let Ok(bytes) = std::fs::read(&file) else {
             diags.push(Diagnostic::new(&file, 0, RULE, "unreadable cache entry"));
             continue;
         };
-        check_cache_entry(&file, &text, diags);
+        check_cache_entry_binary(&file, &bytes, diags);
     }
 }
 
 /// Validates one binary (BDBC) cache entry: container integrity, a
 /// fingerprint that matches the filename, canonical byte-stability, and
-/// the same profile schema the JSON pass enforces.
+/// the profile or sweep schema its file name selects.
 fn check_cache_entry_binary(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnostic>) {
     const RULE: &str = "cache-format";
     let mut emit = |message: String| diags.push(Diagnostic::new(file, 0, RULE, message));
@@ -313,7 +305,7 @@ fn check_cache_entry_binary(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnosti
             return;
         }
     };
-    let (fingerprint, profile) = match bdb_codec::decode_cache_payload(payload) {
+    let (fingerprint, value) = match bdb_codec::decode_cache_payload(payload) {
         Ok(pair) => pair,
         Err(e) => {
             emit(format!("binary cache payload does not decode: {e}"));
@@ -322,85 +314,98 @@ fn check_cache_entry_binary(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnosti
     };
     let reencoded = bdb_codec::encode_record(
         RecordKind::CacheEntry,
-        &bdb_codec::encode_cache_payload(fingerprint, &profile),
+        &bdb_codec::encode_cache_payload(fingerprint, &value),
     );
     if reencoded != bytes {
         emit("binary cache entry is not byte-stable: canonical re-encoding differs".into());
     }
-    let stem = file
-        .file_stem()
+    let name = file
+        .file_name()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_default();
+    // `<id>-<key>.sweep.bin` is a sweep entry, `<id>-<key>.bin` a profile.
+    let (stem, sweep) = match name.strip_suffix(".sweep.bin") {
+        Some(stem) => (stem, true),
+        None => (name.strip_suffix(".bin").unwrap_or(&name), false),
+    };
     let hex = format!("{fingerprint:016x}");
     if !stem.ends_with(&format!("-{hex}")) {
         emit(format!(
             "filename fingerprint does not match the embedded fingerprint `{hex}`"
         ));
     }
-    check_profile_shape(&profile, &hex, &stem, &mut emit);
+    if sweep {
+        check_sweep_shape(&value, &hex, stem, &mut emit);
+    } else {
+        check_profile_shape(&value, &hex, stem, &mut emit);
+    }
 }
 
-fn check_cache_entry(file: &Path, text: &str, diags: &mut Vec<Diagnostic>) {
-    const RULE: &str = "cache-format";
-    let mut emit = |message: String| diags.push(Diagnostic::new(file, 0, RULE, message));
-    if !text.ends_with('\n') || text.ends_with("\n\n") || text.contains('\r') {
-        emit("cache entry must be one line terminated by a single newline".into());
-    }
-    let body = text.trim_end_matches('\n');
-    let value = match json::parse(body) {
-        Ok(v) => v,
-        Err(e) => {
-            emit(format!("cache entry is not valid JSON: {e}"));
-            return;
-        }
-    };
-    if value.encode() != body {
-        emit("cache entry is not byte-stable: canonical re-encoding differs from the file".into());
-    }
-    if value.get("format").and_then(Value::as_u64) != Some(3) {
-        emit("cache entry `format` must be the integer 3 (checksummed v3 schema)".into());
-    }
-    let crc = value
-        .get("crc64")
-        .and_then(Value::as_str)
-        .unwrap_or_default()
-        .to_owned();
-    if crc.len() != 16 || !crc.bytes().all(|b| b.is_ascii_hexdigit()) {
-        emit(format!("`crc64` must be 16 hex digits, got {crc:?}"));
-    } else if let Some(profile) = value.get("profile") {
-        let actual = format!("{:016x}", crc64(profile.encode().as_bytes()));
-        if !actual.eq_ignore_ascii_case(&crc) {
-            emit(format!(
-                "`crc64` is {crc} but the profile body hashes to {actual} — entry content was altered"
-            ));
-        }
-    }
-    let stem = file
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let fingerprint = value
-        .get("fingerprint")
-        .and_then(Value::as_str)
-        .unwrap_or_default()
-        .to_owned();
-    if fingerprint.len() != 16 || !fingerprint.bytes().all(|b| b.is_ascii_hexdigit()) {
-        emit(format!(
-            "`fingerprint` must be 16 hex digits, got {fingerprint:?}"
-        ));
-    } else if !stem.ends_with(&format!("-{fingerprint}")) {
-        emit(format!(
-            "filename fingerprint does not match the `fingerprint` field `{fingerprint}`"
-        ));
-    }
-    let Some(profile) = value.get("profile") else {
-        emit("cache entry has no `profile` object".into());
-        return;
-    };
-    check_profile_shape(profile, &fingerprint, &stem, &mut emit);
+/// The engine's file-name form of a workload id: every character outside
+/// `[A-Za-z0-9_-]` becomes `_`.
+fn safe_id(id: &str) -> String {
+    id.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
 }
 
-/// Profile-schema checks shared by the JSON and binary cache passes.
+/// Sweep-schema checks: `instruction`, `data` and `unified` curves, each
+/// a list of `[capacity, ratio]` points over the same non-empty
+/// capacities, labelled with the workload id the file name encodes.
+fn check_sweep_shape(sweep: &Value, fingerprint: &str, stem: &str, emit: &mut dyn FnMut(String)) {
+    let mut first: Option<Vec<u64>> = None;
+    for key in ["instruction", "data", "unified"] {
+        let Some(curve) = sweep.get(key) else {
+            emit(format!("sweep is missing the `{key}` curve"));
+            continue;
+        };
+        if let Some(label) = curve.get("label").and_then(Value::as_str) {
+            let expected = format!("{}-{fingerprint}", safe_id(label));
+            if stem != expected {
+                emit(format!(
+                    "filename does not encode the `{key}` curve label `{label}` (expected `{expected}`)"
+                ));
+            }
+        } else {
+            emit(format!("`{key}` curve has no string `label`"));
+        }
+        let Some(points) = curve.get("points").and_then(Value::as_array) else {
+            emit(format!("`{key}` curve `points` must be an array"));
+            continue;
+        };
+        let mut capacities = Vec::with_capacity(points.len());
+        for point in points {
+            match point.as_array() {
+                Some([kib, ratio]) if ratio.is_numeric() => match kib.as_u64() {
+                    Some(kib) => capacities.push(kib),
+                    None => emit(format!("`{key}` curve capacity is not an unsigned integer")),
+                },
+                _ => emit(format!(
+                    "`{key}` curve point is not a [capacity, ratio] pair"
+                )),
+            }
+        }
+        if capacities.is_empty() {
+            emit(format!("`{key}` curve has no points"));
+        }
+        match &first {
+            None => first = Some(capacities),
+            Some(expected) if *expected != capacities => emit(format!(
+                "`{key}` curve capacities differ from the `instruction` curve's"
+            )),
+            Some(_) => {}
+        }
+    }
+}
+
+/// Profile-schema checks: the four profile sections, a file name that
+/// encodes the workload id, and the 45-metric vector.
 fn check_profile_shape(
     profile: &Value,
     fingerprint: &str,
@@ -417,16 +422,7 @@ fn check_profile_shape(
         .and_then(|s| s.get("id"))
         .and_then(Value::as_str)
     {
-        let safe: String = id
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
+        let safe = safe_id(id);
         if !fingerprint.is_empty() && stem != format!("{safe}-{fingerprint}") {
             emit(format!(
                 "filename does not encode the workload id `{id}` (expected `{safe}-{fingerprint}`)"
@@ -527,10 +523,7 @@ fn check_one_fixture(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnostic>) {
             ]);
             (rebuilt, interchange)
         }
-        RecordKind::JournalRecord
-        | RecordKind::WireMessage
-        | RecordKind::ServeRequest
-        | RecordKind::ServeDelta => {
+        RecordKind::WireMessage | RecordKind::ServeRequest | RecordKind::ServeDelta => {
             let value = match bdb_codec::bval::decode_value(payload) {
                 Ok(v) => v,
                 Err(e) => {
@@ -680,63 +673,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_unstable_cache_entry_is_rejected() {
-        let mut diags = Vec::new();
-        // Extra whitespace: parses fine, re-encodes differently.
-        check_cache_entry(
-            Path::new("X-1234567890abcdef.json"),
-            "{ \"format\": 2 }\n",
-            &mut diags,
-        );
-        assert!(diags.iter().any(|d| d.message.contains("byte-stable")));
-    }
-
-    #[test]
     fn crc64_matches_the_engine_check_value() {
-        assert_eq!(crc64(b"123456789"), 0x995dc9bbdf1939fa);
-    }
-
-    #[test]
-    fn legacy_format_2_entry_is_rejected() {
-        let mut diags = Vec::new();
-        check_cache_entry(
-            Path::new("X-1234567890abcdef.json"),
-            "{\"format\":2,\"fingerprint\":\"1234567890abcdef\"}\n",
-            &mut diags,
-        );
-        assert!(
-            diags.iter().any(|d| d.message.contains("integer 3")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn checksum_mismatch_is_rejected_and_match_accepted() {
-        let profile = "{\"x\":1}";
-        let good = format!("{:016x}", crc64(profile.as_bytes()));
-        let entry = |crc: &str| {
-            format!("{{\"format\":3,\"crc64\":\"{crc}\",\"fingerprint\":\"1234567890abcdef\",\"profile\":{profile}}}\n")
-        };
-        let mut diags = Vec::new();
-        check_cache_entry(
-            Path::new("X-1234567890abcdef.json"),
-            &entry("0000000000000000"),
-            &mut diags,
-        );
-        assert!(
-            diags.iter().any(|d| d.message.contains("altered")),
-            "{diags:?}"
-        );
-        let mut diags = Vec::new();
-        check_cache_entry(
-            Path::new("X-1234567890abcdef.json"),
-            &entry(&good),
-            &mut diags,
-        );
-        assert!(
-            !diags.iter().any(|d| d.message.contains("altered")),
-            "{diags:?}"
-        );
+        assert_eq!(bdb_codec::crc64(b"123456789"), 0x995dc9bbdf1939fa);
     }
 
     #[test]
@@ -763,16 +701,70 @@ mod tests {
     }
 
     #[test]
+    fn sweep_cache_entry_is_checked_as_a_sweep() {
+        let curve = |metric: &str, caps: &[u64]| {
+            let points = caps
+                .iter()
+                .map(|&kib| Value::Array(vec![Value::UInt(kib), Value::Float(0.25)]))
+                .collect();
+            Value::object(vec![
+                ("label", Value::Str("X".into())),
+                ("metric", Value::Str(metric.into())),
+                ("points", Value::Array(points)),
+            ])
+        };
+        let sweep = |data_caps: &[u64]| {
+            Value::object(vec![
+                ("instruction", curve("Instruction", &[16, 64])),
+                ("data", curve("Data", data_caps)),
+                ("unified", curve("Unified", &[16, 64])),
+            ])
+        };
+        let fp = 0x1234_5678_90ab_cdefu64;
+        let entry = |value: &Value| {
+            bdb_codec::encode_record(
+                RecordKind::CacheEntry,
+                &bdb_codec::encode_cache_payload(fp, value),
+            )
+        };
+        let name = Path::new("X-1234567890abcdef.sweep.bin");
+        let mut diags = Vec::new();
+        check_cache_entry_binary(name, &entry(&sweep(&[16, 64])), &mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
+        let mut diags = Vec::new();
+        check_cache_entry_binary(name, &entry(&sweep(&[16, 128])), &mut diags);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.message.contains("capacities differ")),
+            "{diags:?}"
+        );
+        // The same sweep under a profile name fails the profile schema.
+        let mut diags = Vec::new();
+        check_cache_entry_binary(
+            Path::new("X-1234567890abcdef.bin"),
+            &entry(&sweep(&[16, 64])),
+            &mut diags,
+        );
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.message.contains("missing the `spec`")),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
     fn fixture_sidecar_mismatch_is_flagged() {
         let root = scratch("fixtures");
         std::fs::create_dir_all(root.join("contracts/fixtures")).unwrap();
-        let value = json::parse("{\"kind\":\"task\",\"n\":3}").unwrap();
+        let value = json::parse("{\"kind\":\"assign\",\"n\":3}").unwrap();
         let record = bdb_codec::encode_record(
-            RecordKind::JournalRecord,
+            RecordKind::WireMessage,
             &bdb_codec::bval::encode_value(&value),
         );
-        let sidecar = root.join("contracts/fixtures/journal_record.json");
-        std::fs::write(root.join("contracts/fixtures/journal_record.bin"), &record).unwrap();
+        let sidecar = root.join("contracts/fixtures/wire_message.json");
+        std::fs::write(root.join("contracts/fixtures/wire_message.bin"), &record).unwrap();
         std::fs::write(&sidecar, format!("{}\n", value.encode())).unwrap();
         let mut diags = Vec::new();
         check_fixtures(&root, &mut diags);

@@ -603,8 +603,12 @@ mod tests {
 
         impl Dir {
             pub fn new(tag: &str) -> Dir {
+                // Tests run in parallel and share tags: a per-call
+                // sequence number keeps their directories apart.
+                static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+                let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let pid = std::process::id();
-                let dir = std::env::temp_dir().join(format!("{tag}-{pid}"));
+                let dir = std::env::temp_dir().join(format!("{tag}-{pid}-{seq}"));
                 let _ = std::fs::remove_dir_all(&dir);
                 std::fs::create_dir_all(&dir).expect("create scratch dir");
                 Dir(dir)

@@ -118,7 +118,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "panic-reachability",
-        "no unwrap()/expect()/panic!/slice-indexing reachable from the cluster worker loop, bdb_clusterd main, journal replay, or store recovery",
+        "no unwrap()/expect()/panic!/slice-indexing reachable from the cluster worker loop, bdb_clusterd main, or store recovery",
     ),
     (
         "hot-loop-allocation",

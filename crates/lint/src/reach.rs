@@ -62,6 +62,10 @@ const NONDET: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "engine",
+            suffix: &["Engine", "sweep_workload"],
+        },
+        RootSpec {
+            krate: "engine",
             suffix: &["Engine", "run_task"],
         },
         RootSpec {
@@ -71,10 +75,6 @@ const NONDET: ReachRule = ReachRule {
         RootSpec {
             krate: "cluster",
             suffix: &["profile_all_distributed"],
-        },
-        RootSpec {
-            krate: "cluster",
-            suffix: &["profile_all_distributed_journaled"],
         },
         RootSpec {
             krate: "cluster",
@@ -114,10 +114,6 @@ const PANIC: ReachRule = ReachRule {
         RootSpec {
             krate: "serve",
             suffix: &["bdb_served", "main"],
-        },
-        RootSpec {
-            krate: "engine",
-            suffix: &["RunJournal", "open"],
         },
         RootSpec {
             krate: "engine",

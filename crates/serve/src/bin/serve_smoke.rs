@@ -321,7 +321,6 @@ fn run_remote(args: &Args, addr: &str) -> Result<(), String> {
         println!("disk_hits={}", stats.disk_hits);
         println!("entries={}", stats.entries);
         println!("invalidated={}", stats.invalidated);
-        println!("journal_hits={}", stats.journal_hits);
         println!("memory_hits={}", stats.memory_hits);
         println!("seq={}", stats.seq);
         println!("sessions_active={}", stats.sessions_active);

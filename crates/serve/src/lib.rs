@@ -29,7 +29,7 @@
 //!   the same length-prefixed frames as the cluster wire.
 //! * [`server`] / [`client`] — the blocking TCP daemon (thread per
 //!   session, subscription fan-out, warm restart from the engine's
-//!   crash-safe cache and journal) and the matching client.
+//!   crash-safe cache) and the matching client.
 //!
 //! The governing contract, proven by tests and the `serve_smoke.sh`
 //! harness: after any sequence of mutations, the materialized catalog is

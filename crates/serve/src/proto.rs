@@ -43,8 +43,10 @@ pub enum WireFormat {
 /// version exchange cannot negotiate it away) and the
 /// `subscribers_evicted` stats counter. The counter is decoded
 /// leniently (absent → 0) so a v2 client still reads a v1 server's
-/// `stats` replies.
-pub const SERVE_PROTOCOL_VERSION: u64 = 2;
+/// `stats` replies. v3 dropped the journal-hit stats counter with the
+/// engine's run journal; the decoder ignores keys it does not know, so a
+/// v3 client still reads a v1 or v2 server's `stats` replies.
+pub const SERVE_PROTOCOL_VERSION: u64 = 3;
 
 /// A client-to-server message. Every request except `Hello`/`Bye`
 /// carries a client-chosen `id`, echoed verbatim in the reply so a
@@ -219,14 +221,12 @@ pub struct ServeStats {
     /// Individual delta frames delivered across all subscribers
     /// (the fan-out measure: batches × subscribers at send time).
     pub deltas_streamed: u64,
-    /// Engine disk-cache hits.
+    /// Engine disk-cache hits (profiles and sweeps).
     pub disk_hits: u64,
     /// Materialized entry count.
     pub entries: u64,
     /// Engine memo entries dropped by incremental invalidation.
     pub invalidated: u64,
-    /// Engine journal hits.
-    pub journal_hits: u64,
     /// Engine in-memory memo hits.
     pub memory_hits: u64,
     /// Current catalog sequence number.
@@ -409,7 +409,6 @@ fn stats_to_value(s: &ServeStats) -> Value {
         ("disk_hits", Value::UInt(s.disk_hits)),
         ("entries", Value::UInt(s.entries)),
         ("invalidated", Value::UInt(s.invalidated)),
-        ("journal_hits", Value::UInt(s.journal_hits)),
         ("memory_hits", Value::UInt(s.memory_hits)),
         ("seq", Value::UInt(s.seq)),
         ("sessions_active", Value::UInt(s.sessions_active)),
@@ -427,7 +426,6 @@ fn stats_from_value(v: &Value) -> Result<ServeStats, ServeError> {
         disk_hits: get_u64(v, "disk_hits")?,
         entries: get_u64(v, "entries")?,
         invalidated: get_u64(v, "invalidated")?,
-        journal_hits: get_u64(v, "journal_hits")?,
         memory_hits: get_u64(v, "memory_hits")?,
         seq: get_u64(v, "seq")?,
         sessions_active: get_u64(v, "sessions_active")?,
@@ -862,12 +860,12 @@ mod tests {
 
     #[test]
     fn v1_stats_without_subscribers_evicted_decode_leniently() {
-        // A v1 server's stats reply predates the counter; a v2 client
-        // must read it as 0 rather than refuse the whole reply.
+        // A v1 server's stats reply predates the counter; a newer
+        // client must read it as 0 rather than refuse the whole reply.
         let v1 = json::parse(concat!(
             "{\"id\":6,\"stats\":{\"computed\":17,\"delta_batches\":0,",
             "\"deltas_streamed\":0,\"disk_hits\":0,\"entries\":17,",
-            "\"invalidated\":0,\"journal_hits\":0,\"memory_hits\":0,",
+            "\"invalidated\":0,\"memory_hits\":0,",
             "\"seq\":2,\"sessions_active\":1,\"sessions_total\":1,",
             "\"subscribers\":0},\"type\":\"stats\"}"
         ))

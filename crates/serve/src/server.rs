@@ -18,8 +18,8 @@
 //! to the overload depth), never a bare error.
 //!
 //! Warm restart is free: the server owns no persistence of its own.
-//! Rebuilding [`ServeState`] over an engine whose `BDB_CACHE_DIR` /
-//! `BDB_JOURNAL` point at the previous run's artifacts re-materializes
+//! Rebuilding [`ServeState`] over an engine whose `BDB_CACHE_DIR`
+//! points at the previous run's cache re-materializes
 //! the whole catalog from disk without a single simulation — the
 //! engine's `computed` counter (exposed via `Stats`) proves it.
 
@@ -221,7 +221,6 @@ impl Server {
             disk_hits: counters.disk_hits,
             entries,
             invalidated: counters.invalidated,
-            journal_hits: counters.journal_hits,
             memory_hits: counters.memory_hits,
             seq,
             sessions_active: self.shared.sessions_active.load(Ordering::SeqCst),

@@ -96,7 +96,7 @@ pub struct ServeState {
 
 impl ServeState {
     /// Materializes the full catalog for `spec` — the cold start. Every
-    /// entry is profiled (through the engine's memory/journal/disk
+    /// entry is profiled (through the engine's memory/disk
     /// caches, so a restart over a warm cache directory computes
     /// nothing). Fails without profiling if any workload id is unknown.
     pub fn materialize(engine: Arc<Engine>, spec: ServeSpec) -> Result<ServeState, ServeError> {

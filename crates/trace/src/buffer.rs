@@ -304,8 +304,8 @@ impl TraceBuffer {
     /// mid-record truncation, bit damage, or version mismatch is a clean
     /// error — never a panic. (Truncation at an exact record boundary is
     /// indistinguishable from a shorter trace; callers needing
-    /// whole-file integrity add their own outer framing, as the run
-    /// journal does.)
+    /// whole-file integrity add their own outer framing, as the cluster
+    /// wire does.)
     pub fn load(bytes: &[u8]) -> Result<TraceBuffer, CodecError> {
         let mut chunks = Vec::new();
         let mut len = 0u64;

@@ -28,11 +28,13 @@ CLUSTERD=target/release/bdb_clusterd
 SMOKE=target/release/cluster_smoke
 
 # Workers must profile, not serve stale bytes, so the smoke is hermetic.
+# The kill -9 leg's worker alone gets a cache directory of its own.
 export BDB_NO_CACHE=1
 
-start_worker() { # args: logfile, extra flags...
+start_worker() { # args: logfile, extra flags... (WORKER_ENV: env(1) arguments)
     local log="$1"; shift
-    "$CLUSTERD" --listen 127.0.0.1:0 "$@" >"$log" 2>"$log.err" &
+    # shellcheck disable=SC2086 # WORKER_ENV is a word list by design
+    env ${WORKER_ENV:-} "$CLUSTERD" --listen 127.0.0.1:0 "$@" >"$log" 2>"$log.err" &
     echo $! >"$log.pid"
     # Scrape the ephemeral port from the "listening on <addr>" line.
     for _ in $(seq 1 100); do
@@ -74,40 +76,52 @@ BDB_SWEEP_MODE=fused "$SMOKE" --workloads "$WORKLOADS" --cluster "$A,$C" >"$OUT/
 diff "$OUT/serial.jsonl" "$OUT/cluster_replay.jsonl"
 echo "replay smoke OK: fused sweep mode leaves the distributed merge byte-identical"
 
-# Crash-safety leg: a journaled coordinator is killed with SIGKILL
-# mid-run, then a --resume rerun must preload the journaled shards and
-# still merge byte-identically to the serial baseline. A delay-only
-# worker (no crash fault, so it serves sessions forever) paces the run
-# so the kill reliably lands in the middle.
-echo "== kill -9 mid-run, then resume from the journal =="
-D=$(start_worker "$OUT/w3.log" --fault-delay-ms 250)
-J="$OUT/run.wal"
-"$SMOKE" --workloads "$WORKLOADS" --cluster "$D" --journal "$J" \
+# Crash-safety leg: the coordinator is killed with SIGKILL mid-run and
+# rerun. Nothing records the first run's progress except worker D's
+# cache, so the rerun dispatches every task again; D must answer the
+# ones it already cached without simulating them, and the merge must
+# still equal the serial baseline. D is a delay-only worker (no crash
+# fault, so it serves sessions forever), which paces the run so the
+# kill reliably lands in the middle.
+echo "== kill -9 mid-run, then rerun over the worker's cache =="
+DCACHE="$OUT/d-cache"
+D=$(WORKER_ENV="-u BDB_NO_CACHE BDB_CACHE_DIR=$DCACHE" start_worker "$OUT/w3.log" --fault-delay-ms 250)
+cached_entries() { find "$DCACHE" -maxdepth 1 -name '*.bin' 2>/dev/null | wc -l; }
+# The rerun is the one session that serves every task.
+rerun_line() { grep "session with .* done ($WORKLOADS tasks, " "$OUT/w3.log.err" | tail -n 1; }
+"$SMOKE" --workloads "$WORKLOADS" --cluster "$D" \
     >"$OUT/killed.jsonl" 2>"$OUT/killed.err" &
 VICTIM=$!
-# Wait for the journal to hold real progress (start frame + >=1 task
-# record) before pulling the trigger.
 for _ in $(seq 1 300); do
-    if [ -f "$J" ] && [ "$(wc -c <"$J")" -ge 1024 ]; then
-        break
-    fi
+    [ "$(cached_entries)" -ge 1 ] && break
     sleep 0.1
 done
-[ -f "$J" ] && [ "$(wc -c <"$J")" -ge 1024 ] || {
-    echo "journal never accumulated a completed task; cannot test resume" >&2
-    exit 1
-}
 kill -9 "$VICTIM" 2>/dev/null || true
 wait "$VICTIM" 2>/dev/null || true
-echo "killed coordinator with $(wc -c <"$J") journal bytes on disk"
-
-"$SMOKE" --workloads "$WORKLOADS" --cluster "$D" --journal "$J" --resume \
-    >"$OUT/resumed.jsonl" 2>"$OUT/resumed.err"
-PRELOADED=$(sed -n 's/.*journal preloaded \([0-9][0-9]*\) of.*/\1/p' "$OUT/resumed.err")
-[ "${PRELOADED:-0}" -ge 1 ] || {
-    echo "resume run did not preload any journaled shard:" >&2
-    cat "$OUT/resumed.err" >&2
+# Entries only accumulate (no cache cap here), so K taken after the kill
+# is a floor on what the rerun finds cached.
+K=$(cached_entries)
+[ "$K" -ge 1 ] || {
+    echo "worker D never cached a completed task; cannot test the rerun" >&2
     exit 1
 }
+echo "killed coordinator with $K entries in worker D's cache"
+
+"$SMOKE" --workloads "$WORKLOADS" --cluster "$D" >"$OUT/resumed.jsonl" 2>"$OUT/resumed.err"
 diff "$OUT/serial.jsonl" "$OUT/resumed.jsonl"
-echo "resume smoke OK: $PRELOADED journaled shards reused; merged bytes identical to serial after kill -9"
+# The worker logs its session line after the coordinator's Bye.
+for _ in $(seq 1 100); do
+    [ -n "$(rerun_line)" ] && break
+    sleep 0.1
+done
+M=$(rerun_line | sed -n 's/.*done ([0-9]* tasks, \([0-9]*\) computed).*/\1/p')
+[ -n "$M" ] || {
+    echo "worker D logged no finished rerun session:" >&2
+    cat "$OUT/w3.log.err" >&2
+    exit 1
+}
+[ "$M" -le $((WORKLOADS - K)) ] || {
+    echo "rerun recomputed cached work: $M computed with $K of $WORKLOADS cached" >&2
+    exit 1
+}
+echo "rerun smoke OK: $M of $WORKLOADS recomputed with $K cached; merged bytes identical to serial after kill -9"
