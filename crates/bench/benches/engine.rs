@@ -16,7 +16,7 @@
 use bdb_cluster::{loopback_pair, profile_all_distributed, run_worker, wire};
 use bdb_cluster::{proto, Message, Transport, WorkerConfig};
 use bdb_codec::{columnar, RecordKind};
-use bdb_engine::{json::Value, Engine, EngineConfig, SweepMode};
+use bdb_engine::{json::Value, Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig, WireFormat};
 use bdb_sim::{sweep_per_point, MachineConfig, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
@@ -76,12 +76,11 @@ fn scratch_cache_dir() -> PathBuf {
 /// Builds a sweep engine with an honest worker pool: if the requested
 /// width is not what the pool actually delivers (a silent serial
 /// fallback), the bench aborts instead of recording a bogus point.
-fn sweep_engine(threads: usize, mode: SweepMode) -> Engine {
+fn sweep_engine(threads: usize) -> Engine {
     let engine = Engine::new(
         EngineConfig::default()
             .threads(threads)
-            .without_memory_cache()
-            .sweep_mode(mode),
+            .without_memory_cache(),
     );
     assert_eq!(
         engine.worker_threads(),
@@ -197,18 +196,9 @@ fn measure_and_report() {
     // Sweep section: the per-point reference re-runs the workload
     // generator and a full Machine for each of the 10 capacity points;
     // the fused path extracts the L1 event streams once and replays them
-    // per capacity. Same bits, fraction of the work. The engine's
-    // per-point mode (trace once, full machine replayed per point) is
-    // timed as a third column and must also match bit for bit.
+    // per capacity. Same bits, fraction of the work.
     let (sweep_serial_s, serial_sweeps) = time(|| run_reference_sweeps(&defs, scale()));
-    let (sweep_replay_pp_s, replay_pp_sweeps) =
-        time(|| run_sweeps(&sweep_engine(1, SweepMode::PerPoint), &defs, scale()));
-    assert_eq!(
-        serial_sweeps, replay_pp_sweeps,
-        "engine per-point mode must be bit-identical to the reference sweep"
-    );
-    let (sweep_fused_s, fused_sweeps) =
-        time(|| run_sweeps(&sweep_engine(1, SweepMode::Fused), &defs, scale()));
+    let (sweep_fused_s, fused_sweeps) = time(|| run_sweeps(&sweep_engine(1), &defs, scale()));
     assert_eq!(
         serial_sweeps, fused_sweeps,
         "fused sweep must be bit-identical to the per-point sweep"
@@ -219,8 +209,7 @@ fn measure_and_report() {
     // against `worker_threads` and against the serial reference bits.
     let mut sweep_thread_fields = Vec::new();
     for t in [1usize, 2, 4] {
-        let (secs, sweeps) =
-            time(|| run_sweeps(&sweep_engine(t, SweepMode::Fused), &defs, scale()));
+        let (secs, sweeps) = time(|| run_sweeps(&sweep_engine(t), &defs, scale()));
         assert_eq!(
             serial_sweeps, sweeps,
             "{t}-thread fused sweep must be bit-identical to serial"
@@ -230,26 +219,17 @@ fn measure_and_report() {
 
     // Larger-scale fused triplet: the same 1/2/4-thread points at 4x the
     // base scale, where per-event costs dominate fixed overheads. Each
-    // width sweeps the whole batch through `sweep_all`, which fans
-    // *workloads* across the pool and splits the leftover width over
-    // each sweep's capacity points — one workload's serial trace
-    // extraction bounds its own speedup (Amdahl), but not the batch's.
-    // The 1-thread result is the bit-identity reference for the rest.
+    // width sweeps the workloads one after another on a `t`-wide pool,
+    // each sweep's pipeline as wide as the pool — the production shape.
+    // One workload's serial stream extraction bounds its own speedup
+    // (Amdahl). The 1-thread result is the bit-identity reference for
+    // the rest.
     let scaled = Scale::custom(scale().factor() * 4.0);
-    let scaled_jobs: Vec<(String, _)> = defs
-        .iter()
-        .map(|def| {
-            let job = move |sink: &mut dyn bdb_trace::TraceSink| {
-                let _ = def.run(sink, scaled);
-            };
-            (def.spec.id.clone(), job)
-        })
-        .collect();
     let mut sweep_scaled_fields = Vec::new();
     let mut scaled_reference: Option<Vec<SweepResult>> = None;
     for t in [1usize, 2, 4] {
-        let engine = sweep_engine(t, SweepMode::Fused);
-        let (secs, sweeps) = time(|| engine.sweep_all(&scaled_jobs, &PAPER_SWEEP_KIB));
+        let engine = sweep_engine(t);
+        let (secs, sweeps) = time(|| run_sweeps(&engine, &defs, scaled));
         match &scaled_reference {
             None => scaled_reference = Some(sweeps),
             Some(reference) => assert_eq!(
@@ -450,10 +430,6 @@ fn measure_and_report() {
             Value::UInt(PAPER_SWEEP_KIB.len() as u64),
         ),
         ("sweep_serial_seconds", Value::Float(sweep_serial_s)),
-        (
-            "sweep_replay_per_point_seconds",
-            Value::Float(sweep_replay_pp_s),
-        ),
         ("sweep_fused_seconds", Value::Float(sweep_fused_s)),
         ("fused_speedup", Value::Float(fused_speedup)),
     ];
@@ -559,8 +535,7 @@ fn measure_and_report() {
         cold_s / warm_s
     );
     println!(
-        "sweep:  per-point {sweep_serial_s:.2}s, per-point(replay) {sweep_replay_pp_s:.2}s, \
-         fused {sweep_fused_s:.2}s ({fused_speedup:.1}x), fused threads {}",
+        "sweep:  per-point {sweep_serial_s:.2}s, fused {sweep_fused_s:.2}s ({fused_speedup:.1}x), fused threads {}",
         sweep_thread_fields
             .iter()
             .map(|&(t, s)| format!("{t}t={s:.2}s"))
@@ -568,7 +543,7 @@ fn measure_and_report() {
             .join(" ")
     );
     println!(
-        "sweep:  scaled({:.2}) batch {} (4t/1t {scaled_speedup_4t:.2}x), point threads {}",
+        "sweep:  scaled({:.2}) pool {} (4t/1t {scaled_speedup_4t:.2}x), point threads {}",
         scaled.factor(),
         sweep_scaled_fields
             .iter()
@@ -669,15 +644,15 @@ fn sweep_per_point_vs_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_sweep");
     group.sample_size(10);
     group.bench_function("per_point", |b| {
-        let engine = sweep_engine(1, SweepMode::PerPoint);
+        let family = SweepFamily::atom();
         b.iter(|| {
-            engine.sweep(&def.spec.id, &caps, |sink| {
+            sweep_per_point(&family, &def.spec.id, &caps, |sink| {
                 let _ = def.run(sink, scale());
             })
         })
     });
     group.bench_function("fused", |b| {
-        let engine = sweep_engine(1, SweepMode::Fused);
+        let engine = sweep_engine(1);
         b.iter(|| {
             engine.sweep(&def.spec.id, &caps, |sink| {
                 let _ = def.run(sink, scale());

@@ -12,10 +12,10 @@
 //!   the smoke bound is looser because tiny inputs amortise less),
 //! * a pipelined sweep (`BDB_POINT_THREADS` of 2 and 4) whose width or
 //!   bits drift from the contract on streams of three or more chunks,
-//! * a scaled batch sweep whose 4-thread run fails the 1.5× floor on a
+//! * a scaled sweep whose 4-thread run fails the 1.5× floor on a
 //!   runner that actually has 4 hardware threads.
 
-use bdb_engine::{Engine, EngineConfig, SweepMode};
+use bdb_engine::{Engine, EngineConfig};
 use bdb_sim::{
     sweep_per_point, SweepFamily, SweepResult, SweepStreams, PAPER_SWEEP_KIB,
     PIPELINE_CHUNK_ENTRIES,
@@ -28,10 +28,10 @@ use std::time::Instant;
 /// records the real margin.
 const MIN_FUSED_SPEEDUP: f64 = 2.0;
 
-/// Thread-scaling floor for the fused batch sweep at the scaled
-/// profile: 4 workers must beat 1 by at least this factor. Only armed
-/// on runners with at least four hardware threads — a single-core box
-/// cannot honestly clear any floor above ~1.0x.
+/// Thread-scaling floor for the fused sweep at the scaled profile: a
+/// 4-thread engine must beat a 1-thread one by at least this factor.
+/// Only armed on runners with at least four hardware threads — a
+/// single-core box cannot honestly clear any floor above ~1.0x.
 const MIN_SCALED_4T_SPEEDUP: f64 = 1.5;
 
 fn fail(msg: &str) -> ! {
@@ -41,12 +41,11 @@ fn fail(msg: &str) -> ! {
 
 /// Builds an engine and verifies the pool width it reports matches the
 /// width we asked for — the guard against silent serial fallback.
-fn honest_engine(threads: usize, mode: SweepMode) -> Engine {
+fn honest_engine(threads: usize) -> Engine {
     let engine = Engine::new(
         EngineConfig::default()
             .threads(threads)
-            .without_memory_cache()
-            .sweep_mode(mode),
+            .without_memory_cache(),
     );
     let got = engine.worker_threads();
     if got != threads {
@@ -86,7 +85,7 @@ fn main() {
 
     // Thread-honesty probe for every width CI cares about.
     for threads in [1usize, 2, 4] {
-        let _ = honest_engine(threads, SweepMode::Fused);
+        let _ = honest_engine(threads);
     }
 
     // Reference: the raw per-point oracle — generator re-run on a full
@@ -103,19 +102,14 @@ fn main() {
         .collect();
     let per_point_s = start.elapsed().as_secs_f64();
 
-    // The engine's per-point mode (trace once into a pooled buffer, full
-    // machine replayed per capacity) must reproduce the oracle's bits.
-    let replay_pp = run_sweeps(&honest_engine(1, SweepMode::PerPoint), &defs, scale);
-    assert_bit_identical(&reference, &replay_pp, "engine per-point (replay) sweep");
-
     let start = Instant::now();
-    let fused = run_sweeps(&honest_engine(1, SweepMode::Fused), &defs, scale);
+    let fused = run_sweeps(&honest_engine(1), &defs, scale);
     let fused_s = start.elapsed().as_secs_f64();
     assert_bit_identical(&reference, &fused, "serial fused sweep");
 
     // Multi-thread fused runs must also reproduce the reference bits.
     for threads in [2usize, 4] {
-        let sweeps = run_sweeps(&honest_engine(threads, SweepMode::Fused), &defs, scale);
+        let sweeps = run_sweeps(&honest_engine(threads), &defs, scale);
         assert_bit_identical(
             &reference,
             &sweeps,
@@ -184,35 +178,27 @@ fn pipeline_smoke(defs: &[WorkloadDef], scale: Scale, reference: &[SweepResult])
     }
 }
 
-/// The fused batch sweep's thread-scaling floor at the scaled profile
-/// (4x the CLI scale): `sweep_all` at 4 workers must beat 1 worker by
-/// [`MIN_SCALED_4T_SPEEDUP`] — armed only where 4 hardware threads
-/// exist, since a single-core runner's honest ratio is ~1.0x. Bits are
-/// compared unconditionally.
+/// The fused sweep's thread-scaling floor at the scaled profile (4x the
+/// CLI scale), in the production shape — each sweep's pipeline as wide
+/// as the pool: [`run_sweeps`] on a 4-thread engine must beat a
+/// 1-thread one by [`MIN_SCALED_4T_SPEEDUP`] — armed only where 4
+/// hardware threads exist, since a single-core runner's honest ratio is
+/// ~1.0x. Bits are compared unconditionally.
 fn thread_scaling_smoke(defs: &[WorkloadDef], scale: Scale) {
     let scaled = Scale::custom(scale.factor() * 4.0);
-    let jobs: Vec<(String, _)> = defs
-        .iter()
-        .map(|def| {
-            let job = move |sink: &mut dyn bdb_trace::TraceSink| {
-                let _ = def.run(sink, scaled);
-            };
-            (def.spec.id.clone(), job)
-        })
-        .collect();
     let start = Instant::now();
-    let serial = honest_engine(1, SweepMode::Fused).sweep_all(&jobs, &PAPER_SWEEP_KIB);
+    let serial = run_sweeps(&honest_engine(1), defs, scaled);
     let serial_s = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let wide = honest_engine(4, SweepMode::Fused).sweep_all(&jobs, &PAPER_SWEEP_KIB);
+    let wide = run_sweeps(&honest_engine(4), defs, scaled);
     let wide_s = start.elapsed().as_secs_f64();
-    assert_bit_identical(&serial, &wide, "4-thread scaled batch sweep");
+    assert_bit_identical(&serial, &wide, "4-thread scaled sweep");
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let scaling = serial_s / wide_s;
     println!(
-        "perf_smoke: scaled batch sweep 1t {serial_s:.2}s, 4t {wide_s:.2}s \
+        "perf_smoke: scaled sweep 1t {serial_s:.2}s, 4t {wide_s:.2}s \
          ({scaling:.2}x on {cores} hardware threads)"
     );
     if cores >= 4 && scaling < MIN_SCALED_4T_SPEEDUP {

@@ -29,8 +29,6 @@
 //! * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache (LRU eviction).
 //! * `BDB_CLUSTER=<addr,addr>` — profile via remote `bdb-clusterd`
 //!   workers instead of the local engine (also `--cluster addr,addr`).
-//! * `BDB_SWEEP_MODE=per-point` — disable the fused trace-once/replay-many
-//!   capacity sweep and re-simulate each point (debug aid; same bits).
 
 use bdb_cluster::{profile_all_distributed, TcpTransport, Transport};
 use bdb_engine::{Engine, EngineConfig};
@@ -114,7 +112,6 @@ ENVIRONMENT:
     BDB_NO_CACHE         Set to disable the disk cache
     BDB_CACHE_MAX_BYTES  Disk-cache size cap in bytes with LRU eviction (default: unbounded)
     BDB_CLUSTER          Worker addresses, same meaning as --cluster
-    BDB_SWEEP_MODE       Capacity-sweep strategy: fused (default) or per-point
 "
     )
 }

@@ -20,7 +20,6 @@ const REQUIRED_KNOBS: &[&str] = &[
     "BDB_NO_CACHE",
     "BDB_CACHE_MAX_BYTES",
     "BDB_CLUSTER",
-    "BDB_SWEEP_MODE",
 ];
 
 #[test]
@@ -124,8 +123,15 @@ fn served_help_documents_its_own_knobs() {
 }
 
 /// Knobs that no longer exist: BDBC is the only encoding for cache
-/// entries and cluster frames.
-const RETIRED_KNOBS: &[&str] = &["BDB_CACHE_FORMAT", "BDB_WIRE_FORMAT"];
+/// entries and cluster frames, a warm cache is the only resume path, and
+/// the fused pipeline is the only sweep path.
+const RETIRED_KNOBS: &[&str] = &[
+    "BDB_CACHE_FORMAT",
+    "BDB_WIRE_FORMAT",
+    "BDB_JOURNAL",
+    "BDB_RESUME",
+    "BDB_SWEEP_MODE",
+];
 
 #[test]
 fn no_help_advertises_a_retired_knob() {

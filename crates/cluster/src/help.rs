@@ -36,10 +36,6 @@ pub const DAEMON_ENGINE_ENV: &[HelpEntry<'static>] = &[
         "BDB_CACHE_MAX_BYTES",
         "Disk-cache size cap in bytes with LRU eviction (default: unbounded)",
     ),
-    (
-        "BDB_SWEEP_MODE",
-        "Capacity-sweep strategy: fused (default) or per-point",
-    ),
 ];
 
 /// Renders one aligned `name  description` block line.

@@ -25,12 +25,11 @@
 //! recomputed over. Resuming an interrupted run is reading a warm
 //! cache: every finished profile and sweep is already an entry.
 //!
-//! Capacity sweeps run the workload generator exactly **once** in either
-//! [`SweepMode`]: the default fused mode streams its events into
-//! capacity-independent L1 event streams and replays those per capacity
-//! (trace-once/replay-many, DESIGN.md §13); per-point mode records the
-//! trace into a pooled buffer and replays a full machine per capacity.
-//! Points parallelize across the pool (each is independent).
+//! Capacity sweeps run the workload generator exactly **once**: its
+//! events stream into capacity-independent L1 event streams, which are
+//! replayed per capacity (trace-once/replay-many, DESIGN.md §13) across
+//! a pipeline as wide as the pool. The per-point reference,
+//! [`bdb_sim::sweep_per_point`], is the oracle it matches bit for bit.
 //! [`Engine::sweep_workload`] sweeps a catalog workload and caches the
 //! result under a [`sweep_fingerprint`] of its content, next to the
 //! profiles; [`Engine::sweep`] is the uncached primitive over an
@@ -67,11 +66,8 @@ pub use store::{
 pub use task::{resolve_workload, Task, TaskError, TaskResult};
 
 use bdb_node::NodeConfig;
-use bdb_sim::{
-    assemble_sweep, fused_points_pipelined, sweep_point_replay, MachineConfig, SweepFamily,
-    SweepResult,
-};
-use bdb_trace::{TraceBufferPool, TraceSink};
+use bdb_sim::{assemble_sweep, fused_points_pipelined, MachineConfig, SweepFamily, SweepResult};
+use bdb_trace::TraceSink;
 use bdb_wcrt::{profile_workload, WorkloadProfile};
 use bdb_workloads::{Scale, WorkloadDef};
 use json::Value;
@@ -105,18 +101,6 @@ const SWEEP_SUFFIX: &str = ".sweep.bin";
 /// recomputed-over in place).
 pub const QUARANTINE_DIR: &str = "quarantine";
 
-/// How [`Engine::sweep`] computes its points.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SweepMode {
-    /// Trace once, replay the extracted L1 streams per capacity (the
-    /// fast path; byte-identical to `PerPoint` by contract).
-    #[default]
-    Fused,
-    /// Re-run the workload on a full machine per capacity — the
-    /// reference path, kept as the oracle and escape hatch.
-    PerPoint,
-}
-
 /// How an [`Engine`] runs and where it remembers results.
 #[derive(Clone, Default)]
 pub struct EngineConfig {
@@ -137,8 +121,6 @@ pub struct EngineConfig {
     /// directory past the cap, least-recently-used entries (hits refresh
     /// recency) are evicted until it fits. `None` means unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// Sweep execution strategy (fused trace-replay by default).
-    pub sweep_mode: SweepMode,
     /// Storage backend behind every engine filesystem access. `None`
     /// uses the real filesystem ([`RealFs`]); chaos tests inject a
     /// seeded [`ChaosFs`].
@@ -153,7 +135,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("cache_dir", &self.cache_dir)
             .field("no_memory_cache", &self.no_memory_cache)
             .field("cache_max_bytes", &self.cache_max_bytes)
-            .field("sweep_mode", &self.sweep_mode)
             .field("store", &self.store.as_ref().map(|_| "<custom>"))
             .finish()
     }
@@ -196,13 +177,6 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the sweep execution strategy.
-    #[must_use]
-    pub fn sweep_mode(mut self, mode: SweepMode) -> Self {
-        self.sweep_mode = mode;
-        self
-    }
-
     /// Routes every filesystem access through `store` (tests inject a
     /// seeded [`ChaosFs`] here).
     #[must_use]
@@ -226,9 +200,6 @@ impl EngineConfig {
     ///   of two (default: the worker pool's width).
     /// * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache; LRU entries are
     ///   evicted past the cap (default: unbounded).
-    /// * `BDB_SWEEP_MODE=per-point` — use the per-point reference sweep
-    ///   instead of the fused trace-replay path (default: `fused`; the
-    ///   two are byte-identical by contract).
     pub fn from_env() -> Self {
         let mut config = EngineConfig::default();
         if std::env::var_os("BDB_NO_CACHE").is_none() {
@@ -256,11 +227,6 @@ impl EngineConfig {
             .and_then(|b| b.parse().ok())
         {
             config = config.cache_max_bytes(bytes);
-        }
-        if let Ok(mode) = std::env::var("BDB_SWEEP_MODE") {
-            if matches!(mode.as_str(), "per-point" | "perpoint" | "per_point") {
-                config = config.sweep_mode(SweepMode::PerPoint);
-            }
         }
         config
     }
@@ -312,13 +278,8 @@ pub struct Engine {
     store: Arc<dyn CacheStore>,
     cache_dir: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
-    sweep_mode: SweepMode,
     /// Width of one sweep's pipeline (`None` = the pool's width).
     point_threads: Option<usize>,
-    /// Recycled trace buffers for per-point sweeps (which record once and
-    /// replay a full machine per capacity): consecutive sweeps and
-    /// concurrent sweep callers reuse recorded-trace chunk allocations.
-    buffers: TraceBufferPool,
     // bdb-lint: allow(determinism): keyed-lookup-only memo, never iterated.
     memory: Option<Mutex<HashMap<u64, WorkloadProfile>>>,
     memory_hits: AtomicU64,
@@ -358,9 +319,7 @@ impl Engine {
             store,
             cache_dir,
             cache_max_bytes: config.cache_max_bytes,
-            sweep_mode: config.sweep_mode,
             point_threads: config.point_threads,
-            buffers: TraceBufferPool::new(),
             // bdb-lint: allow(determinism): keyed-lookup-only memo.
             memory: (!config.no_memory_cache).then(|| Mutex::new(HashMap::new())),
             memory_hits: AtomicU64::new(0),
@@ -555,12 +514,11 @@ impl Engine {
     }
 
     /// Runs a capacity sweep (paper §5.4) [`Engine::point_threads`]
-    /// wide. Equivalent to [`bdb_sim::sweep`]; the curves are assembled
-    /// in `capacities_kib` order, so output is identical at any thread
-    /// count and in either [`SweepMode`].
+    /// wide. Equivalent to [`bdb_sim::sweep`] and bit-identical to the
+    /// [`bdb_sim::sweep_per_point`] oracle; the curves are assembled in
+    /// `capacities_kib` order, so output is identical at any width.
     ///
-    /// Either mode runs the workload generator exactly **once**. In the
-    /// default fused mode the sweep is a pipeline
+    /// The workload generator runs exactly **once**, in a pipeline
     /// ([`bdb_sim::fused_points_pipelined`]): the calling thread extracts
     /// the L1 event streams straight from the generator — no trace is
     /// materialized — and hands them off in chunks, which the other
@@ -574,12 +532,7 @@ impl Engine {
     /// the set at every capacity, into one lane per helper rounded down
     /// to a power of two, so no single lane holds most of the replay.
     /// At width 1, or when the streams fit in one chunk, it replays
-    /// inline and spawns no thread. In per-point mode
-    /// (`BDB_SWEEP_MODE=per-point`) the trace is recorded into a pooled
-    /// buffer and a full machine replays it per capacity
-    /// ([`bdb_sim::sweep_point_replay`]), the points fanned across the
-    /// same width — the reference semantics, one whole machine per
-    /// point, without re-generating.
+    /// inline and spawns no thread.
     ///
     /// # Panics
     ///
@@ -588,7 +541,17 @@ impl Engine {
     where
         F: Fn(&mut dyn TraceSink) + Sync,
     {
-        self.sweep_with_fanout(label, capacities_kib, &workload, None)
+        assert!(
+            !capacities_kib.is_empty(),
+            "sweep needs at least one capacity"
+        );
+        let points = fused_points_pipelined(
+            &SweepFamily::atom(),
+            capacities_kib,
+            self.point_threads(),
+            workload,
+        );
+        assemble_sweep(label, capacities_kib, points)
     }
 
     /// [`Engine::sweep`] of one catalog workload at `scale`, labelled by
@@ -618,98 +581,6 @@ impl Engine {
         self.computed.fetch_add(1, Ordering::Relaxed);
         self.write_entry(id, key, &result);
         result
-    }
-
-    /// Runs every labelled sweep job at the same capacities, fanning
-    /// *workloads* across the worker pool and splitting the leftover
-    /// width across each sweep's capacity points. With `J` jobs on a
-    /// `W`-wide pool each sweep replays its points `max(W / J, 1)` wide,
-    /// so workloads × points fill the pool without oversubscribing it —
-    /// the shape that scales past the per-workload Amdahl ceiling (one
-    /// sweep's serial trace extraction bounds its own speedup, but not
-    /// the batch's). Results are in `jobs` order and byte-identical to
-    /// calling [`Engine::sweep`] in a serial loop.
-    pub fn sweep_all<F>(&self, jobs: &[(String, F)], capacities_kib: &[u64]) -> Vec<SweepResult>
-    where
-        F: Fn(&mut dyn TraceSink) + Sync,
-    {
-        let width = self.worker_threads();
-        if matches!(self.dispatch, Dispatch::Serial) || jobs.len() <= 1 || width <= 1 {
-            return jobs
-                .iter()
-                .map(|(label, workload)| {
-                    self.sweep_with_fanout(label, capacities_kib, workload, None)
-                })
-                .collect();
-        }
-        // Explicit inner width: the shim's pool-local width is not
-        // inherited by its workers, so each sweep must be told its
-        // share of the pool rather than asking the ambient context.
-        let inner = (width / jobs.len().min(width)).max(1);
-        self.install(|| {
-            jobs.par_iter()
-                .map(|(label, workload)| {
-                    self.sweep_with_fanout(label, capacities_kib, workload, Some(inner))
-                })
-                .collect()
-        })
-    }
-
-    /// [`Engine::sweep`] with an optional cap on the pipeline width —
-    /// [`Engine::sweep_all`] passes each job its share of the pool so
-    /// nested parallelism cannot oversubscribe.
-    fn sweep_with_fanout<F>(
-        &self,
-        label: &str,
-        capacities_kib: &[u64],
-        workload: &F,
-        fanout_cap: Option<usize>,
-    ) -> SweepResult
-    where
-        F: Fn(&mut dyn TraceSink) + Sync,
-    {
-        assert!(
-            !capacities_kib.is_empty(),
-            "sweep needs at least one capacity"
-        );
-        let width = match fanout_cap {
-            Some(cap) => self.point_threads().min(cap.max(1)),
-            None => self.point_threads(),
-        };
-        let points = match self.sweep_mode {
-            SweepMode::Fused => {
-                fused_points_pipelined(&SweepFamily::atom(), capacities_kib, width, |sink| {
-                    workload(sink)
-                })
-            }
-            SweepMode::PerPoint => {
-                let mut buffer = self.buffers.checkout();
-                workload(&mut buffer);
-                let points = if width <= 1 {
-                    capacities_kib
-                        .iter()
-                        .map(|&kib| sweep_point_replay(kib, &buffer))
-                        .collect()
-                } else {
-                    match rayon::ThreadPoolBuilder::new().num_threads(width).build() {
-                        Ok(pool) => pool.install(|| {
-                            capacities_kib
-                                .par_iter()
-                                .map(|&kib| sweep_point_replay(kib, &buffer))
-                                .collect()
-                        }),
-                        // Degradation is safe: same bytes, serially.
-                        Err(_) => capacities_kib
-                            .iter()
-                            .map(|&kib| sweep_point_replay(kib, &buffer))
-                            .collect(),
-                    }
-                };
-                self.buffers.checkin(buffer);
-                points
-            }
-        };
-        assemble_sweep(label, capacities_kib, points)
     }
 
     fn install<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -1625,25 +1496,15 @@ mod tests {
     }
 
     #[test]
-    fn sweep_modes_are_byte_identical_at_any_thread_count() {
+    fn sweep_matches_the_per_point_oracle_at_any_thread_count() {
         let caps = [16u64, 64, 256];
         let reference =
             bdb_sim::sweep_per_point(&SweepFamily::atom(), "probe", &caps, sweep_probe_workload);
         for threads in [1, 3] {
-            for mode in [SweepMode::Fused, SweepMode::PerPoint] {
-                let engine = Engine::new(EngineConfig::default().threads(threads).sweep_mode(mode));
-                let result = engine.sweep("probe", &caps, sweep_probe_workload);
-                assert_eq!(result, reference, "mode {mode:?} at {threads} threads");
-            }
+            let engine = Engine::new(EngineConfig::default().threads(threads));
+            let result = engine.sweep("probe", &caps, sweep_probe_workload);
+            assert_eq!(result, reference, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn sweep_mode_defaults_to_fused_and_the_builder_selects_per_point() {
-        let fused = EngineConfig::default();
-        assert_eq!(fused.sweep_mode, SweepMode::Fused);
-        let per_point = EngineConfig::default().sweep_mode(SweepMode::PerPoint);
-        assert_eq!(per_point.sweep_mode, SweepMode::PerPoint);
     }
 
     #[test]
@@ -1660,43 +1521,18 @@ mod tests {
     #[test]
     fn sweep_is_byte_identical_at_every_point_width() {
         let caps = [16u64, 64, 256];
-        let reference = bdb_sim::sweep("probe", &caps, sweep_probe_workload);
+        let reference =
+            bdb_sim::sweep_per_point(&SweepFamily::atom(), "probe", &caps, sweep_probe_workload);
         for point_threads in [1usize, 2, 4] {
-            for mode in [SweepMode::Fused, SweepMode::PerPoint] {
-                let engine = Engine::new(
-                    EngineConfig::default()
-                        .threads(2)
-                        .point_threads(point_threads)
-                        .sweep_mode(mode),
-                );
-                let result = engine.sweep("probe", &caps, sweep_probe_workload);
-                assert_eq!(
-                    result, reference,
-                    "{mode:?} at {point_threads} point threads"
-                );
-            }
+            let engine = Engine::new(
+                EngineConfig::default()
+                    .threads(2)
+                    .point_threads(point_threads),
+            );
+            let result = engine.sweep("probe", &caps, sweep_probe_workload);
+            assert_eq!(result, reference, "{point_threads} point threads");
             let auto = Engine::new(EngineConfig::default().threads(point_threads));
             assert_eq!(auto.sweep("probe", &caps, sweep_probe_workload), reference);
-        }
-    }
-
-    #[test]
-    fn sweep_all_matches_serial_sweep_loop() {
-        let caps = [16u64, 64, 256];
-        type Job = fn(&mut dyn TraceSink);
-        let jobs: Vec<(String, Job)> = vec![
-            ("alpha".to_owned(), sweep_probe_workload),
-            ("beta".to_owned(), sweep_probe_workload),
-            ("gamma".to_owned(), sweep_probe_workload),
-        ];
-        let serial: Vec<SweepResult> = jobs
-            .iter()
-            .map(|(label, w)| Engine::serial().sweep(label, &caps, w))
-            .collect();
-        for threads in [1usize, 4] {
-            let engine = Engine::new(EngineConfig::default().threads(threads));
-            let batch = engine.sweep_all(&jobs, &caps);
-            assert_eq!(batch, serial, "{threads} threads");
         }
     }
 

@@ -1,11 +1,12 @@
 //! The fused-sweep contract: trace-once/replay-many output is
 //! **byte-identical** to the per-point serial sweep — for every workload
-//! in the 77-entry catalog, in both engine modes, at any thread count.
+//! in the 77-entry catalog, through `Engine::sweep`, at any thread count
+//! and pipeline width.
 //!
-//! This is the guard the ISSUE demands: the fused path may only ship
-//! while `assemble_sweep` produces the same bits as the reference path.
+//! The fused path may only ship while `assemble_sweep` produces the same
+//! bits as `sweep_per_point`, the reference oracle.
 
-use bdb_engine::{Engine, EngineConfig, SweepMode};
+use bdb_engine::{Engine, EngineConfig};
 use bdb_sim::{
     sweep_per_point, sweep_replay, SweepFamily, SweepResult, SweepStreams, PAPER_SWEEP_KIB,
     PIPELINE_CHUNK_ENTRIES,
@@ -140,44 +141,7 @@ fn pipelined_sweep_is_byte_identical_on_multi_chunk_streams() {
 }
 
 #[test]
-fn sweep_all_is_byte_identical_to_serial_loop() {
-    // Workload-level fan-out composed with point-level fan-out must not
-    // change a single bit relative to sweeping each job serially.
-    let scale = Scale::tiny();
-    let caps = [16u64, 128, 2048];
-    let defs: Vec<_> = catalog::representatives().into_iter().take(6).collect();
-    let serial = Engine::serial();
-    let reference: Vec<SweepResult> = defs
-        .iter()
-        .map(|def| {
-            serial.sweep(&def.spec.id, &caps, |sink| {
-                let _ = def.run(sink, scale);
-            })
-        })
-        .collect();
-    let jobs: Vec<(String, _)> = defs
-        .iter()
-        .map(|def| {
-            (
-                def.spec.id.clone(),
-                move |sink: &mut dyn bdb_trace::TraceSink| {
-                    let _ = def.run(sink, scale);
-                },
-            )
-        })
-        .collect();
-    for threads in [2usize, 4] {
-        let engine = Engine::new(EngineConfig::default().threads(threads));
-        let batch = engine.sweep_all(&jobs, &caps);
-        assert_eq!(batch.len(), reference.len());
-        for ((got, want), def) in batch.iter().zip(&reference).zip(&defs) {
-            assert_bit_identical(got, want, &format!("{} via sweep_all", def.spec.id));
-        }
-    }
-}
-
-#[test]
-fn engine_modes_agree_with_reference_across_thread_counts() {
+fn engine_sweep_agrees_with_reference_across_thread_counts() {
     let scale = Scale::tiny();
     let caps = [16u64, 256];
     let defs = catalog::representatives();
@@ -186,17 +150,18 @@ fn engine_modes_agree_with_reference_across_thread_counts() {
         let _ = def.run(sink, scale);
     });
     for threads in [1usize, 4] {
-        for mode in [SweepMode::Fused, SweepMode::PerPoint] {
-            let engine = Engine::new(
-                EngineConfig::default()
-                    .threads(threads)
-                    .without_memory_cache()
-                    .sweep_mode(mode),
-            );
-            let result = engine.sweep(&def.spec.id, &caps, |sink| {
-                let _ = def.run(sink, scale);
-            });
-            assert_bit_identical(&result, &reference, &def.spec.id);
-        }
+        let engine = Engine::new(
+            EngineConfig::default()
+                .threads(threads)
+                .without_memory_cache(),
+        );
+        let result = engine.sweep(&def.spec.id, &caps, |sink| {
+            let _ = def.run(sink, scale);
+        });
+        assert_bit_identical(
+            &result,
+            &reference,
+            &format!("{} @ {threads} threads", def.spec.id),
+        );
     }
 }

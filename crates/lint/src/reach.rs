@@ -147,10 +147,6 @@ const HOT_LOOP: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "sim",
-            suffix: &["fused_point"],
-        },
-        RootSpec {
-            krate: "sim",
             suffix: &["Lane", "feed"],
         },
         RootSpec {

@@ -12,7 +12,7 @@
 //!    filter and the stride-1 stream prefetcher, both
 //!    capacity-independent — emits the exact run-length-compressed
 //!    event streams that reach the L1I and L1D.
-//! 2. **Replay** ([`fused_point`] / [`fused_points`]): bare L1 models
+//! 2. **Replay** ([`fused_points`]): bare L1 models
 //!    replay those streams in *lanes*, an instruction lane per capacity
 //!    point and data lanes that between them own every point's L1D.
 //!    Set-associative LRU with power-of-two sets — every paper sweep
@@ -428,17 +428,11 @@ impl<F: FnMut(SweepStreams)> TraceSink for ChunkedExtractor<F> {
     }
 }
 
-/// One fused sweep point: replays the extracted streams against bare L1
-/// models at `kib` and returns `(instruction, data, unified)` miss ratios
-/// — bit-identical to `sweep_point` on the same recorded workload, for
-/// any associativity and replacement.
-pub fn fused_point(family: &SweepFamily, kib: u64, streams: &SweepStreams) -> (f64, f64, f64) {
-    fused_points(family, &[kib], streams)[0]
-}
-
 /// All sweep points for `capacities_kib`, in that order: the streams fed
 /// whole through the lanes [`fused_points_pipelined`] feeds chunk by
-/// chunk.
+/// chunk. Each point's `(instruction, data, unified)` miss ratios are
+/// bit-identical to [`crate::sweep_per_point`] on the same workload, for
+/// any associativity and replacement.
 pub fn fused_points(
     family: &SweepFamily,
     capacities_kib: &[u64],

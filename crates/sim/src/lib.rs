@@ -49,13 +49,12 @@ pub mod tlb;
 pub use branch::{BranchStats, BranchUnit, DirectionScheme};
 pub use cache::{Cache, CacheConfig, CacheStats, Replacement};
 pub use fused::{
-    fused_point, fused_points, fused_points_pipelined, SweepFamily, SweepStreams,
-    PIPELINE_CHUNK_ENTRIES,
+    fused_points, fused_points_pipelined, SweepFamily, SweepStreams, PIPELINE_CHUNK_ENTRIES,
 };
 pub use machine::{Machine, MachineConfig, PerfReport};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineKind, ServiceLevel};
 pub use sweep::{
-    assemble_sweep, sweep, sweep_on, sweep_per_point, sweep_point, sweep_point_on,
-    sweep_point_replay, sweep_replay, MissRatioCurve, SweepMetric, SweepResult, PAPER_SWEEP_KIB,
+    assemble_sweep, sweep, sweep_on, sweep_per_point, sweep_replay, MissRatioCurve, SweepMetric,
+    SweepResult, PAPER_SWEEP_KIB,
 };
 pub use tlb::{Tlb, TlbConfig};

@@ -7,11 +7,9 @@
 //!
 //! [`sweep`] records the workload's trace **once** into a
 //! [`TraceBuffer`], then computes every point from the extracted L1 event
-//! streams (see [`crate::fused`]) — byte-identical to the per-point
-//! reference path ([`sweep_per_point`]), which re-runs the workload on a
-//! full [`crate::MachineConfig::atom_sweep`] machine per capacity and survives
-//! as the contract oracle and the engine's `BDB_SWEEP_MODE=per-point`
-//! escape hatch.
+//! streams (see [`crate::fused`]) — byte-identical to the reference oracle
+//! [`sweep_per_point`], which re-runs the workload on a full
+//! [`crate::MachineConfig::atom_sweep`] machine per capacity.
 
 use crate::cache::CacheStats;
 use crate::fused::{fused_points, SweepFamily, SweepStreams};
@@ -139,8 +137,9 @@ pub fn sweep_replay(
 }
 
 /// The per-point reference sweep: re-runs `workload` once per capacity on
-/// a full machine. Kept as the oracle the fused path is contract-tested
-/// against, and as the engine's `BDB_SWEEP_MODE=per-point` escape hatch.
+/// a full machine, the way the paper runs one MARSSx86 simulation per L1
+/// size. It is the oracle the fused path is contract-tested against bit
+/// for bit; the engine never calls it.
 ///
 /// The workload closure must regenerate identical work on every call (all
 /// generators in this workspace are seeded, so this holds by construction).
@@ -160,43 +159,14 @@ pub fn sweep_per_point(
     );
     let points = capacities_kib
         .iter()
-        .map(|&kib| sweep_point_on(family, kib, &mut workload))
+        .map(|&kib| {
+            let mut machine = Machine::new(family.machine_config(kib));
+            workload(&mut machine);
+            let report = machine.report();
+            point_ratios(report.l1i, report.l1d)
+        })
         .collect();
     assemble_sweep(label, capacities_kib, points)
-}
-
-/// Runs `workload` once on an Atom-like machine with `kib` of L1 and
-/// returns `(instruction, data, unified)` miss ratios — one point of a
-/// sweep curve, computed the reference way (full machine, no replay). The
-/// execution engine fans these out across a thread pool in per-point mode
-/// (each point is an independent machine).
-pub fn sweep_point(kib: u64, workload: impl FnOnce(&mut dyn TraceSink)) -> (f64, f64, f64) {
-    sweep_point_on(&SweepFamily::atom(), kib, workload)
-}
-
-/// One per-point sample computed from a recorded trace: a full Atom-like
-/// machine at `kib`, fed by replaying `buffer`. Bit-identical to
-/// [`sweep_point`] on the workload that recorded the buffer — trace
-/// replay reproduces the exact event sequence — but the generator does
-/// not re-run. The engine's per-point mode records once into a pooled
-/// buffer and replays it at every capacity.
-pub fn sweep_point_replay(kib: u64, buffer: &TraceBuffer) -> (f64, f64, f64) {
-    let mut machine = Machine::new(SweepFamily::atom().machine_config(kib));
-    buffer.replay_into(&mut machine);
-    let report = machine.report();
-    point_ratios(report.l1i, report.l1d)
-}
-
-/// [`sweep_point`] over an explicit cache [`SweepFamily`].
-pub fn sweep_point_on(
-    family: &SweepFamily,
-    kib: u64,
-    workload: impl FnOnce(&mut dyn TraceSink),
-) -> (f64, f64, f64) {
-    let mut machine = Machine::new(family.machine_config(kib));
-    workload(&mut machine);
-    let report = machine.report();
-    point_ratios(report.l1i, report.l1d)
 }
 
 /// `(instruction, data, unified)` miss ratios from the two L1 stat
@@ -346,17 +316,6 @@ mod tests {
             points: vec![],
         };
         assert_eq!(empty.footprint_kib(0.002), None);
-    }
-
-    #[test]
-    fn sweep_point_matches_serial_sweep() {
-        let result = sweep("synthetic", &[16, 256], synthetic);
-        let (i16, d16, u16_) = sweep_point(16, synthetic);
-        assert_eq!(result.instruction.at(16), Some(i16));
-        assert_eq!(result.data.at(16), Some(d16));
-        assert_eq!(result.unified.at(16), Some(u16_));
-        let (i256, _, _) = sweep_point(256, synthetic);
-        assert_eq!(result.instruction.at(256), Some(i256));
     }
 
     #[test]

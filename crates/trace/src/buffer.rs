@@ -7,8 +7,7 @@
 //! (pc/arg/kind/aux), in fixed-capacity chunks, and replays it to any
 //! number of sinks through [`TraceSink::exec_batch`]: one virtual call per
 //! chunk instead of one per op, with the per-op decode loop fully
-//! monomorphic. Chunks are recycled by [`TraceBuffer::clear`] and
-//! [`TraceBufferPool`], so parallel sweep workers reuse allocations.
+//! monomorphic. Chunks are recycled by [`TraceBuffer::clear`].
 //!
 //! The in-memory encoding is an internal detail; round-tripping is
 //! exhaustively tested (`MicroOp` has ~11 shapes) and replay equivalence
@@ -22,7 +21,6 @@
 use crate::op::{BranchKind, IntPurpose, MicroOp};
 use crate::sink::{TraceEvent, TraceSink};
 use bdb_codec::{columnar, CodecError};
-use std::sync::{Mutex, PoisonError};
 
 /// Events per chunk: 64 Ki ops ≈ 1.1 MiB of columns — large enough that
 /// per-chunk dispatch cost vanishes, small enough to stay cache-friendly
@@ -355,38 +353,6 @@ impl TraceSink for TraceBuffer {
     }
 }
 
-/// A shared pool of [`TraceBuffer`]s so concurrent sweep workers recycle
-/// chunk allocations instead of growing a fresh buffer per recording.
-#[derive(Debug, Default)]
-pub struct TraceBufferPool {
-    buffers: Mutex<Vec<TraceBuffer>>,
-}
-
-impl TraceBufferPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a cleared buffer from the pool, or a fresh one if empty.
-    pub fn checkout(&self) -> TraceBuffer {
-        self.buffers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns `buffer` to the pool (cleared, allocations retained).
-    pub fn checkin(&self, mut buffer: TraceBuffer) {
-        buffer.clear();
-        self.buffers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(buffer);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,16 +541,6 @@ mod tests {
             bad[bit / 8] ^= 1 << (bit % 8);
             assert!(TraceBuffer::load(&bad).is_err(), "bit {bit} undetected");
         }
-    }
-
-    #[test]
-    fn pool_recycles_buffers() {
-        let pool = TraceBufferPool::new();
-        let mut buffer = pool.checkout();
-        buffer.exec(0, MicroOp::Fp);
-        pool.checkin(buffer);
-        let recycled = pool.checkout();
-        assert!(recycled.is_empty(), "checked-in buffers come back cleared");
     }
 
     #[test]

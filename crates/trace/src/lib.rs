@@ -61,7 +61,7 @@ pub mod region;
 pub mod reuse;
 pub mod sink;
 
-pub use buffer::{TraceBuffer, TraceBufferPool};
+pub use buffer::TraceBuffer;
 pub use ctx::{ExecCtx, OpMix};
 pub use mem::{MemRegion, SimAlloc};
 pub use mix::InstructionMix;
