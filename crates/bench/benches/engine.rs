@@ -15,12 +15,11 @@
 
 use bdb_cluster::{loopback_pair, profile_all_distributed, run_worker, wire};
 use bdb_cluster::{proto, Message, Transport, WorkerConfig};
-use bdb_codec::{columnar, RecordKind};
+use bdb_codec::RecordKind;
 use bdb_engine::{json::Value, Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig, WireFormat};
 use bdb_sim::{sweep_per_point, MachineConfig, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
-use bdb_trace::TraceBuffer;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -276,48 +275,7 @@ fn measure_and_report() {
     }
 
     // Codec section: BDBC binary vs canonical JSON for the byte-heavy
-    // artifacts. Trace chunks are where the columnar format pays off —
-    // delta-varint columns against JSON arrays of decimal integers.
-    let captured = TraceBuffer::capture(|sink| {
-        let _ = defs[0].run(sink, scale());
-    });
-    let (spill_s, spill) = time(|| captured.spill().expect("trace spill encodes"));
-    let (load_s, reloaded) = time(|| TraceBuffer::load(&spill).expect("trace spill loads"));
-    assert_eq!(reloaded.len(), captured.len(), "reloaded trace lost events");
-    // Two JSON baselines: the columnar-array interchange form (what
-    // `trace_chunk_to_json` pins for the fixtures) and the per-event
-    // JSON-lines form a non-columnar spill would write. The >=10x
-    // frame-size claim is against event frames; the array form is
-    // already column-compressed by construction, so its ratio is
-    // smaller and reported as its own field.
-    let mut trace_json_bytes = 0usize;
-    let mut trace_event_json_bytes = 0usize;
-    let mut rest: &[u8] = &spill;
-    while !rest.is_empty() {
-        let (_, payload, used) =
-            bdb_codec::decode_record_prefix(rest).expect("spill holds whole records");
-        let columns = columnar::TraceChunkView::parse(payload)
-            .expect("chunk payload parses")
-            .to_columns();
-        trace_json_bytes += columnar::trace_chunk_to_json(&columns).encode().len() + 1;
-        for i in 0..columns.len() {
-            trace_event_json_bytes += format!(
-                "{{\"arg\":{},\"aux\":{},\"kind\":{},\"pc\":{}}}\n",
-                columns.arg[i], columns.aux[i], columns.kind[i], columns.pc[i]
-            )
-            .len();
-        }
-        rest = &rest[used..];
-    }
-    let trace_array_ratio = trace_json_bytes as f64 / spill.len() as f64;
-    let trace_ratio = trace_event_json_bytes as f64 / spill.len() as f64;
-    assert!(
-        trace_ratio >= 10.0,
-        "columnar trace chunks must be >=10x smaller than JSON event \
-         frames (got {trace_ratio:.1}x)"
-    );
-    let spill_mib = spill.len() as f64 / (1024.0 * 1024.0);
-
+    // artifacts.
     let profile_value = bdb_engine::codec::profile_to_value(&serial[0]);
     let cache_json_bytes = profile_value.encode().len() + 1;
     let cache_binary_bytes = bdb_codec::encode_record(
@@ -462,31 +420,6 @@ fn measure_and_report() {
         fields.push((key, Value::Float(secs)));
     }
     fields.extend([
-        ("trace_chunk_binary_bytes", Value::UInt(spill.len() as u64)),
-        (
-            "trace_chunk_json_bytes",
-            Value::UInt(trace_json_bytes as u64),
-        ),
-        (
-            "trace_event_json_bytes",
-            Value::UInt(trace_event_json_bytes as u64),
-        ),
-        (
-            "trace_chunk_binary_vs_json_array",
-            Value::Float(trace_array_ratio),
-        ),
-        (
-            "trace_chunk_binary_vs_json_events",
-            Value::Float(trace_ratio),
-        ),
-        (
-            "trace_spill_encode_mib_per_s",
-            Value::Float(spill_mib / spill_s),
-        ),
-        (
-            "trace_spill_decode_mib_per_s",
-            Value::Float(spill_mib / load_s),
-        ),
         (
             "cache_entry_json_bytes",
             Value::UInt(cache_json_bytes as u64),
@@ -557,12 +490,9 @@ fn measure_and_report() {
             .join(" ")
     );
     println!(
-        "codec:  trace chunks {}B binary vs {trace_event_json_bytes}B JSON event frames \
-         ({trace_ratio:.1}x; {trace_array_ratio:.1}x vs the array form), \
-         cache entry {cache_binary_bytes}B vs {cache_json_bytes}B, \
+        "codec:  cache entry {cache_binary_bytes}B vs {cache_json_bytes}B, \
          result frame {wire_binary_bytes}B vs {wire_json_bytes}B, \
-         merge {merge_s:.2}s",
-        spill.len()
+         merge {merge_s:.2}s"
     );
     println!(
         "serve:  cold materialize({serve_entries}) {serve_cold_s:.2}s, \

@@ -8,8 +8,8 @@
 //! binary format in [`crate::bval`]: every binary record decodes to a
 //! [`Value`] whose JSON encoding is its debug/interchange representation.
 //!
-//! The workspace has no serde backend (see `vendor/README.md`), so all
-//! JSON is written and read through this hand-rolled codec. Two
+//! The workspace has no serialization framework (see `vendor/README.md`),
+//! so all JSON is written and read through this hand-rolled codec. Two
 //! properties matter more than generality:
 //!
 //! * **Byte stability** — encoding is deterministic (object keys keep

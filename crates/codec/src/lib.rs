@@ -1,22 +1,22 @@
 //! `bdb-codec` — the workspace's byte-format authority: a versioned,
-//! CRC-64-checksummed, little-endian binary columnar format plus the
+//! CRC-64-checksummed, little-endian binary record format plus the
 //! canonical JSON reference form it interchanges with.
 //!
 //! Every layer that persists or ships bytes — the engine's cache of
-//! profiles and sweeps, `TraceBuffer` chunk spill, the cluster wire and the
-//! serve wire — encodes through this crate. All but the serve wire store
-//! and ship BDBC records only; canonical JSON is the form of reports,
-//! figures and fingerprints, and one of the serve wire's two formats:
+//! profiles and sweeps, the cluster wire and the serve wire — encodes
+//! through this crate. All but the serve wire store and ship BDBC
+//! records only; canonical JSON is the form of reports, figures and
+//! fingerprints, and one of the serve wire's two formats:
 //!
 //! * **Canonical JSON** ([`json`]): the human-readable debug/interchange
 //!   form. Byte-stable (`encode(decode(b)) == b`), shortest-roundtrip
 //!   floats, non-finite sentinels.
-//! * **BDBC binary records** (this module + [`bval`] + [`columnar`]): a
-//!   compact, little-endian container with a CRC-64/XZ trailer. Every
-//!   binary record decodes to a [`json::Value`] (or columnar struct)
-//!   whose JSON encoding round-trips losslessly back to the identical
-//!   binary bytes — the `binary → JSON → binary` contract the golden
-//!   fixtures under `contracts/fixtures/` pin.
+//! * **BDBC binary records** (this module + [`bval`]): a compact,
+//!   little-endian container with a CRC-64/XZ trailer. Every binary
+//!   record decodes to a [`json::Value`] whose JSON encoding round-trips
+//!   losslessly back to the identical binary bytes — the `binary → JSON
+//!   → binary` contract the golden fixtures under `contracts/fixtures/`
+//!   pin.
 //!
 //! # Container layout (all integers little-endian)
 //!
@@ -47,7 +47,6 @@
 //! schema bumps invalidate by key, not by in-place migration).
 
 pub mod bval;
-pub mod columnar;
 pub mod json;
 pub mod varint;
 
@@ -70,8 +69,6 @@ pub const TRAILER_BYTES: usize = 8;
 /// What a BDBC record's payload contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
-    /// A columnar trace chunk ([`columnar`]).
-    TraceChunk,
     /// A cache entry (`[u64 LE fingerprint][bval value]`): a profile or
     /// a capacity sweep.
     CacheEntry,
@@ -85,11 +82,11 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    /// The on-disk kind tag. Tag 3 belonged to the retired run-journal
-    /// record; it is never reused and decodes as an unknown kind.
+    /// The on-disk kind tag. Tags 1 and 3 belonged to the retired trace
+    /// chunk and run-journal records; they are never reused and decode as
+    /// unknown kinds.
     pub fn tag(self) -> u16 {
         match self {
-            RecordKind::TraceChunk => 1,
             RecordKind::CacheEntry => 2,
             RecordKind::WireMessage => 4,
             RecordKind::ServeRequest => 5,
@@ -100,7 +97,6 @@ impl RecordKind {
     /// Parses a kind tag.
     pub fn from_tag(tag: u16) -> Option<Self> {
         match tag {
-            1 => Some(RecordKind::TraceChunk),
             2 => Some(RecordKind::CacheEntry),
             4 => Some(RecordKind::WireMessage),
             5 => Some(RecordKind::ServeRequest),
@@ -192,18 +188,6 @@ pub fn encode_record(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
 /// Decodes one container that must span `bytes` exactly, returning the
 /// kind and a zero-copy payload slice.
 pub fn decode_record(bytes: &[u8]) -> Result<(RecordKind, &[u8]), CodecError> {
-    let (kind, payload, consumed) = decode_record_prefix(bytes)?;
-    if consumed != bytes.len() {
-        return Err(CodecError::TrailingBytes { at: consumed });
-    }
-    Ok((kind, payload))
-}
-
-/// Decodes one container at the start of `bytes` (which may continue with
-/// further records), returning `(kind, payload, bytes consumed)`. The
-/// payload slice borrows `bytes` — alignment-safe and copy-free, so a
-/// memory-mapped spill file can be walked without materializing it.
-pub fn decode_record_prefix(bytes: &[u8]) -> Result<(RecordKind, &[u8], usize), CodecError> {
     if bytes.len() < MAGIC.len() {
         return Err(CodecError::Truncated { at: bytes.len() });
     }
@@ -238,7 +222,10 @@ pub fn decode_record_prefix(bytes: &[u8]) -> Result<(RecordKind, &[u8], usize), 
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-    Ok((kind, payload, end))
+    if end != bytes.len() {
+        return Err(CodecError::TrailingBytes { at: end });
+    }
+    Ok((kind, payload))
 }
 
 /// Builds the payload of a [`RecordKind::CacheEntry`] record:
@@ -281,7 +268,7 @@ mod tests {
 
     #[test]
     fn record_roundtrips_and_is_sniffable() {
-        let payload = b"hello columnar world";
+        let payload = b"hello binary world";
         let record = encode_record(RecordKind::WireMessage, payload);
         assert!(is_binary(&record));
         assert!(!is_binary(b"{\"format\":3}"));
@@ -342,36 +329,37 @@ mod tests {
 
     #[test]
     fn version_and_kind_mismatches_are_clean_errors() {
-        let mut record = encode_record(RecordKind::TraceChunk, b"x");
+        let mut record = encode_record(RecordKind::WireMessage, b"x");
         record[4] = 0xff; // version low byte
         assert!(matches!(
             decode_record(&record),
             Err(CodecError::UnsupportedVersion(_))
         ));
-        let mut record = encode_record(RecordKind::TraceChunk, b"x");
+        let mut record = encode_record(RecordKind::WireMessage, b"x");
         record[6] = 0x7f; // kind low byte
         assert!(matches!(
             decode_record(&record),
             Err(CodecError::UnknownKind(_))
         ));
-        // The retired run-journal tag stays unknown.
-        let mut record = encode_record(RecordKind::TraceChunk, b"x");
-        record[6] = 3;
-        assert_eq!(decode_record(&record), Err(CodecError::UnknownKind(3)));
+        // The retired trace-chunk and run-journal tags stay unknown.
+        for retired in [1u8, 3] {
+            let mut record = encode_record(RecordKind::WireMessage, b"x");
+            record[6] = retired;
+            assert_eq!(
+                decode_record(&record),
+                Err(CodecError::UnknownKind(u16::from(retired)))
+            );
+        }
     }
 
     #[test]
-    fn prefix_decoding_walks_concatenated_records() {
-        let mut stream = encode_record(RecordKind::TraceChunk, b"one");
-        stream.extend_from_slice(&encode_record(RecordKind::TraceChunk, b"two"));
-        let (_, first, used) = decode_record_prefix(&stream).unwrap();
-        assert_eq!(first, b"one");
-        let (_, second, used2) = decode_record_prefix(&stream[used..]).unwrap();
-        assert_eq!(second, b"two");
-        assert_eq!(used + used2, stream.len());
-        assert!(matches!(
+    fn concatenated_records_are_trailing_bytes() {
+        let first = encode_record(RecordKind::WireMessage, b"one");
+        let mut stream = first.clone();
+        stream.extend_from_slice(&encode_record(RecordKind::WireMessage, b"two"));
+        assert_eq!(
             decode_record(&stream),
-            Err(CodecError::TrailingBytes { .. })
-        ));
+            Err(CodecError::TrailingBytes { at: first.len() })
+        );
     }
 }

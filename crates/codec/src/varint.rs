@@ -1,5 +1,4 @@
-//! LEB128 varints and zigzag mapping — the integer primitives of the
-//! binary columnar format.
+//! LEB128 varints — the integer primitive of the binary record format.
 //!
 //! Encoding is canonical: the encoder never emits an overlong form, and
 //! the decoder rejects one, so `encode(decode(bytes)) == bytes` holds at
@@ -59,16 +58,6 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     }
 }
 
-/// Zigzag-maps a signed delta into an unsigned varint-friendly value.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +86,5 @@ mod tests {
         );
         pos = 0;
         assert!(read_varint(&[0xff; 11], &mut pos).is_err(), ">10 bytes");
-    }
-
-    #[test]
-    fn zigzag_is_a_bijection() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
     }
 }

@@ -10,7 +10,7 @@
 //! `binary → JSON → binary` interchange contract is pinned here too.
 
 use bdb_codec::json::Value;
-use bdb_codec::{bval, columnar, decode_record, encode_record, is_binary};
+use bdb_codec::{bval, decode_record, encode_record, is_binary};
 use bdb_codec::{encode_cache_payload, CodecError, RecordKind, FORMAT_VERSION};
 use proptest::collection;
 use proptest::prelude::*;
@@ -33,13 +33,7 @@ fn sample_value(tag: &str) -> Value {
 /// One genuine record of each kind, built the way its owning layer
 /// builds it. The property tests damage copies, never the originals.
 fn genuine_records() -> Vec<(RecordKind, Vec<u8>)> {
-    let pc: Vec<u64> = (0..200).map(|i| 0x40_0000 + i * 4).collect();
-    let arg: Vec<u64> = (0..200).map(|i| 0x7f00_0000 + i * 8).collect();
-    let kind: Vec<u8> = (0..200).map(|i| (i % 7) as u8).collect();
-    let aux: Vec<u8> = (0..200).map(|i| (i % 3) as u8).collect();
-    let chunk = columnar::encode_trace_chunk(&pc, &arg, &kind, &aux).expect("columns agree");
     vec![
-        (RecordKind::TraceChunk, chunk),
         (
             RecordKind::CacheEntry,
             encode_record(
@@ -77,10 +71,6 @@ fn genuine_records() -> Vec<(RecordKind, Vec<u8>)> {
 fn deep_decode(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
     let (kind, payload) = decode_record(bytes)?;
     match kind {
-        RecordKind::TraceChunk => {
-            let columns = columnar::TraceChunkView::parse(payload)?.to_columns();
-            columnar::encode_trace_chunk(&columns.pc, &columns.arg, &columns.kind, &columns.aux)
-        }
         RecordKind::CacheEntry => {
             let (fingerprint, profile) = bdb_codec::decode_cache_payload(payload)?;
             Ok(encode_record(
@@ -99,24 +89,9 @@ fn deep_decode(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
 fn every_kind_roundtrips_binary_to_json_to_binary_losslessly() {
     for (kind, record) in genuine_records() {
         assert!(is_binary(&record), "{kind:?} record carries the magic");
-        // binary → decode → re-encode is byte-identical...
+        // binary → decode (the JSON value) → re-encode is byte-identical.
         let reencoded = deep_decode(&record).expect("pristine record decodes");
         assert_eq!(reencoded, record, "{kind:?} deep round-trip drifted");
-        // ...and the trace chunk also survives the JSON interchange form.
-        if kind == RecordKind::TraceChunk {
-            let columns = columnar::decode_trace_chunk(&record).expect("chunk decodes");
-            let via_json =
-                columnar::trace_chunk_from_json(&columnar::trace_chunk_to_json(&columns))
-                    .expect("JSON interchange parses");
-            let back = columnar::encode_trace_chunk(
-                &via_json.pc,
-                &via_json.arg,
-                &via_json.kind,
-                &via_json.aux,
-            )
-            .expect("columns agree");
-            assert_eq!(back, record, "binary → JSON → binary drifted");
-        }
     }
 }
 

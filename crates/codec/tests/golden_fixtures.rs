@@ -3,7 +3,7 @@
 //!
 //! Each fixture is one BDBC record built from fixed sample data, with a
 //! JSON interchange sidecar in exactly the shape `bdb-lint`'s
-//! `binary-stability` pass validates. This test re-derives all twelve
+//! `binary-stability` pass validates. This test re-derives all eight
 //! files and diffs them byte-for-byte against the checkout, so *any*
 //! encoding change — field order, varint width, float formatting, CRC
 //! polynomial — fails CI until the change is deliberate and blessed:
@@ -13,7 +13,7 @@
 //! ```
 
 use bdb_codec::json::Value;
-use bdb_codec::{bval, columnar, encode_cache_payload, encode_record, RecordKind};
+use bdb_codec::{bval, encode_cache_payload, encode_record, RecordKind};
 use std::path::PathBuf;
 
 fn fixtures_dir() -> PathBuf {
@@ -35,17 +35,9 @@ fn sample_object(tag: &str) -> Value {
     bdb_codec::json::parse(&text).expect("sample JSON parses")
 }
 
-/// The six golden records and their JSON interchange sidecars, built
+/// The four golden records and their JSON interchange sidecars, built
 /// from data fixed forever — never regenerate from live engine output.
 fn golden() -> Vec<(&'static str, Vec<u8>, Value)> {
-    let pc: Vec<u64> = (0..64).map(|i| 0x40_1000 + i * 4).collect();
-    let arg: Vec<u64> = (0..64).map(|i| 0x7ffe_0000 + i * 8).collect();
-    let kind: Vec<u8> = (0..64).map(|i| (i % 7) as u8).collect();
-    let aux: Vec<u8> = (0..64).map(|i| (i % 5) as u8).collect();
-    let chunk = columnar::encode_trace_chunk(&pc, &arg, &kind, &aux).expect("columns agree");
-    let chunk_json =
-        columnar::trace_chunk_to_json(&columnar::TraceChunkColumns { pc, arg, kind, aux });
-
     let fingerprint = 0x00c0_ffee_f00d_beefu64;
     let profile = sample_object("cache_entry");
     let cache = encode_record(
@@ -82,7 +74,6 @@ fn golden() -> Vec<(&'static str, Vec<u8>, Value)> {
     let delta = encode_record(RecordKind::ServeDelta, &bval::encode_value(&delta_value));
 
     vec![
-        ("trace_chunk", chunk, chunk_json),
         ("cache_entry", cache, cache_json),
         ("wire_message", wire, wire_value),
         ("serve_request", request, request_value),

@@ -4,11 +4,10 @@
 //! records the original source, our synthetic generator, and the default
 //! scale used in the reproduction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one of the seven source data sets (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataSetId {
     /// Row 1: Wikipedia entries (4.3 M English articles) → Zipf text.
     Wikipedia,
@@ -55,7 +54,7 @@ impl fmt::Display for DataSetId {
 }
 
 /// One row of the reproduced Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataSetDescriptor {
     /// Which data set.
     pub id: DataSetId,

@@ -1,11 +1,10 @@
 //! Minimal relational data model shared by the table generators, the SQL
 //! engine in `bdb-stacks`, and the interactive-analytics workloads.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldKind {
     /// 64-bit signed integer.
     I64,
@@ -16,7 +15,7 @@ pub enum FieldKind {
 }
 
 /// A single cell value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Field {
     /// 64-bit signed integer.
     I64(i64),
@@ -83,7 +82,7 @@ impl fmt::Display for Field {
 pub type Row = Vec<Field>;
 
 /// Column names and kinds of a table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<(String, FieldKind)>,
 }
@@ -144,7 +143,7 @@ impl Schema {
 }
 
 /// An in-memory table: a schema plus rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,

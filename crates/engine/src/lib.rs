@@ -514,7 +514,8 @@ impl Engine {
     }
 
     /// Runs a capacity sweep (paper §5.4) [`Engine::point_threads`]
-    /// wide. Equivalent to [`bdb_sim::sweep`] and bit-identical to the
+    /// wide. Bit-identical to [`bdb_sim::fused_points`] over
+    /// [`bdb_sim::SweepStreams::record`] and to the
     /// [`bdb_sim::sweep_per_point`] oracle; the curves are assembled in
     /// `capacities_kib` order, so output is identical at any width.
     ///
@@ -1489,9 +1490,15 @@ mod tests {
 
     #[test]
     fn engine_sweep_matches_serial_sweep() {
-        let serial = bdb_sim::sweep("probe", &[16, 64, 256], sweep_probe_workload);
+        let caps = [16u64, 64, 256];
+        let streams = bdb_sim::SweepStreams::record(sweep_probe_workload);
+        let serial = bdb_sim::assemble_sweep(
+            "probe",
+            &caps,
+            bdb_sim::fused_points(&SweepFamily::atom(), &caps, &streams),
+        );
         let engine = Engine::new(EngineConfig::default().threads(3));
-        let parallel = engine.sweep("probe", &[16, 64, 256], sweep_probe_workload);
+        let parallel = engine.sweep("probe", &caps, sweep_probe_workload);
         assert_eq!(parallel, serial);
     }
 

@@ -8,11 +8,10 @@
 
 use bdb_engine::{Engine, EngineConfig};
 use bdb_sim::{
-    sweep_per_point, sweep_replay, SweepFamily, SweepResult, SweepStreams, PAPER_SWEEP_KIB,
-    PIPELINE_CHUNK_ENTRIES,
+    assemble_sweep, fused_points, sweep_per_point, SweepFamily, SweepResult, SweepStreams,
+    PAPER_SWEEP_KIB, PIPELINE_CHUNK_ENTRIES,
 };
-use bdb_trace::TraceBuffer;
-use bdb_workloads::{catalog, CatalogSet, Scale};
+use bdb_workloads::{catalog, CatalogSet, Scale, WorkloadDef};
 
 fn assert_bit_identical(fused: &SweepResult, reference: &SweepResult, id: &str) {
     assert_eq!(fused, reference, "{id}: sweep results differ");
@@ -34,6 +33,15 @@ fn assert_bit_identical(fused: &SweepResult, reference: &SweepResult, id: &str) 
     }
 }
 
+/// The unpipelined fused sweep of one workload: streams recorded
+/// straight from the generator, then replayed at every capacity.
+fn fused_sweep(family: &SweepFamily, def: &WorkloadDef, caps: &[u64], scale: Scale) -> SweepResult {
+    let streams = SweepStreams::record(|sink| {
+        let _ = def.run(sink, scale);
+    });
+    assemble_sweep(&def.spec.id, caps, fused_points(family, caps, &streams))
+}
+
 #[test]
 fn fused_sweep_is_byte_identical_across_full_catalog() {
     let workloads = CatalogSet::Full.workloads();
@@ -44,10 +52,7 @@ fn fused_sweep_is_byte_identical_across_full_catalog() {
     // bounded; the full paper axis is swept on representatives below.
     let caps = [16u64, 128, 2048];
     for def in &workloads {
-        let buffer = TraceBuffer::capture(|sink| {
-            let _ = def.run(sink, scale);
-        });
-        let fused = sweep_replay(&family, &def.spec.id, &caps, &buffer);
+        let fused = fused_sweep(&family, def, &caps, scale);
         let per_point = sweep_per_point(&family, &def.spec.id, &caps, |sink| {
             let _ = def.run(sink, scale);
         });
@@ -60,9 +65,7 @@ fn fused_sweep_matches_per_point_on_full_paper_axis() {
     let family = SweepFamily::atom();
     let scale = Scale::tiny();
     for def in catalog::representatives().iter().take(4) {
-        let fused = bdb_sim::sweep(&def.spec.id, &PAPER_SWEEP_KIB, |sink| {
-            let _ = def.run(sink, scale);
-        });
+        let fused = fused_sweep(&family, def, &PAPER_SWEEP_KIB, scale);
         let per_point = sweep_per_point(&family, &def.spec.id, &PAPER_SWEEP_KIB, |sink| {
             let _ = def.run(sink, scale);
         });

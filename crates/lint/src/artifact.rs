@@ -27,7 +27,7 @@
 
 use crate::json::{self, Value};
 use crate::{Diagnostic, PAPER_CLUSTERS, PAPER_METRICS, PAPER_WORKLOADS};
-use bdb_codec::{columnar, RecordKind};
+use bdb_codec::RecordKind;
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -480,31 +480,9 @@ fn check_one_fixture(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnostic>) {
             return;
         }
     };
-    // Decode to the interchange Value (or columns), re-encode the binary
+    // Decode to the interchange Value, re-encode the binary
     // record from it, and render the JSON sidecar form.
     let (reencoded, interchange) = match kind {
-        RecordKind::TraceChunk => {
-            let columns = match columnar::TraceChunkView::parse(payload) {
-                Ok(view) => view.to_columns(),
-                Err(e) => {
-                    emit(format!("trace-chunk payload does not parse: {e}"));
-                    return;
-                }
-            };
-            let rebuilt = match columnar::encode_trace_chunk(
-                &columns.pc,
-                &columns.arg,
-                &columns.kind,
-                &columns.aux,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    emit(format!("trace-chunk re-encode failed: {e}"));
-                    return;
-                }
-            };
-            (rebuilt, columnar::trace_chunk_to_json(&columns))
-        }
         RecordKind::CacheEntry => {
             let (fingerprint, profile) = match bdb_codec::decode_cache_payload(payload) {
                 Ok(pair) => pair,

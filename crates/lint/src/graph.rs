@@ -9,7 +9,7 @@
 //! * **Path calls** (`a::b::f(..)`) resolve by path-suffix match against
 //!   every known item path, after normalising `crate`/`self`/`super`
 //!   prefixes and splicing `use` aliases and glob imports. Suffix
-//!   matching makes re-exports (`pub use buffer::TraceBuffer`) resolve
+//!   matching makes re-exports (`pub use reuse::ReuseSink`) resolve
 //!   without tracking the re-export chains themselves.
 //! * **`self.m(..)` calls** resolve inside the enclosing `impl` type
 //!   first, falling back to plain method resolution.
@@ -357,8 +357,8 @@ impl Graph {
             return Vec::new();
         };
         let mut prefix: Vec<String> = segs[..segs.len() - 1].to_vec();
-        // Splice a leading `use` alias (`columnar::…` after
-        // `use bdb_codec::columnar`). An alias for the full first segment
+        // Splice a leading `use` alias (`bval::…` after
+        // `use bdb_codec::bval`). An alias for the full first segment
         // replaces it with the aliased path.
         if let Some(first) = prefix.first().cloned() {
             if let Some((_, full)) = pf.imports.iter().find(|(n, _)| *n == first) {

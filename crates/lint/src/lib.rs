@@ -19,14 +19,11 @@
 //!   - `workspace-hygiene` — member crates resolve every dependency
 //!     through `[workspace.dependencies]`, and the vendored shims stay
 //!     unified (no stray path deps).
-//!   - `batched-dispatch` — the trace-replay/sweep hot loops
-//!     (`trace/src/buffer.rs`, `sim/src/fused.rs`) deliver events via
-//!     `exec_batch`, never one virtual `TraceSink::exec` call per op.
 //!   - `raw-fs` — engine sources outside `store.rs` never call
 //!     `std::fs` directly; all disk I/O routes through the `CacheStore`
 //!     abstraction so chaos injection and the crash-safety counters see
 //!     every operation.
-//!   - `endianness` — the binary columnar format (`crates/codec`) is
+//!   - `endianness` — the binary record format (`crates/codec`) is
 //!     little-endian by contract; big-endian and native-endian byte
 //!     conversions are banned there so records stay portable.
 //! * **Artifact passes** statically validate the checked-in contracts:
@@ -77,10 +74,6 @@ pub const RULES: &[(&str, &str)] = &[
         "member crates resolve dependencies through [workspace.dependencies]; vendored shims stay unified",
     ),
     (
-        "batched-dispatch",
-        "no per-op TraceSink::exec calls inside trace-replay/sweep hot loops (deliver through exec_batch)",
-    ),
-    (
         "raw-fs",
         "engine disk I/O routes through CacheStore (store.rs); no direct std::fs calls elsewhere in the engine",
     ),
@@ -122,7 +115,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "hot-loop-allocation",
-        "no allocation, format!, env reads, or blocking fs calls reachable from the fused-sweep replay and exec_batch hot loops",
+        "no allocation, format!, env reads, or blocking fs calls reachable from the fused-sweep replay and per-op TraceSink::exec hot loops",
     ),
     (
         "dead-knob",

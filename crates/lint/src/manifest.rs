@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn parses_dotted_and_inline_entries() {
-        let text = "[dependencies]\nserde.workspace = true\nrand = { workspace = true }\nlocal = { path = \"../x\" }\nplain = \"1.0\"\n";
+        let text = "[dependencies]\nproptest.workspace = true\nrand = { workspace = true }\nlocal = { path = \"../x\" }\nplain = \"1.0\"\n";
         let entries = section_entries(text, "dependencies");
         assert_eq!(entries.len(), 4);
         assert!(entries[0].workspace);

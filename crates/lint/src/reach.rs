@@ -163,11 +163,11 @@ const HOT_LOOP: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "sim",
-            suffix: &["exec_batch"],
+            suffix: &["exec"],
         },
         RootSpec {
             krate: "trace",
-            suffix: &["exec_batch"],
+            suffix: &["exec"],
         },
     ],
     root_kind: "hot loop",
@@ -180,10 +180,13 @@ const HOT_LOOP: ReachRule = ReachRule {
     exempt_fns: &["new", "with_capacity", "default"],
 };
 
+/// The three reachability families, in report order.
+const FAMILIES: [&ReachRule; 3] = [&NONDET, &PANIC, &HOT_LOOP];
+
 /// Runs all three reachability families over a built graph.
 pub fn run(ws: &Workspace, graph: &Graph) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for rule in [&NONDET, &PANIC, &HOT_LOOP] {
+    for rule in FAMILIES {
         run_rule(ws, graph, rule, &mut diags);
     }
     diags
@@ -299,4 +302,32 @@ pub fn stale_allows(ws: &Workspace) -> Vec<Diagnostic> {
         }
     }
     diags
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// `run_rule` skips a root that matches no function without a word,
+    /// so deleting or renaming a root's function would silently drop
+    /// that family's coverage of everything only it reached. Every root
+    /// must resolve in the real workspace.
+    #[test]
+    fn every_root_resolves_in_the_workspace() {
+        let root = crate::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("the lint crate lives inside the workspace");
+        let ws = Workspace::load(&root).expect("workspace parses");
+        let graph = Graph::build(&ws);
+        let unresolved: Vec<String> = FAMILIES
+            .iter()
+            .flat_map(|rule| rule.roots.iter().map(move |spec| (rule.rule, spec)))
+            .filter(|(_, spec)| graph.find(&ws, spec.krate, spec.suffix).is_empty())
+            .map(|(rule, spec)| format!("{rule}: {}::{}", spec.krate, spec.suffix.join("::")))
+            .collect();
+        assert!(
+            unresolved.is_empty(),
+            "reachability roots match no function: {unresolved:?}"
+        );
+    }
 }

@@ -1,5 +1,5 @@
-//! Source passes: `determinism`, `panic-hygiene`, `batched-dispatch`,
-//! `raw-fs`, and `endianness`.
+//! Source passes: `determinism`, `panic-hygiene`, `raw-fs`, and
+//! `endianness`.
 
 use crate::graph::Workspace;
 use crate::lexer::{self, find_word, ScannedFile};
@@ -29,14 +29,6 @@ const DETERMINISM_TOKENS: &[(&str, &str)] = &[
     ("current_thread_index", "thread-identity query; profile bytes must not depend on scheduling"),
 ];
 
-/// Files that form the trace-replay/sweep hot path — the scope of the
-/// `batched-dispatch` rule. A per-op `TraceSink::exec` call here would
-/// reintroduce one virtual dispatch per traced event, exactly the cost
-/// the batched `exec_batch` protocol exists to amortise. `machine.rs` is
-/// deliberately out of scope: a `Machine` is itself a sink, and its own
-/// `exec` is the per-op entry point the batches drain into.
-const BATCHED_DISPATCH_SCOPE: &[&str] = &["crates/trace/src/buffer.rs", "crates/sim/src/fused.rs"];
-
 /// The one engine source file allowed to touch `std::fs` — the scope
 /// boundary of the `raw-fs` rule. Every other engine file must go
 /// through the [`CacheStore`] abstraction so fault injection
@@ -45,7 +37,7 @@ const BATCHED_DISPATCH_SCOPE: &[&str] = &["crates/trace/src/buffer.rs", "crates/
 /// exercise and the counters cannot account for.
 const RAW_FS_BOUNDARY: &str = "store.rs";
 
-/// Crate directory whose sources define the binary columnar format — the
+/// Crate directory whose sources define the binary record format — the
 /// scope of the `endianness` rule. The BDBC container is little-endian
 /// by contract (DESIGN.md §15): a `to_be_bytes` or `to_ne_bytes` call in
 /// the codec would silently produce records that decode on the writing
@@ -79,12 +71,6 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
         check_panic_hygiene(&file, scanned, &mut diags);
         if DETERMINISM_SCOPE.contains(&crate_dir) {
             check_determinism(&file, scanned, &mut diags);
-        }
-        if BATCHED_DISPATCH_SCOPE
-            .iter()
-            .any(|s| pf.rel == Path::new(s))
-        {
-            check_batched_dispatch(&file, scanned, &mut diags);
         }
         if crate_dir == "engine" && file.file_name().is_none_or(|n| n != RAW_FS_BOUNDARY) {
             check_raw_fs(&file, scanned, &mut diags);
@@ -158,32 +144,6 @@ fn check_determinism(file: &Path, scanned: &ScannedFile, diags: &mut Vec<Diagnos
                 RULE,
                 "`thread::current` in a profile-producing path: profile bytes must not depend on scheduling".to_owned(),
             ));
-        }
-    }
-}
-
-fn check_batched_dispatch(file: &Path, scanned: &ScannedFile, diags: &mut Vec<Diagnostic>) {
-    const RULE: &str = "batched-dispatch";
-    for (idx, line) in scanned.lines.iter().enumerate() {
-        if line.in_test || line.code.is_empty() {
-            continue;
-        }
-        let code = &line.code;
-        // Word-boundary matching (with `_` as a word character) means
-        // `exec_batch(..)` never trips this — only a bare `.exec(`.
-        for at in word_sites(code, "exec") {
-            if preceded_by_dot(code, at)
-                && followed_by_paren(code, at + "exec".len())
-                && !scanned.suppressed(idx, RULE)
-            {
-                diags.push(Diagnostic::new(
-                    file,
-                    idx + 1,
-                    RULE,
-                    "per-op `TraceSink::exec` call in a replay/sweep hot loop — deliver events \
-                     through `exec_batch` so dispatch is per-chunk, not per-op",
-                ));
-            }
         }
     }
 }
@@ -323,33 +283,6 @@ mod tests {
         let allowed =
             "// bdb-lint: allow(determinism): keyed lookups only\nuse std::collections::HashMap;\n";
         assert!(determinism(allowed).is_empty());
-    }
-
-    fn batched(src: &str) -> Vec<Diagnostic> {
-        let mut diags = Vec::new();
-        check_batched_dispatch(Path::new("x.rs"), &scan(src), &mut diags);
-        diags
-    }
-
-    #[test]
-    fn per_op_exec_flagged_in_hot_path() {
-        assert_eq!(batched("sink.exec(pc, op);\n").len(), 1);
-        assert_eq!(batched("self.exec(event.pc, event.op);\n").len(), 1);
-    }
-
-    #[test]
-    fn exec_batch_and_declarations_not_flagged() {
-        assert!(batched("sink.exec_batch(&batch);\n").is_empty());
-        assert!(batched("fn exec(&mut self, pc: u64, op: MicroOp) {\n").is_empty());
-        assert!(batched("let executor = exec_plan();\n").is_empty());
-    }
-
-    #[test]
-    fn batched_dispatch_allowable_and_test_scoped() {
-        let allowed =
-            "// bdb-lint: allow(batched-dispatch): cold path, one event\nsink.exec(pc, op);\n";
-        assert!(batched(allowed).is_empty());
-        assert!(batched("#[cfg(test)]\nmod t {\n fn f() { sink.exec(pc, op); }\n}\n").is_empty());
     }
 
     fn raw_fs(src: &str) -> Vec<Diagnostic> {

@@ -8,7 +8,7 @@ impl Pool {
     }
 }
 
-pub fn exec_batch(n: usize) -> usize {
+pub fn fused_points(n: usize) -> usize {
     let pool = Pool::new(n);
     fill(pool.buf.len())
 }

@@ -105,8 +105,8 @@ fn hot_loop_allocation_exempts_constructors() {
     assert_eq!(
         diags[0].to_string(),
         "crates/sim/src/lib.rs:17: [hot-loop-allocation] `vec!` (allocation) \
-         is reachable from hot loop `sim::exec_batch`\n    \
-         chain: sim::exec_batch (crates/sim/src/lib.rs:13)\n        \
+         is reachable from hot loop `sim::fused_points`\n    \
+         chain: sim::fused_points (crates/sim/src/lib.rs:13)\n        \
          -> sim::fill (crates/sim/src/lib.rs:17)"
     );
 }

@@ -1,10 +1,8 @@
 //! Device accounting and proc-fs-style metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware parameters of one cluster node (paper Table 3 plus commodity
 /// disk/network assumptions for the 2015 testbed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeConfig {
     /// Core clock in Hz.
     pub clock_hz: f64,
@@ -40,7 +38,7 @@ impl Default for NodeConfig {
 
 /// One resource phase of a workload run (a map wave, a shuffle, a reduce
 /// wave, a service interval…).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Phase label (for reports).
     pub name: String,
@@ -72,7 +70,7 @@ impl Phase {
 }
 
 /// Accumulated proc-fs-style metrics for one workload run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemMetrics {
     /// Wall-clock seconds of the run.
     pub wall_seconds: f64,

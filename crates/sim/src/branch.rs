@@ -11,7 +11,6 @@
 //! two configurations.
 
 use bdb_trace::BranchKind;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Saturating 2-bit counter helpers.
@@ -251,7 +250,7 @@ impl ReturnStack {
 }
 
 /// Aggregate prediction statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Dynamic branches observed (all kinds).
     pub branches: u64,
@@ -275,7 +274,7 @@ impl BranchStats {
 }
 
 /// Which direction scheme a [`BranchUnit`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirectionScheme {
     /// Pure two-level adaptive (Atom D510, per Table 4).
     TwoLevel,

@@ -6,10 +6,8 @@
 //! addresses. All the paper's cache numbers (Figure 4's MPKI, Figures 6–9's
 //! miss-ratio-versus-capacity curves) come from this model.
 
-use serde::{Deserialize, Serialize};
-
 /// Replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// Least-recently-used (default; what the paper's platforms approximate).
     Lru,
@@ -18,7 +16,7 @@ pub enum Replacement {
 }
 
 /// Geometry and policy of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -70,7 +68,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss/writeback counters of one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,

@@ -6,10 +6,9 @@
 //! Everything outside the two L1 caches (generator, TLBs, branch unit,
 //! pipeline, L2) behaves identically at every sweep point, so:
 //!
-//! 1. **Extract** ([`SweepStreams::extract`] from a recorded trace, or
-//!    [`SweepStreams::record`] straight from a running workload): one
-//!    pass through a mirror of `Machine`'s front end — the fetch-line
-//!    filter and the stride-1 stream prefetcher, both
+//! 1. **Extract** ([`SweepStreams::record`], straight from the running
+//!    workload): one pass through a mirror of `Machine`'s front end —
+//!    the fetch-line filter and the stride-1 stream prefetcher, both
 //!    capacity-independent — emits the exact run-length-compressed
 //!    event streams that reach the L1I and L1D.
 //! 2. **Replay** ([`fused_points`]): bare L1 models
@@ -47,7 +46,7 @@
 use crate::cache::{Cache, CacheConfig, CacheStats, Replacement};
 use crate::machine::MachineConfig;
 use crate::sweep::point_ratios;
-use bdb_trace::{MicroOp, TraceBuffer, TraceEvent, TraceSink};
+use bdb_trace::{MicroOp, TraceSink};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Data-side event kinds within [`SweepStreams`].
@@ -102,7 +101,7 @@ impl SweepFamily {
     }
 }
 
-/// The capacity-independent L1 event streams of one recorded trace.
+/// The capacity-independent L1 event streams of one workload run.
 ///
 /// Streams are run-length compressed: consecutive events of the same
 /// kind touching the same 64-byte line collapse into one entry with a
@@ -134,25 +133,9 @@ pub struct SweepStreams {
 }
 
 impl SweepStreams {
-    /// Extracts the streams from a recorded trace in one pass.
-    pub fn extract(buffer: &TraceBuffer) -> Self {
-        let mut extractor = SweepExtractor::new();
-        // Iterate the columns directly rather than through
-        // `replay_into`'s scratch batches: extraction is the one pass
-        // that touches every recorded event, so the extra copy shows up.
-        for event in buffer.events() {
-            extractor.step(event.pc, event.op);
-        }
-        extractor.streams
-    }
-
     /// Extracts the streams straight from a running workload — the
     /// extractor itself is the sink, so no trace is materialized in
-    /// between. Produces bit-identical streams to recording into a
-    /// [`TraceBuffer`] and calling [`SweepStreams::extract`] (buffer
-    /// replay reproduces the exact event sequence); the engine's fused
-    /// sweep uses this to skip the buffer write and re-read on its hot
-    /// path.
+    /// between.
     pub fn record(workload: impl FnOnce(&mut dyn TraceSink)) -> Self {
         let mut extractor = SweepExtractor::new();
         workload(&mut extractor);
@@ -312,7 +295,7 @@ impl StreamDetector {
     }
 }
 
-/// Sink that turns a replayed trace into [`SweepStreams`].
+/// Sink that turns a workload's micro-op stream into [`SweepStreams`].
 #[derive(Debug)]
 struct SweepExtractor {
     streams: SweepStreams,
@@ -362,12 +345,6 @@ impl SweepExtractor {
 impl TraceSink for SweepExtractor {
     fn exec(&mut self, pc: u64, op: MicroOp) {
         self.step(pc, op);
-    }
-
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        for event in batch {
-            self.step(event.pc, event.op);
-        }
     }
 }
 
@@ -419,12 +396,6 @@ const CHUNK_SLACK: usize = 7;
 impl<F: FnMut(SweepStreams)> TraceSink for ChunkedExtractor<F> {
     fn exec(&mut self, pc: u64, op: MicroOp) {
         self.step(pc, op);
-    }
-
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        for event in batch {
-            self.step(event.pc, event.op);
-        }
     }
 }
 
@@ -1084,7 +1055,7 @@ fn drain(lanes: &[Mutex<PipelineLane>], feed: &Feed, first: usize) {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use crate::sweep::{sweep_per_point, sweep_replay};
+    use crate::sweep::{assemble_sweep, sweep_per_point};
     use bdb_trace::{CodeLayout, ExecCtx};
 
     /// Both L1s of one point replayed through the machine's [`Cache`]
@@ -1161,12 +1132,11 @@ mod tests {
         // The drift guard: the extractor's mirror of Machine's front end
         // must reproduce the machine's exact L1 demand traffic at every
         // capacity, or the fused sweep silently diverges.
-        let buffer = TraceBuffer::capture(mixed_workload);
-        let streams = SweepStreams::extract(&buffer);
+        let streams = SweepStreams::record(mixed_workload);
         let family = SweepFamily::atom();
         for kib in [16, 64, 512] {
             let mut machine = Machine::new(family.machine_config(kib));
-            buffer.replay_into(&mut machine);
+            mixed_workload(&mut machine);
             let report = machine.report();
             let (l1i, l1d) = cache_replay_point(&family, kib, &streams);
             assert_eq!(l1i, report.l1i, "L1I stats diverged at {kib} KiB");
@@ -1180,8 +1150,7 @@ mod tests {
         // a row — dense runs on both sides (the loop body stays in one
         // code line across taken branches). Replay through the bulk path
         // must still match the machine bit for bit.
-        let buffer = TraceBuffer::capture(dense_runs);
-        let streams = SweepStreams::extract(&buffer);
+        let streams = SweepStreams::record(dense_runs);
         assert!(
             streams.data_len() > 2 * streams.daddr.len(),
             "expected dense data runs, got {} events in {} entries",
@@ -1191,7 +1160,7 @@ mod tests {
         let family = SweepFamily::atom();
         for kib in [16, 128] {
             let mut machine = Machine::new(family.machine_config(kib));
-            buffer.replay_into(&mut machine);
+            dense_runs(&mut machine);
             let report = machine.report();
             let (l1i, l1d) = cache_replay_point(&family, kib, &streams);
             assert_eq!(l1i, report.l1i, "L1I stats diverged at {kib} KiB");
@@ -1205,8 +1174,7 @@ mod tests {
         // exact access and miss counts (writebacks are the one counter
         // they deliberately do not model) at every geometry the sweep
         // can ask for, dense runs included.
-        let buffer = TraceBuffer::capture(mixed_workload);
-        let streams = SweepStreams::extract(&buffer);
+        let streams = SweepStreams::record(mixed_workload);
         let family = SweepFamily::atom();
         let caps = [16u64, 64, 512, 4096];
         for (&kib, lanes) in caps.iter().zip(lane_stats(&family, &caps, &streams)) {
@@ -1230,21 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn record_matches_buffered_extract() {
-        // The direct-from-workload extraction must produce the same
-        // streams as recording a trace and extracting from it — the
-        // engine's fused path relies on this equivalence.
-        let buffer = TraceBuffer::capture(mixed_workload);
-        let buffered = SweepStreams::extract(&buffer);
-        let direct = SweepStreams::record(mixed_workload);
-        assert_eq!(direct.ifetch, buffered.ifetch);
-        assert_eq!(direct.irepeat, buffered.irepeat);
-        assert_eq!(direct.daddr, buffered.daddr);
-        assert_eq!(direct.dkind, buffered.dkind);
-        assert_eq!(direct.drepeat, buffered.drepeat);
-    }
-
-    #[test]
     fn random_replacement_family_uses_exact_replay() {
         // A random victim stream breaks set refinement, so the data lane
         // must replay every point in full — which stays byte-identical
@@ -1261,7 +1214,8 @@ mod tests {
                 .iter()
                 .all(|lane| matches!(lane, DataLane::Each(..))));
         }
-        let fused = sweep_replay(&family, "rnd", &caps, &TraceBuffer::capture(mixed_workload));
+        let streams = SweepStreams::record(mixed_workload);
+        let fused = assemble_sweep("rnd", &caps, fused_points(&family, &caps, &streams));
         let per_point = sweep_per_point(&family, "rnd", &caps, mixed_workload);
         assert_eq!(fused, per_point);
     }

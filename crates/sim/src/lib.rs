@@ -54,7 +54,6 @@ pub use fused::{
 pub use machine::{Machine, MachineConfig, PerfReport};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineKind, ServiceLevel};
 pub use sweep::{
-    assemble_sweep, sweep, sweep_on, sweep_per_point, sweep_replay, MissRatioCurve, SweepMetric,
-    SweepResult, PAPER_SWEEP_KIB,
+    assemble_sweep, sweep_per_point, MissRatioCurve, SweepMetric, SweepResult, PAPER_SWEEP_KIB,
 };
 pub use tlb::{Tlb, TlbConfig};

@@ -9,11 +9,10 @@ use crate::branch::{BranchStats, BranchUnit, DirectionScheme};
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::pipeline::{Pipeline, PipelineConfig, ServiceLevel};
 use crate::tlb::{Tlb, TlbConfig};
-use bdb_trace::{InstructionMix, MicroOp, TraceEvent, TraceSink};
-use serde::{Deserialize, Serialize};
+use bdb_trace::{InstructionMix, MicroOp, TraceSink};
 
 /// Complete configuration of a simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Human-readable platform name (appears in reports).
     pub name: String,
@@ -125,7 +124,7 @@ impl MachineConfig {
 
 /// Everything the simulated machine measured for one workload run — the
 /// reproduction's equivalent of one `perf stat` invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Platform name.
     pub platform: String,
@@ -483,14 +482,6 @@ impl TraceSink for Machine {
                 }
             }
             MicroOp::Int { .. } | MicroOp::Fp => {}
-        }
-    }
-
-    /// Batched delivery for trace replay: one virtual call per chunk, with
-    /// the per-op loop fully monomorphic over `Machine::exec`.
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        for event in batch {
-            self.exec(event.pc, event.op);
         }
     }
 }

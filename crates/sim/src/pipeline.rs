@@ -12,10 +12,8 @@
 //! observations (high L1I MPKI on deep stacks) translate into the IPC gaps
 //! of its Figure 3.
 
-use serde::{Deserialize, Serialize};
-
 /// Where in the hierarchy a miss was ultimately served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceLevel {
     /// Hit in L1 (no stall beyond the pipelined L1 latency).
     L1,
@@ -28,7 +26,7 @@ pub enum ServiceLevel {
 }
 
 /// Execution model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineKind {
     /// In-order dual-issue (Atom-like): miss latency is fully exposed.
     InOrder,
@@ -37,7 +35,7 @@ pub enum PipelineKind {
 }
 
 /// Latency and width parameters of a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Execution model.
     pub kind: PipelineKind,

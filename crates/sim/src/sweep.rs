@@ -5,23 +5,23 @@
 //! miss ratio at each point (Figures 6–9); the capacity where the curve
 //! flattens is the footprint.
 //!
-//! [`sweep`] records the workload's trace **once** into a
-//! [`TraceBuffer`], then computes every point from the extracted L1 event
-//! streams (see [`crate::fused`]) — byte-identical to the reference oracle
+//! The production sweep runs the workload **once**, extracting its L1
+//! event streams as it goes, and computes every point from them (see
+//! [`crate::fused`]); [`assemble_sweep`] turns the points into curves.
+//! The result is byte-identical to the reference oracle
 //! [`sweep_per_point`], which re-runs the workload on a full
 //! [`crate::MachineConfig::atom_sweep`] machine per capacity.
 
 use crate::cache::CacheStats;
-use crate::fused::{fused_points, SweepFamily, SweepStreams};
+use crate::fused::SweepFamily;
 use crate::machine::Machine;
-use bdb_trace::{TraceBuffer, TraceSink};
-use serde::{Deserialize, Serialize};
+use bdb_trace::TraceSink;
 
 /// The paper's sweep points, in KiB (Figures 6–9 x-axis).
 pub const PAPER_SWEEP_KIB: [u64; 10] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192];
 
 /// Which miss ratio a curve tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMetric {
     /// L1 instruction-cache miss ratio (Figures 6 and 9).
     Instruction,
@@ -32,7 +32,7 @@ pub enum SweepMetric {
 }
 
 /// One miss-ratio-versus-capacity curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissRatioCurve {
     /// Label (workload or workload-group name).
     pub label: String,
@@ -75,65 +75,6 @@ impl MissRatioCurve {
         }
         footprint
     }
-}
-
-/// Sweeps `workload` over `capacities_kib` on the Atom-like family and
-/// returns the three curves (instruction, data, unified).
-///
-/// The workload runs **once**, recorded into a [`TraceBuffer`]; every
-/// capacity point is then computed from the recorded trace. The output is
-/// byte-identical to [`sweep_per_point`] (contract-tested across the full
-/// catalog in `bdb-engine`).
-///
-/// # Panics
-///
-/// Panics if `capacities_kib` is empty.
-pub fn sweep(
-    label: &str,
-    capacities_kib: &[u64],
-    workload: impl FnMut(&mut dyn TraceSink),
-) -> SweepResult {
-    sweep_on(&SweepFamily::atom(), label, capacities_kib, workload)
-}
-
-/// [`sweep`] over an explicit cache [`SweepFamily`].
-pub fn sweep_on(
-    family: &SweepFamily,
-    label: &str,
-    capacities_kib: &[u64],
-    mut workload: impl FnMut(&mut dyn TraceSink),
-) -> SweepResult {
-    assert!(
-        !capacities_kib.is_empty(),
-        "sweep needs at least one capacity"
-    );
-    let mut buffer = TraceBuffer::new();
-    workload(&mut buffer);
-    sweep_replay(family, label, capacities_kib, &buffer)
-}
-
-/// Sweeps an already-recorded trace: extract the L1 event streams once,
-/// then replay them at every point ([`fused_points`]).
-///
-/// # Panics
-///
-/// Panics if `capacities_kib` is empty.
-pub fn sweep_replay(
-    family: &SweepFamily,
-    label: &str,
-    capacities_kib: &[u64],
-    buffer: &TraceBuffer,
-) -> SweepResult {
-    assert!(
-        !capacities_kib.is_empty(),
-        "sweep needs at least one capacity"
-    );
-    let streams = SweepStreams::extract(buffer);
-    assemble_sweep(
-        label,
-        capacities_kib,
-        fused_points(family, capacities_kib, &streams),
-    )
 }
 
 /// The per-point reference sweep: re-runs `workload` once per capacity on
@@ -211,8 +152,8 @@ pub fn assemble_sweep(
     }
 }
 
-/// The three curves produced by one [`sweep`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The three curves produced by one capacity sweep.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// L1I miss ratio curve.
     pub instruction: MissRatioCurve,
@@ -225,7 +166,15 @@ pub struct SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::{fused_points, SweepStreams};
     use bdb_trace::{CodeLayout, ExecCtx};
+
+    /// The fused sweep on the Atom-like family, as the engine computes it.
+    fn sweep(label: &str, capacities_kib: &[u64], workload: fn(&mut dyn TraceSink)) -> SweepResult {
+        let streams = SweepStreams::record(workload);
+        let points = fused_points(&SweepFamily::atom(), capacities_kib, &streams);
+        assemble_sweep(label, capacities_kib, points)
+    }
 
     /// Synthetic workload with ~256 KiB instruction footprint and ~32 KiB
     /// data footprint.
@@ -337,32 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_replay_reuses_one_recording() {
-        let buffer = bdb_trace::TraceBuffer::capture(synthetic);
-        let family = SweepFamily::atom();
-        let replayed = sweep_replay(&family, "synthetic", &[16, 256], &buffer);
-        let direct = sweep("synthetic", &[16, 256], synthetic);
-        assert_eq!(replayed, direct);
-    }
-
-    #[test]
     fn at_returns_swept_points_only() {
         let result = sweep("synthetic", &[16, 32], synthetic);
         assert!(result.instruction.at(16).is_some());
         assert!(result.instruction.at(999).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one capacity")]
-    fn empty_sweep_panics() {
-        let _ = sweep("x", &[], |_| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one capacity")]
-    fn empty_replay_sweep_panics() {
-        let buffer = bdb_trace::TraceBuffer::new();
-        let _ = sweep_replay(&SweepFamily::atom(), "x", &[], &buffer);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! `dTLB-load-misses`.
 
 use crate::cache::{touch_lru, INVALID};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: usize,

@@ -7,7 +7,6 @@
 //! paper's own thresholds.
 
 use bdb_trace::{ExecCtx, MemRegion, OpMix, RegionId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One framework routine: a [code region](bdb_trace::CodeRegion) plus how a
@@ -70,7 +69,7 @@ impl Routine {
 }
 
 /// Which software stack executed a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StackKind {
     /// The Hadoop-like MapReduce engine.
     Hadoop,
@@ -107,7 +106,7 @@ impl fmt::Display for StackKind {
 }
 
 /// The paper's §3.2.2 size-relation classes between two data volumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// Ratio in `[0.9, 1.1)`: the volumes are considered equal.
     Equal,
@@ -156,7 +155,7 @@ impl Relation {
 }
 
 /// Table 2's "Data Processing Behaviors" cell for one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataBehavior {
     /// Output volume relative to input.
     pub output: Relation,
@@ -176,7 +175,7 @@ impl fmt::Display for DataBehavior {
 }
 
 /// Resource accounting for one stack run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Bytes of input consumed.
     pub input_bytes: u64,

@@ -396,7 +396,7 @@ impl ImpalaExec<'_> {
                             let i = b * 64 + j;
                             let base = region.base() + (i as u64 * arity * 16) % region.len();
                             // Page decompression + dictionary decode: real
-                            // columnar scanners spend ~1-2 instructions per
+                            // column-store scanners spend ~1-2 instructions per
                             // byte before any predicate runs.
                             for col in 0..arity {
                                 ctx.read(base + col * 16, 8);

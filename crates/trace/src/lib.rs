@@ -27,8 +27,6 @@
 //!   (call/return) tracking, loop helpers, and boilerplate emitters.
 //! * [`mix`] — retired-instruction mix accounting (paper Figures 1 and 2).
 //! * [`sink`] — the [`TraceSink`] trait and utility sinks.
-//! * [`buffer`] — [`TraceBuffer`], the record-once/replay-many trace store
-//!   behind the fused capacity sweep in `bdb-sim`.
 //!
 //! # Examples
 //!
@@ -52,7 +50,6 @@
 //! assert!(mix.branches >= 128);
 //! ```
 
-pub mod buffer;
 pub mod ctx;
 pub mod mem;
 pub mod mix;
@@ -61,11 +58,10 @@ pub mod region;
 pub mod reuse;
 pub mod sink;
 
-pub use buffer::TraceBuffer;
 pub use ctx::{ExecCtx, OpMix};
 pub use mem::{MemRegion, SimAlloc};
 pub use mix::InstructionMix;
 pub use op::{BranchKind, IntPurpose, MicroOp};
 pub use region::{CodeLayout, CodeRegion, RegionId};
 pub use reuse::{ReuseHistogram, ReuseProfiler, ReuseSink};
-pub use sink::{CountingSink, FanoutSink, MixSink, NullSink, TeeSink, TraceEvent, TraceSink};
+pub use sink::{CountingSink, FanoutSink, MixSink, NullSink, TeeSink, TraceSink};

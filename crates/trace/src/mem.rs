@@ -6,8 +6,6 @@
 //! a deterministic bump allocator: the same allocation sequence always
 //! yields the same addresses, which keeps every measured table replayable.
 
-use serde::{Deserialize, Serialize};
-
 /// Base virtual address of the simulated heap.
 pub const HEAP_BASE: u64 = 0x1000_0000;
 
@@ -15,7 +13,7 @@ pub const HEAP_BASE: u64 = 0x1000_0000;
 pub const SCRATCH_BASE: u64 = 0x7000_0000;
 
 /// A span of simulated data memory returned by [`SimAlloc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRegion {
     base: u64,
     len: u64,

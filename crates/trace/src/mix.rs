@@ -1,10 +1,9 @@
 //! Retired-instruction mix accounting (paper Figures 1 and 2).
 
 use crate::op::{IntPurpose, MicroOp};
-use serde::{Deserialize, Serialize};
 
 /// Counts of retired micro-ops by class, plus the integer-purpose breakdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InstructionMix {
     /// Retired loads.
     pub loads: u64,

@@ -5,10 +5,8 @@
 //! purpose tag used by Figure 2's integer-instruction breakdown (integer
 //! address calculation / floating-point address calculation / other).
 
-use serde::{Deserialize, Serialize};
-
 /// Why an integer operation was executed (paper Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntPurpose {
     /// Address arithmetic for integer/byte data (e.g. locating an array slot).
     IntAddr,
@@ -19,7 +17,7 @@ pub enum IntPurpose {
 }
 
 /// Control-flow transfer kind, used by the branch-predictor models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional branch; `taken` is meaningful.
     Conditional,
@@ -37,7 +35,7 @@ pub enum BranchKind {
 ///
 /// The program counter is supplied separately by the execution context, so
 /// `MicroOp` itself stays a small `Copy` value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MicroOp {
     /// Data load of `size` bytes from `addr`.
     Load {

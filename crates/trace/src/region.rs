@@ -10,8 +10,6 @@
 //! code; thin stacks (MPI-like) register little, which is precisely the
 //! mechanism behind the paper's observation O4.
 
-use serde::{Deserialize, Serialize};
-
 /// Base virtual address of the code segment.
 pub const CODE_BASE: u64 = 0x0040_0000;
 
@@ -19,7 +17,7 @@ pub const CODE_BASE: u64 = 0x0040_0000;
 pub const REGION_ALIGN: u64 = 4096;
 
 /// Identifier of a registered [`CodeRegion`] within a [`CodeLayout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(pub(crate) u32);
 
 impl RegionId {
@@ -30,7 +28,7 @@ impl RegionId {
 }
 
 /// A contiguous span of instruction addresses owned by one routine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeRegion {
     /// Human-readable routine name, e.g. `"mapreduce::spill_sort"`.
     pub name: String,

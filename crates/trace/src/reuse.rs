@@ -301,18 +301,6 @@ impl crate::TraceSink for ReuseSink {
             _ => {}
         }
     }
-
-    fn exec_batch(&mut self, batch: &[crate::TraceEvent]) {
-        for event in batch {
-            self.instructions.touch(event.pc);
-            match event.op {
-                crate::MicroOp::Load { addr, .. } | crate::MicroOp::Store { addr, .. } => {
-                    self.data.touch(addr);
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 #[cfg(test)]

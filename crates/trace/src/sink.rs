@@ -9,18 +9,6 @@
 use crate::mix::InstructionMix;
 use crate::op::MicroOp;
 
-/// One recorded `(pc, op)` pair — the unit of batched trace delivery.
-///
-/// A [`TraceBuffer`](crate::TraceBuffer) stores these column-wise and
-/// replays them to sinks in chunks via [`TraceSink::exec_batch`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Program counter of the retired micro-op.
-    pub pc: u64,
-    /// The micro-op itself.
-    pub op: MicroOp,
-}
-
 /// Consumes a stream of `(pc, op)` pairs.
 ///
 /// Implementations must be deterministic: measured tables are replayed from
@@ -28,19 +16,6 @@ pub struct TraceEvent {
 pub trait TraceSink {
     /// Handles one retired micro-op at program counter `pc`.
     fn exec(&mut self, pc: u64, op: MicroOp);
-
-    /// Handles a batch of retired micro-ops in trace order.
-    ///
-    /// The default implementation forwards to [`TraceSink::exec`] one op at
-    /// a time, so every existing sink keeps working; hot sinks override it
-    /// so replaying a recorded trace costs one virtual call per chunk
-    /// instead of one per op. Overrides must observe exactly the events an
-    /// `exec` loop would — the equivalence is contract-tested.
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        for event in batch {
-            self.exec(event.pc, event.op);
-        }
-    }
 
     /// Called once when the traced workload finishes (optional).
     fn finish(&mut self) {}
@@ -52,8 +27,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn exec(&mut self, _pc: u64, _op: MicroOp) {}
-
-    fn exec_batch(&mut self, _batch: &[TraceEvent]) {}
 }
 
 /// Counts retired ops.
@@ -77,10 +50,6 @@ impl CountingSink {
 impl TraceSink for CountingSink {
     fn exec(&mut self, _pc: u64, _op: MicroOp) {
         self.ops += 1;
-    }
-
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        self.ops += batch.len() as u64;
     }
 }
 
@@ -106,12 +75,6 @@ impl TraceSink for MixSink {
     fn exec(&mut self, _pc: u64, op: MicroOp) {
         self.mix.record(&op);
     }
-
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        for event in batch {
-            self.mix.record(&event.op);
-        }
-    }
 }
 
 /// Forwarding through a mutable reference, so sinks compose without being
@@ -119,10 +82,6 @@ impl TraceSink for MixSink {
 impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     fn exec(&mut self, pc: u64, op: MicroOp) {
         (**self).exec(pc, op);
-    }
-
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        (**self).exec_batch(batch);
     }
 
     fn finish(&mut self) {
@@ -192,12 +151,6 @@ impl TraceSink for FanoutSink<'_> {
         }
     }
 
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        for sink in &mut self.sinks {
-            sink.exec_batch(batch);
-        }
-    }
-
     fn finish(&mut self) {
         for sink in &mut self.sinks {
             sink.finish();
@@ -228,11 +181,6 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     fn exec(&mut self, pc: u64, op: MicroOp) {
         self.first.exec(pc, op);
         self.second.exec(pc, op);
-    }
-
-    fn exec_batch(&mut self, batch: &[TraceEvent]) {
-        self.first.exec_batch(batch);
-        self.second.exec_batch(batch);
     }
 
     fn finish(&mut self) {
@@ -339,44 +287,6 @@ mod tests {
             fan.finish();
         }
         assert_eq!(fanned.mix(), direct.mix());
-    }
-
-    #[test]
-    fn exec_batch_matches_per_op_delivery() {
-        let batch = [
-            TraceEvent {
-                pc: 0,
-                op: MicroOp::Fp,
-            },
-            TraceEvent {
-                pc: 4,
-                op: MicroOp::Load { addr: 64, size: 8 },
-            },
-            TraceEvent {
-                pc: 8,
-                op: MicroOp::Branch {
-                    taken: true,
-                    target: 0,
-                    kind: BranchKind::Return,
-                },
-            },
-        ];
-        let mut per_op = MixSink::new();
-        for event in &batch {
-            per_op.exec(event.pc, event.op);
-        }
-        let mut batched = MixSink::new();
-        batched.exec_batch(&batch);
-        assert_eq!(batched.mix(), per_op.mix());
-
-        let mut count = CountingSink::new();
-        count.exec_batch(&batch);
-        assert_eq!(count.ops(), 3);
-
-        let mut teed = TeeSink::new(CountingSink::new(), MixSink::new());
-        teed.exec_batch(&batch);
-        assert_eq!(teed.first.ops(), 3);
-        assert_eq!(teed.second.mix(), per_op.mix());
     }
 
     #[test]

@@ -14,7 +14,6 @@ use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_trace::{InstructionMix, MicroOp, ReuseHistogram, ReuseProfiler, TraceSink};
 use bdb_workloads::{Scale, WorkloadDef};
-use serde::{Deserialize, Serialize};
 
 /// Number of architecture-independent metrics.
 pub const ARCHINDEP_COUNT: usize = 20;
@@ -44,7 +43,7 @@ pub const ARCHINDEP_NAMES: [&str; ARCHINDEP_COUNT] = [
 ];
 
 /// The architecture-independent characterization of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchIndepVector {
     values: Vec<f64>,
 }

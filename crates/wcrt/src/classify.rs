@@ -7,11 +7,10 @@
 //! > I/O-Intensive; 3) other workloads … are considered as hybrid."
 
 use bdb_node::SystemMetrics;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// System-behaviour class of a workload (paper Table 2, last column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemClass {
     /// CPU utilization > 85 %.
     CpuIntensive,

@@ -9,7 +9,6 @@
 
 use bdb_node::SystemMetrics;
 use bdb_sim::PerfReport;
-use serde::{Deserialize, Serialize};
 
 /// Number of characterization metrics.
 pub const METRIC_COUNT: usize = 45;
@@ -73,7 +72,7 @@ pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
 ];
 
 /// One workload's 45-metric characterization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricVector {
     values: Vec<f64>,
 }

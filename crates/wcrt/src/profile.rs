@@ -8,10 +8,9 @@ use bdb_node::{Node, NodeConfig, SystemMetrics};
 use bdb_sim::{Machine, MachineConfig, PerfReport};
 use bdb_stacks::{DataBehavior, RunStats};
 use bdb_workloads::{Scale, WorkloadDef, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Everything measured about one workload run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadProfile {
     /// Workload identity.
     pub spec: WorkloadSpec,

@@ -3,12 +3,11 @@
 use bdb_datagen::DataSetId;
 use bdb_stacks::{RunStats, StackKind};
 use bdb_trace::TraceSink;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// The paper's three application categories (§3.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Offline data analysis (MapReduce/Spark/MPI batch jobs).
     DataAnalysis,
@@ -30,7 +29,7 @@ impl fmt::Display for Category {
 }
 
 /// The algorithm or operator a workload runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum KernelKind {
     WordCount,
@@ -118,7 +117,7 @@ impl KernelKind {
 }
 
 /// Identity and taxonomy of one workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadSpec {
     /// Short id in the paper's style, e.g. `"H-WordCount"`.
     pub id: String,
@@ -136,7 +135,7 @@ pub struct WorkloadSpec {
 ///
 /// `tiny` keeps unit tests fast; `small` is the default for examples and
 /// integration tests; `paper` is what the benchmark binaries use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     factor: f64,
 }

@@ -22,10 +22,11 @@ fn main() {
     }
     println!();
 
+    let engine = engine::Engine::in_memory();
     for id in ["H-WordCount", "M-WordCount"] {
         let def = defs.iter().find(|w| w.spec.id == id).expect("workload");
-        let result = sim::sweep(id, &PAPER_SWEEP_KIB, |machine| {
-            let _ = def.run(machine, scale);
+        let result = engine.sweep(id, &PAPER_SWEEP_KIB, |sink| {
+            let _ = def.run(sink, scale);
         });
         print!("{id:14}");
         for (_, ratio) in &result.instruction.points {

@@ -158,12 +158,13 @@ fn locality_footprints() {
     let defs = catalog::full_catalog();
     let hadoop = find(&defs, "H-WordCount");
     let sizes = [16, 64, 256, 1024, 8192];
-    let h = sim::sweep("hadoop", &sizes, |m| {
-        let _ = hadoop.run(m, scale);
+    let engine = engine::Engine::in_memory();
+    let h = engine.sweep("hadoop", &sizes, |sink| {
+        let _ = hadoop.run(sink, scale);
     });
     let parsec_defs = catalog::suite_workloads(workloads::suites::Suite::Parsec);
-    let p = sim::sweep("parsec", &sizes, |m| {
-        let _ = parsec_defs[0].run(m, scale);
+    let p = engine.sweep("parsec", &sizes, |sink| {
+        let _ = parsec_defs[0].run(sink, scale);
     });
     // Instruction curves: Hadoop starts much higher and keeps declining
     // past the point where PARSEC has flattened.

@@ -69,7 +69,12 @@ fn digests() -> String {
             let _ = def.run(sink, scale);
         };
         let lru = engine.sweep(id, &PAPER_SWEEP_KIB, run);
-        let rnd = sim::sweep_on(&random, id, &PAPER_SWEEP_KIB, run);
+        let streams = sim::SweepStreams::record(run);
+        let rnd = sim::assemble_sweep(
+            id,
+            &PAPER_SWEEP_KIB,
+            sim::fused_points(&random, &PAPER_SWEEP_KIB, &streams),
+        );
         for (tag, result) in [("atom_lru", lru), ("atom_random", rnd)] {
             let bytes = codec::sweep_result_to_value(&result).encode();
             let _ = writeln!(out, "sweep\t{tag}\t{id}\t{:016x}", crc64(bytes.as_bytes()));
