@@ -288,8 +288,10 @@ fn measure_and_report() {
         fingerprint: 0,
         outcome: Ok(Box::new(serial[0].clone())),
     };
-    // The same message as a canonical-JSON frame, for the size ratio.
-    let wire_json_bytes = proto::message_to_value(&result_msg).encode().len() + 4;
+    // The same message in canonical JSON (its header, then the
+    // profile), for the size ratio.
+    let wire_json_bytes =
+        proto::message_to_parts(&result_msg).0.encode().len() + profile_value.encode().len() + 4;
     let wire_binary_bytes = wire::encode_frame(&result_msg).len();
 
     // Cluster merge over a loopback fleet: byte-identical to serial.

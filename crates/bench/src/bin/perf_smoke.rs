@@ -8,8 +8,9 @@
 //!
 //! * a worker pool that silently falls back to serial,
 //! * a fused sweep whose bits drift from the per-point sweep,
-//! * a fused speedup below 2× (the default-scale bench demands ≥ 5×;
-//!   the smoke bound is looser because tiny inputs amortise less),
+//! * a fused speedup below 2× — the only enforced floor on the fused
+//!   margin (the default-scale engine bench records its margin in
+//!   `BENCH_engine.json` but asserts nothing on it),
 //! * a pipelined sweep (`BDB_POINT_THREADS` of 2 and 4) whose width or
 //!   bits drift from the contract on streams of three or more chunks,
 //! * a scaled sweep whose 4-thread run fails the 1.5× floor on a

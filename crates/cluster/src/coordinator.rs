@@ -277,6 +277,9 @@ impl Run<'_> {
     fn event_loop(&mut self, rx: &Receiver<Event>) -> Result<(), ClusterError> {
         loop {
             self.dispatch()?;
+            // Every event and the dispatch after it conserve the task
+            // set; test builds check it each time round.
+            debug_assert_eq!(self.fleet.check_conservation(), Ok(()));
             if self.fleet.done() == self.tasks.len() {
                 return Ok(());
             }
@@ -444,12 +447,18 @@ impl Run<'_> {
         let Some(workload_id) = self.tasks.get(task).map(|t| t.workload_id.clone()) else {
             return Ok(());
         };
-        for target in self.fleet.replica_targets(computer, fingerprint) {
-            let msg = Message::Replicate {
-                workload_id: workload_id.clone(),
-                fingerprint,
-                profile: Box::new(profile.clone()),
-            };
+        let targets = self.fleet.replica_targets(computer, fingerprint);
+        if targets.is_empty() {
+            return Ok(());
+        }
+        // The engine's one encoder turns the decoded result back into
+        // the computing worker's entry bytes.
+        let msg = Message::Replicate {
+            workload_id,
+            fingerprint,
+            record: bdb_engine::profile_entry_record(fingerprint, profile),
+        };
+        for target in targets {
             if self.transport_send(target, &msg) {
                 self.fleet.record_replica(target, fingerprint);
             } else {

@@ -35,7 +35,8 @@ pub struct FaultPlan {
     /// deadline, which is the only recovery for a hung-but-connected
     /// worker.
     pub stall_on_task: Option<u64>,
-    /// Send every Result frame twice, exercising coordinator dedup.
+    /// Send every Result frame twice (either send form), exercising
+    /// coordinator dedup.
     pub duplicate_results: bool,
 }
 
@@ -96,7 +97,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             std::thread::sleep(delay);
         }
         self.inner.send(msg)?;
-        if self.plan.duplicate_results && matches!(msg, Message::Result { .. }) {
+        if self.plan.duplicate_results
+            && matches!(msg, Message::Result { .. } | Message::ResultEntry { .. })
+        {
             self.inner.send(msg)?;
         }
         Ok(())
@@ -171,9 +174,27 @@ mod tests {
                 outcome: Err("e".to_owned()),
             })
             .unwrap();
+        // The warm send form is a Result frame too. An intact record
+        // holding no profile is enough here: it decodes as a failed
+        // Result for the same task.
+        let record = bdb_codec::encode_record(
+            bdb_codec::RecordKind::CacheEntry,
+            &bdb_codec::encode_cache_payload(0xff, &bdb_engine::json::Value::object(Vec::new())),
+        );
+        faulty
+            .send(&Message::ResultEntry {
+                task_id: 2,
+                fingerprint: 0xff,
+                record,
+            })
+            .unwrap();
         faulty.send(&Message::Heartbeat { seq: 1 }).unwrap();
-        assert!(matches!(coord.recv(), Ok(Message::Result { .. })));
-        assert!(matches!(coord.recv(), Ok(Message::Result { .. })));
+        for task in [1, 1, 2, 2] {
+            assert!(matches!(
+                coord.recv(),
+                Ok(Message::Result { task_id, .. }) if task_id == task
+            ));
+        }
         assert!(matches!(coord.recv(), Ok(Message::Heartbeat { seq: 1 })));
     }
 }

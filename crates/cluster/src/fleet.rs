@@ -55,7 +55,8 @@
 //! lives in exactly one place (one plan, one in-flight slot, or the
 //! retry queue), and a completed task is merged exactly once.
 //! [`Fleet::check_conservation`] asserts that invariant; the membership
-//! property tests call it after every operation.
+//! property tests call it after every operation, and the coordinator
+//! debug-asserts it after every event it handles.
 
 use crate::coordinator::ClusterConfig;
 use std::collections::{BTreeSet, VecDeque};
@@ -645,7 +646,8 @@ impl Fleet {
     /// exactly one place (one plan, one in-flight entry, or the retry
     /// queue), and a completed task has at most one stale copy still
     /// queued (it will be skipped at dispatch). Property tests call
-    /// this after every operation; production code never needs to.
+    /// this after every operation, and the coordinator debug-asserts it
+    /// after every event; release builds never run it.
     pub fn check_conservation(&self) -> Result<(), String> {
         let mut counts = vec![0usize; self.completed.len()];
         let mut record = |task: usize, what: &str| -> Result<(), String> {

@@ -12,9 +12,11 @@
 //! Layers, bottom up:
 //!
 //! * [`proto`] — the six-message protocol (`Hello`/`Assign`/`Result`/
-//!   `Replicate`/`Heartbeat`/`Bye`) as `bdb-engine` canonical value
-//!   trees.
-//! * [`wire`] — 4-byte length-prefixed framing of BDBC records with a
+//!   `Replicate`/`Heartbeat`/`Bye`, v3) as `bdb-engine` canonical value
+//!   trees, with a result's cache-entry record carried beside its
+//!   header.
+//! * [`wire`] — 4-byte length-prefixed framing of BDBC records (a header
+//!   record, then a successful result's entry record verbatim) with a
 //!   size cap and a strict truncated-stream error.
 //! * [`transport`] — the [`Transport`] trait plus the in-process
 //!   loopback implementation; [`tcp`] adds the std-only blocking TCP
@@ -22,8 +24,9 @@
 //! * [`fault`] — [`FaultPlan`] injection (connection drops, delays,
 //!   worker crashes, duplicated results) for exercising recovery paths.
 //! * [`worker`] — the blocking serve loop around a local cache-aware
-//!   engine; advertises its warm cache in `Hello` and admits
-//!   `Replicate` pushes into it.
+//!   engine; advertises its warm cache in `Hello`, answers warm tasks
+//!   with their entry bytes undecoded, and admits `Replicate` pushes
+//!   into its cache.
 //! * [`fleet`] — the pure membership + scheduling state machine: live
 //!   join/leave, admission control (in-flight depth, suspect deferral),
 //!   replica affinity, capped-exponential-backoff retry.

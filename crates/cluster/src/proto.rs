@@ -1,4 +1,4 @@
-//! The cluster message set and its canonical-JSON codec.
+//! The cluster message set and its value-tree codec.
 //!
 //! Six message kinds cross the wire (paper-fleet semantics in
 //! parentheses):
@@ -11,34 +11,55 @@
 //!   coordinator's task index (job dispatch).
 //! * [`Message::Result`] — worker → coordinator; the task index, the
 //!   task's content fingerprint, and either the profile or an error
-//!   string (job completion).
-//! * [`Message::Replicate`] — coordinator → worker; a verified profile
-//!   pushed for admission into the worker's local cache (the replicated
-//!   result tier). No reply — a failed send tombstones the target.
+//!   string (job completion). A worker sends a successful result in the
+//!   [`Message::ResultEntry`] form: its cache entry's bytes, which the
+//!   receiver decodes as a `Result`.
+//! * [`Message::Replicate`] — coordinator → worker; a verified result's
+//!   cache-entry record pushed for admission into the worker's local
+//!   cache (the replicated result tier). No reply — a failed send
+//!   tombstones the target.
 //! * [`Message::Heartbeat`] — either direction; the receiver echoes the
 //!   sequence number (liveness probe).
 //! * [`Message::Bye`] — either direction; orderly session end. A worker
 //!   sending it leaves the fleet cleanly (its in-flight work re-queues
 //!   without being charged a failed attempt).
 //!
-//! Encoding reuses `bdb-engine`'s canonical JSON value tree
-//! (insertion-ordered objects, shortest-roundtrip floats), which the
-//! wire ships as a BDBC record, so every message — including the
-//! embedded profile — is byte-stable: `encode(decode(bytes)) == bytes`.
-//! Decoding is strict; unknown message types or malformed fields are
-//! [`DecodeError`]s, which the transport layer surfaces as protocol
-//! errors rather than silently skipping frames.
+//! # Wire parts
+//!
+//! A message is a header — a canonical value tree (insertion-ordered
+//! objects, shortest-roundtrip floats) that the wire ships as a bval
+//! `WireMessage` record — and, for a successful `Result` or a
+//! `Replicate`, the result's BDBC `CacheEntry` record, which follows the
+//! header verbatim ([`message_to_parts`] / [`message_from_parts`]). The
+//! entry record is the one `bdb-engine` writes to disk, built by the
+//! one encoder [`bdb_engine::profile_entry_record`]: a warm worker
+//! ships its file's bytes as they are, and `Result { outcome: Ok(p) }`
+//! encodes `p` into the same bytes. Every message is byte-stable:
+//! `encode(decode(bytes)) == bytes`.
+//!
+//! Decoding is strict: unknown message types, malformed fields, a
+//! missing or unexpected entry record, and an entry record whose
+//! container or CRC-64 fails are [`DecodeError`]s, which the transport
+//! layer surfaces as protocol errors rather than silently skipping
+//! frames. An intact entry that does not hold the answer — another
+//! fingerprint inside, or a value that is not a profile — decodes as a
+//! failed `Result`, so the coordinator retries the task like any other
+//! failure. A `Replicate`'s record is carried undecoded; the receiving
+//! worker's [`bdb_engine::Engine::admit_entry`] checks it.
 
 use bdb_engine::codec::{self, DecodeError};
 use bdb_engine::json::Value;
-use bdb_engine::Task;
+use bdb_engine::{EntryError, Task};
 use bdb_wcrt::WorkloadProfile;
+use std::borrow::Cow;
 
 /// Bumped on any wire-visible change; [`Message::Hello`] carries it and
 /// the coordinator refuses workers with a different version (a skewed
 /// worker could compute with different code and break bit-identity).
-/// v2 added `Hello.cached` and [`Message::Replicate`].
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v2 added `Hello.cached` and [`Message::Replicate`]; v3 moved a
+/// successful `Result`'s profile and a `Replicate`'s out of the header
+/// into the cache-entry record that follows it.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// One protocol message. See the module docs for the six kinds.
 #[derive(Debug, Clone)]
@@ -61,7 +82,7 @@ pub enum Message {
         /// The work itself.
         task: Box<Task>,
     },
-    /// Task completion (success or failure).
+    /// Task completion (success or failure), as the receiver decodes it.
     Result {
         /// Echo of the [`Message::Assign`] task index.
         task_id: u64,
@@ -71,16 +92,30 @@ pub enum Message {
         /// The profile, or the worker-side error rendering.
         outcome: Result<Box<WorkloadProfile>, String>,
     },
-    /// A verified profile pushed for admission into the worker's local
-    /// cache (replicated result tier). The worker persists it exactly
-    /// like a locally computed entry and sends no reply.
+    /// The send-side form of a successful [`Message::Result`]: the
+    /// task's cache-entry record as the worker's engine holds it
+    /// ([`bdb_engine::Engine::run_task_entry`]). It encodes to exactly
+    /// the frame `Result { outcome: Ok(profile) }` encodes to, and
+    /// decodes as that `Result`; no decoder produces this variant.
+    ResultEntry {
+        /// Echo of the [`Message::Assign`] task index.
+        task_id: u64,
+        /// The task's content fingerprint.
+        fingerprint: u64,
+        /// The BDBC `CacheEntry` record, container and all.
+        record: Vec<u8>,
+    },
+    /// A verified result's cache-entry record pushed for admission into
+    /// the worker's local cache (replicated result tier). The worker
+    /// persists it exactly like a locally computed entry and sends no
+    /// reply.
     Replicate {
         /// Workload id the entry belongs to (names the cache file).
         workload_id: String,
         /// The entry's content fingerprint (the cache key).
         fingerprint: u64,
-        /// The profile itself.
-        profile: Box<WorkloadProfile>,
+        /// The BDBC `CacheEntry` record, carried undecoded.
+        record: Vec<u8>,
     },
     /// Liveness probe; the receiver echoes `seq` back.
     Heartbeat {
@@ -91,64 +126,99 @@ pub enum Message {
     Bye,
 }
 
-/// Encodes a message as a canonical-JSON [`Value`] tree.
-pub fn message_to_value(msg: &Message) -> Value {
+fn hex(fingerprint: u64) -> Value {
+    Value::Str(format!("{fingerprint:016x}"))
+}
+
+/// Splits a message into its wire parts: the header value tree and, for
+/// a successful `Result` (either form) or a `Replicate`, the cache-entry
+/// record that follows it on the wire.
+pub fn message_to_parts(msg: &Message) -> (Value, Option<Cow<'_, [u8]>>) {
     match msg {
         Message::Hello {
             worker,
             protocol,
             cached,
-        } => Value::object(vec![
-            ("type", Value::Str("hello".to_owned())),
-            ("worker", Value::Str(worker.clone())),
-            ("protocol", Value::UInt(u64::from(*protocol))),
-            (
-                "cached",
-                Value::Array(
-                    cached
-                        .iter()
-                        .map(|fp| Value::Str(format!("{fp:016x}")))
-                        .collect(),
+        } => (
+            Value::object(vec![
+                ("type", Value::Str("hello".to_owned())),
+                ("worker", Value::Str(worker.clone())),
+                ("protocol", Value::UInt(u64::from(*protocol))),
+                (
+                    "cached",
+                    Value::Array(cached.iter().copied().map(hex).collect()),
                 ),
-            ),
-        ]),
-        Message::Assign { task_id, task } => Value::object(vec![
-            ("type", Value::Str("assign".to_owned())),
-            ("task_id", Value::UInt(*task_id)),
-            ("task", codec::task_to_value(task)),
-        ]),
+            ]),
+            None,
+        ),
+        Message::Assign { task_id, task } => (
+            Value::object(vec![
+                ("type", Value::Str("assign".to_owned())),
+                ("task_id", Value::UInt(*task_id)),
+                ("task", codec::task_to_value(task)),
+            ]),
+            None,
+        ),
         Message::Result {
             task_id,
             fingerprint,
             outcome,
-        } => {
-            let mut pairs = vec![
-                ("type", Value::Str("result".to_owned())),
-                ("task_id", Value::UInt(*task_id)),
-                ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
-            ];
-            match outcome {
-                Ok(profile) => pairs.push(("profile", codec::profile_to_value(profile))),
-                Err(error) => pairs.push(("error", Value::Str(error.clone()))),
-            }
-            Value::object(pairs)
-        }
+        } => match outcome {
+            Ok(profile) => (
+                result_header(*task_id, *fingerprint, None),
+                Some(Cow::Owned(bdb_engine::profile_entry_record(
+                    *fingerprint,
+                    profile,
+                ))),
+            ),
+            Err(error) => (result_header(*task_id, *fingerprint, Some(error)), None),
+        },
+        Message::ResultEntry {
+            task_id,
+            fingerprint,
+            record,
+        } => (
+            result_header(*task_id, *fingerprint, None),
+            Some(Cow::Borrowed(record.as_slice())),
+        ),
         Message::Replicate {
             workload_id,
             fingerprint,
-            profile,
-        } => Value::object(vec![
-            ("type", Value::Str("replicate".to_owned())),
-            ("workload", Value::Str(workload_id.clone())),
-            ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
-            ("profile", codec::profile_to_value(profile)),
-        ]),
-        Message::Heartbeat { seq } => Value::object(vec![
-            ("type", Value::Str("heartbeat".to_owned())),
-            ("seq", Value::UInt(*seq)),
-        ]),
-        Message::Bye => Value::object(vec![("type", Value::Str("bye".to_owned()))]),
+            record,
+        } => (
+            Value::object(vec![
+                ("type", Value::Str("replicate".to_owned())),
+                ("workload", Value::Str(workload_id.clone())),
+                ("fingerprint", hex(*fingerprint)),
+            ]),
+            Some(Cow::Borrowed(record.as_slice())),
+        ),
+        Message::Heartbeat { seq } => (
+            Value::object(vec![
+                ("type", Value::Str("heartbeat".to_owned())),
+                ("seq", Value::UInt(*seq)),
+            ]),
+            None,
+        ),
+        Message::Bye => (
+            Value::object(vec![("type", Value::Str("bye".to_owned()))]),
+            None,
+        ),
     }
+}
+
+/// A `Result` header: `{type, task_id, fingerprint}`, plus `error` for
+/// a failure (a success's answer is the entry record after it).
+fn result_header(task_id: u64, fingerprint: u64, error: Option<&String>) -> Value {
+    let mut pairs = vec![
+        ("type", Value::Str("result".to_owned())),
+        ("task_id", Value::UInt(task_id)),
+        ("fingerprint", hex(fingerprint)),
+    ];
+    if let Some(error) = error {
+        pairs.push(("error", Value::Str(error.clone())));
+    }
+    Value::object(pairs)
 }
 
 fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DecodeError> {
@@ -173,10 +243,23 @@ fn get_fingerprint(v: &Value, key: &str) -> Result<u64, DecodeError> {
         .map_err(|_| DecodeError(format!("{key}: expected 16 hex digits")))
 }
 
-/// Decodes a message from a [`Value`] tree (strict).
-pub fn message_from_value(v: &Value) -> Result<Message, DecodeError> {
-    match get_str(v, "type")? {
-        "hello" => {
+/// Rebuilds a message from its wire parts (strict): the decoded header
+/// and the bytes after it, if any. See the module docs for which
+/// failures are decode errors and which are failed results.
+pub fn message_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, DecodeError> {
+    let kind = get_str(v, "type")?;
+    match (kind, entry) {
+        ("result", entry) => result_from_parts(v, entry),
+        ("replicate", Some(record)) => Ok(Message::Replicate {
+            workload_id: get_str(v, "workload")?.to_owned(),
+            fingerprint: get_fingerprint(v, "fingerprint")?,
+            record: record.to_vec(),
+        }),
+        ("replicate", None) => Err(DecodeError("replicate: entry record missing".to_owned())),
+        (_, Some(_)) => Err(DecodeError(format!(
+            "{kind}: unexpected bytes after the header"
+        ))),
+        ("hello", None) => {
             // `cached` arrived with protocol v2; tolerate its absence so
             // the version check in Hello, not a decode error, is what
             // refuses a skewed worker.
@@ -201,41 +284,45 @@ pub fn message_from_value(v: &Value) -> Result<Message, DecodeError> {
                 cached,
             })
         }
-        "assign" => Ok(Message::Assign {
+        ("assign", None) => Ok(Message::Assign {
             task_id: get_u64(v, "task_id")?,
             task: Box::new(codec::task_from_value(get(v, "task")?)?),
         }),
-        "result" => {
-            let fingerprint = get_fingerprint(v, "fingerprint")?;
-            let outcome = match (v.get("profile"), v.get("error")) {
-                (Some(profile), None) => Ok(Box::new(codec::profile_from_value(profile)?)),
-                (None, Some(error)) => Err(error
-                    .as_str()
-                    .ok_or_else(|| DecodeError("error: expected string".to_owned()))?
-                    .to_owned()),
-                _ => {
-                    return Err(DecodeError(
-                        "result: exactly one of profile/error required".to_owned(),
-                    ))
-                }
-            };
-            Ok(Message::Result {
-                task_id: get_u64(v, "task_id")?,
-                fingerprint,
-                outcome,
-            })
-        }
-        "replicate" => Ok(Message::Replicate {
-            workload_id: get_str(v, "workload")?.to_owned(),
-            fingerprint: get_fingerprint(v, "fingerprint")?,
-            profile: Box::new(codec::profile_from_value(get(v, "profile")?)?),
-        }),
-        "heartbeat" => Ok(Message::Heartbeat {
+        ("heartbeat", None) => Ok(Message::Heartbeat {
             seq: get_u64(v, "seq")?,
         }),
-        "bye" => Ok(Message::Bye),
-        other => Err(DecodeError(format!("unknown message type {other:?}"))),
+        ("bye", None) => Ok(Message::Bye),
+        (other, None) => Err(DecodeError(format!("unknown message type {other:?}"))),
     }
+}
+
+/// A `Result` from its header and entry record: exactly one of the
+/// header's `error` and the record is present. The record is decoded
+/// once, against the header's fingerprint.
+fn result_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, DecodeError> {
+    let task_id = get_u64(v, "task_id")?;
+    let fingerprint = get_fingerprint(v, "fingerprint")?;
+    let outcome = match (entry, v.get("error")) {
+        (Some(record), None) => match bdb_engine::decode_profile_entry(record, fingerprint) {
+            Ok(profile) => Ok(Box::new(profile)),
+            Err(EntryError::Damaged(e)) => return Err(DecodeError(format!("entry record: {e}"))),
+            Err(EntryError::Invalid(e)) => Err(format!("entry record refused: {e}")),
+        },
+        (None, Some(error)) => Err(error
+            .as_str()
+            .ok_or_else(|| DecodeError("error: expected string".to_owned()))?
+            .to_owned()),
+        _ => {
+            return Err(DecodeError(
+                "result: exactly one of error/entry record required".to_owned(),
+            ))
+        }
+    };
+    Ok(Message::Result {
+        task_id,
+        fingerprint,
+        outcome,
+    })
 }
 
 #[cfg(test)]
@@ -244,10 +331,13 @@ mod tests {
     use bdb_engine::json;
 
     fn roundtrip(msg: &Message) -> Message {
-        let bytes = message_to_value(msg).encode();
-        let back = message_from_value(&json::parse(&bytes).unwrap()).unwrap();
+        let (header, entry) = message_to_parts(msg);
+        let bytes = header.encode();
+        let back = message_from_parts(&json::parse(&bytes).unwrap(), entry.as_deref()).unwrap();
         // Byte stability: re-encoding the decoded message is the identity.
-        assert_eq!(message_to_value(&back).encode(), bytes);
+        let (again, again_entry) = message_to_parts(&back);
+        assert_eq!(again.encode(), bytes);
+        assert_eq!(again_entry, entry);
         back
     }
 
@@ -265,12 +355,17 @@ mod tests {
             fingerprint: 0xdead_beef,
             outcome: Err("boom".to_owned()),
         });
+        roundtrip(&Message::Replicate {
+            workload_id: "H-Sort".to_owned(),
+            fingerprint: 0xdead_beef,
+            record: b"carried undecoded".to_vec(),
+        });
     }
 
     #[test]
     fn hello_without_cached_decodes_as_empty() {
         let v = json::parse("{\"type\":\"hello\",\"worker\":\"w0\",\"protocol\":1}").unwrap();
-        match message_from_value(&v).unwrap() {
+        match message_from_parts(&v, None).unwrap() {
             Message::Hello {
                 protocol, cached, ..
             } => {
@@ -284,15 +379,33 @@ mod tests {
     #[test]
     fn unknown_type_rejected() {
         let v = json::parse("{\"type\":\"warp\"}").unwrap();
-        assert!(message_from_value(&v).is_err());
+        assert!(message_from_parts(&v, None).is_err());
     }
 
     #[test]
-    fn result_requires_exactly_one_payload() {
-        let v =
+    fn result_requires_exactly_one_of_error_and_entry() {
+        let bare =
             json::parse("{\"type\":\"result\",\"task_id\":1,\"fingerprint\":\"00000000000000ff\"}")
                 .unwrap();
-        assert!(message_from_value(&v).is_err());
+        assert!(message_from_parts(&bare, None).is_err());
+        let (failed, _) = message_to_parts(&Message::Result {
+            task_id: 1,
+            fingerprint: 0xff,
+            outcome: Err("boom".to_owned()),
+        });
+        assert!(message_from_parts(&failed, Some(b"entry")).is_err());
+    }
+
+    #[test]
+    fn entry_bytes_after_a_control_header_are_rejected() {
+        let (bye, _) = message_to_parts(&Message::Bye);
+        assert!(message_from_parts(&bye, Some(b"x")).is_err());
+        let (replicate, _) = message_to_parts(&Message::Replicate {
+            workload_id: "w".to_owned(),
+            fingerprint: 1,
+            record: Vec::new(),
+        });
+        assert!(message_from_parts(&replicate, None).is_err());
     }
 
     #[test]
@@ -300,6 +413,6 @@ mod tests {
         let v =
             json::parse("{\"type\":\"hello\",\"worker\":\"w\",\"protocol\":2,\"cached\":[\"zz\"]}")
                 .unwrap();
-        assert!(message_from_value(&v).is_err());
+        assert!(message_from_parts(&v, None).is_err());
     }
 }

@@ -2,14 +2,25 @@
 //!
 //! A frame is a 4-byte big-endian payload length followed by the
 //! message payload: a checksummed BDBC `WireMessage` record
-//! ([`bdb_codec`]) holding the message's canonical value tree. A
-//! payload that is not such a record (a JSON message included) is a
+//! ([`bdb_codec`]) holding the message's header value tree, then — for
+//! a successful `Result` or a `Replicate` only — the result's BDBC
+//! `CacheEntry` record, verbatim:
+//!
+//! ```text
+//! [u32 BE len] [WireMessage record: {type, task_id, fingerprint}] [CacheEntry record]
+//! ```
+//!
+//! The two records carry a CRC-64 each, so a worker ships its cache
+//! file's bytes without re-encoding or re-checksumming them, and the
+//! coordinator's one decode of the entry is the only one on the path. A
+//! payload that is not such a sequence (a JSON message included), or a
+//! `Result` entry whose container or CRC fails, is a
 //! [`WireError::Decode`]. The length cap ([`MAX_FRAME_BYTES`]) bounds
 //! allocation on garbage input; a stream that ends mid-frame is a
 //! [`WireError::Truncated`], distinct from the clean end-of-stream
 //! (`Ok(None)`) at a frame boundary.
 
-use crate::proto::{message_from_value, message_to_value, Message};
+use crate::proto::{message_from_parts, message_to_parts, Message};
 use std::io::{ErrorKind, Read, Write};
 
 /// Upper bound on one frame's payload (a full 77-task assign batch plus
@@ -44,12 +55,21 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Encodes one message as a length-prefixed BDBC frame.
+/// Encodes one message as a length-prefixed BDBC frame: the header
+/// record, then the entry record if the message carries one.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    encode_payload_frame(&bdb_codec::encode_record(
+    let (header, entry) = message_to_parts(msg);
+    let header = bdb_codec::encode_record(
         bdb_codec::RecordKind::WireMessage,
-        &bdb_codec::bval::encode_value(&message_to_value(msg)),
-    ))
+        &bdb_codec::bval::encode_value(&header),
+    );
+    let entry = entry.as_deref().unwrap_or_default();
+    let len = header.len() + entry.len();
+    let mut frame = Vec::with_capacity(len + 4);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(&header);
+    frame.extend_from_slice(entry);
+    frame
 }
 
 /// Wraps an already-encoded payload in the outer `[u32 BE len]` frame.
@@ -115,14 +135,21 @@ pub fn decode_frames(buf: &[u8]) -> Result<Vec<Message>, (usize, WireError)> {
     }
 }
 
-/// Decodes one frame payload (a BDBC `WireMessage` record) into a
-/// [`Message`].
+/// Decodes one frame payload (a BDBC `WireMessage` header record and
+/// the entry record after it, if any) into a [`Message`]. A successful
+/// `Result` decodes its entry here, once.
 pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
-    let inner = bdb_codec::decode_record_of(bdb_codec::RecordKind::WireMessage, payload)
-        .map_err(|e| WireError::Decode(e.to_string()))?;
-    let value =
-        bdb_codec::bval::decode_value(inner).map_err(|e| WireError::Decode(e.to_string()))?;
-    message_from_value(&value).map_err(|e| WireError::Decode(e.0))
+    let decode = |e: bdb_codec::CodecError| WireError::Decode(e.to_string());
+    let (kind, header, entry) = bdb_codec::decode_record_prefix(payload).map_err(decode)?;
+    if kind != bdb_codec::RecordKind::WireMessage {
+        return Err(decode(bdb_codec::CodecError::WrongKind {
+            expected: bdb_codec::RecordKind::WireMessage,
+            actual: kind,
+        }));
+    }
+    let header = bdb_codec::bval::decode_value(header).map_err(decode)?;
+    message_from_parts(&header, (!entry.is_empty()).then_some(entry))
+        .map_err(|e| WireError::Decode(e.0))
 }
 
 enum ReadOutcome {
@@ -191,7 +218,7 @@ mod tests {
     fn frames_are_bdbc_records_and_json_payloads_are_rejected() {
         let frame = encode_frame(&hello());
         assert!(bdb_codec::is_binary(&frame[4..]));
-        let json = message_to_value(&hello()).encode().into_bytes();
+        let json = message_to_parts(&hello()).0.encode().into_bytes();
         assert!(matches!(
             decode_frames(&encode_payload_frame(&json)),
             Err((0, WireError::Decode(_)))

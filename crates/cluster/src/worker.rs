@@ -3,21 +3,35 @@
 //! A worker is single-threaded and blocking: it introduces itself with
 //! `Hello`, then serves `Assign` / `Heartbeat` until `Bye` or the
 //! coordinator disconnects. Each task runs through the local engine's
-//! cache-aware [`Engine::run_task`], so repeated fleet runs hit the
-//! worker's own `results/cache/` exactly as local runs do. While a task
-//! is computing the worker cannot echo heartbeats — the coordinator
-//! covers that window with per-task deadlines instead.
+//! cache-aware [`Engine::run_task_entry`], so repeated fleet runs hit
+//! the worker's own `results/cache/` exactly as local runs do. While a
+//! task is computing the worker cannot echo heartbeats — the
+//! coordinator covers that window with per-task deadlines instead.
+//!
+//! A successful answer is the task's BDBC `CacheEntry` record as it
+//! sits on disk, sent as [`Message::ResultEntry`] behind a small header
+//! record (protocol v3, see [`crate::wire`]). The worker checks only
+//! the record's container, CRC-64 and fingerprint; it decodes no
+//! profile and encodes none, and the coordinator decodes the record
+//! once. An intact record whose profile does not decode is refused by
+//! the coordinator, which retries the task: a task the worker has
+//! already answered this session therefore takes the full
+//! [`Engine::run_task`] path, which decodes the entry, quarantines it
+//! if it does not decode and recomputes it.
 //!
 //! `Hello` advertises the content fingerprints already in the engine's
 //! disk cache, so an elastic coordinator can route matching tasks here
-//! (warm restarts recompute nothing). `Replicate` pushes are admitted
-//! into the local cache exactly like computed results — same CRC-64
-//! envelope, same tmp+rename write, same quarantine on a corrupt read.
+//! (warm restarts recompute nothing). `Replicate` pushes carry the
+//! computing worker's entry record; [`Engine::admit_entry`] writes it
+//! byte for byte after the same container, CRC-64 and fingerprint check
+//! (same tmp+rename write, same quarantine on a corrupt read), and
+//! refuses and counts one that fails.
 
 use crate::fault::FaultPlan;
 use crate::proto::{Message, PROTOCOL_VERSION};
 use crate::transport::{Transport, TransportError};
 use bdb_engine::Engine;
+use std::collections::BTreeSet;
 
 /// Per-session worker settings.
 #[derive(Debug, Clone, Default)]
@@ -85,6 +99,10 @@ pub fn run_worker(
     })?;
     let mut accepted: u64 = 0;
     let mut served: u64 = 0;
+    // Task ids answered this session. Within a session a task id names
+    // one fingerprint, so this is the set of fingerprints answered,
+    // without fingerprinting each task twice.
+    let mut answered = BTreeSet::new();
     loop {
         let msg = match transport.recv() {
             Ok(msg) => msg,
@@ -113,32 +131,46 @@ pub fn run_worker(
                     }
                 }
                 accepted += 1;
-                let outcome = match engine.run_task(&task) {
-                    Ok(result) => {
-                        served += 1;
-                        transport.send(&Message::Result {
+                // A first answer ships the entry's bytes; a repeat means
+                // the coordinator refused or lost the first, so verify
+                // in full this time.
+                let reply = if answered.insert(task_id) {
+                    engine
+                        .run_task_entry(&task)
+                        .map(|(fingerprint, record)| Message::ResultEntry {
                             task_id,
-                            fingerprint: result.fingerprint,
-                            outcome: Ok(Box::new(result.profile)),
+                            fingerprint,
+                            record,
                         })
+                } else {
+                    engine.run_task(&task).map(|result| Message::Result {
+                        task_id,
+                        fingerprint: result.fingerprint,
+                        outcome: Ok(Box::new(result.profile)),
+                    })
+                };
+                match reply {
+                    Ok(reply) => {
+                        served += 1;
+                        transport.send(&reply)?;
                     }
                     Err(e) => transport.send(&Message::Result {
                         task_id,
                         fingerprint: task.fingerprint(),
                         outcome: Err(e.to_string()),
-                    }),
-                };
-                outcome?;
+                    })?,
+                }
             }
             Message::Replicate {
                 workload_id,
                 fingerprint,
-                profile,
+                record,
             } => {
                 // Replica push: admit into the local cache exactly like
-                // a computed result. No reply — the coordinator treats
-                // a failed send, not a missing ack, as target death.
-                engine.admit(&workload_id, fingerprint, &profile);
+                // a computed result, or refuse (and count) a record that
+                // fails its check. No reply — the coordinator treats a
+                // failed send, not a missing ack, as target death.
+                let _ = engine.admit_entry(&workload_id, fingerprint, &record);
             }
             Message::Heartbeat { seq } => transport.send(&Message::Heartbeat { seq })?,
             Message::Bye => return Ok(served),

@@ -7,16 +7,17 @@
 //! mid-run, must still converge to exactly the serial profile bytes.
 
 use bdb_cluster::{
-    fleet_tasks, loopback_pair, run_worker, ClusterConfig, Coordinator, FaultPlan, FaultyTransport,
-    Transport, WorkerConfig,
+    fleet_tasks, loopback_pair, run_worker, ClusterConfig, ClusterError, Coordinator, FaultPlan,
+    FaultyTransport, Message, Transport, TransportError, WorkerConfig, PROTOCOL_VERSION,
 };
 use bdb_engine::codec::profile_to_value;
+use bdb_engine::json::Value;
 use bdb_engine::{CacheCounters, Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Fast tick so deadline/backoff recovery converges quickly in tests.
@@ -242,4 +243,148 @@ fn all_workers_crashing_is_a_clean_error() {
     ];
     let outcome = Coordinator::new(test_config()).run(workers, &tasks);
     assert!(outcome.is_err(), "no workers left must surface an error");
+}
+
+/// A coordinator-side transport that logs every message it receives.
+struct Recording {
+    inner: Arc<dyn Transport>,
+    log: Arc<Mutex<Vec<Message>>>,
+}
+
+impl Recording {
+    fn record(&self, msg: &Message) {
+        self.log.lock().unwrap().push(msg.clone());
+    }
+}
+
+impl Transport for Recording {
+    fn send(&self, msg: &Message) -> Result<(), TransportError> {
+        self.inner.send(msg)
+    }
+
+    fn recv(&self) -> Result<Message, TransportError> {
+        let msg = self.inner.recv()?;
+        self.record(&msg);
+        Ok(msg)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
+        let msg = self.inner.recv_timeout(timeout)?;
+        if let Some(msg) = &msg {
+            self.record(msg);
+        }
+        Ok(msg)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+}
+
+/// An entry that passes its CRC and carries the right fingerprint but
+/// whose value is not a profile. The worker ships it unread on the first
+/// assignment, so the coordinator's decode is what refuses it; the retry
+/// takes the worker's full decode path, which quarantines the entry and
+/// recomputes it. The merge stays byte-identical to serial, and the
+/// coordinator debug-asserts task-set conservation after every event.
+#[test]
+fn intact_but_undecodable_entry_fails_at_the_coordinator_then_recomputes() {
+    let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(3).collect();
+    let scale = Scale::tiny();
+    let machine = MachineConfig::xeon_e5645();
+    let node = NodeConfig::default();
+    let serial = serial_baseline(&workloads, scale);
+    let tasks = fleet_tasks(&workloads, scale, &machine, &node);
+    let dir = std::env::temp_dir().join(format!("bdb-cluster-planted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let primer = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+    primer.profile_all(&workloads, scale, &machine, &node);
+    let victim = 1;
+    let planted = bdb_codec::encode_record(
+        bdb_codec::RecordKind::CacheEntry,
+        &bdb_codec::encode_cache_payload(tasks[victim].fingerprint(), &Value::object(Vec::new())),
+    );
+    let path = primer
+        .cache_file(&workloads[victim], scale, &machine, &node)
+        .expect("cached engine");
+    std::fs::write(&path, &planted).unwrap();
+
+    let (worker, session) = spawn_cached_worker("planted", &dir);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let recording: Arc<dyn Transport> = Arc::new(Recording {
+        inner: worker,
+        log: Arc::clone(&log),
+    });
+    let merged = Coordinator::new(test_config())
+        .run(vec![recording], &tasks)
+        .expect("the run recovers");
+    let counters = session.join().unwrap();
+    assert_eq!(canonical_bytes(&merged), serial);
+    assert_eq!(counters.corrupt_quarantined, 1);
+    assert_eq!(counters.computed, 1);
+    let answers: Vec<bool> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|msg| match msg {
+            Message::Result {
+                task_id, outcome, ..
+            } if *task_id == victim as u64 => Some(outcome.is_ok()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        answers,
+        [false, true],
+        "first attempt refused, retry verified"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker on an older protocol is refused at `Hello`: it gets no work,
+/// and the run completes on the current-protocol workers.
+#[test]
+fn previous_protocol_hello_is_refused() {
+    let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(2).collect();
+    let scale = Scale::tiny();
+    let tasks = fleet_tasks(
+        &workloads,
+        scale,
+        &MachineConfig::xeon_e5645(),
+        &NodeConfig::default(),
+    );
+    assert_eq!(PROTOCOL_VERSION, 3);
+    let (coord_end, old_worker) = loopback_pair("v2");
+    old_worker
+        .send(&Message::Hello {
+            worker: "v2".to_owned(),
+            protocol: 2,
+            cached: Vec::new(),
+        })
+        .unwrap();
+    let alone = Coordinator::new(test_config()).run(vec![Arc::new(coord_end)], &tasks);
+    assert!(matches!(alone, Err(ClusterError::AllWorkersDead { .. })));
+    while let Ok(Some(msg)) = old_worker.recv_timeout(Duration::ZERO) {
+        assert!(!matches!(msg, Message::Assign { .. }), "v2 worker got work");
+    }
+
+    let (coord_end, old_worker) = loopback_pair("v2-mixed");
+    old_worker
+        .send(&Message::Hello {
+            worker: "v2".to_owned(),
+            protocol: 2,
+            cached: Vec::new(),
+        })
+        .unwrap();
+    let workers: Vec<Arc<dyn Transport>> = vec![
+        Arc::new(coord_end),
+        spawn_worker("v3", FaultPlan::default()),
+    ];
+    let merged = Coordinator::new(test_config())
+        .run(workers, &tasks)
+        .expect("the current worker finishes the run");
+    assert_eq!(canonical_bytes(&merged), serial_baseline(&workloads, scale));
+    while let Ok(Some(msg)) = old_worker.recv_timeout(Duration::ZERO) {
+        assert!(!matches!(msg, Message::Assign { .. }), "v2 worker got work");
+    }
 }

@@ -292,10 +292,15 @@ fn replicated_caches_restart_warm_after_killing_any_worker() {
     {
         let mut handles = Vec::new();
         let mut workers: Vec<Arc<dyn Transport>> = Vec::new();
+        let mut engines = Vec::new();
         for (i, dir) in cache_dirs.iter().enumerate() {
             let engine = Arc::new(Engine::new(EngineConfig::default().cache_dir(dir)));
-            let (transport, handle) =
-                spawn_worker_with_engine(&format!("r1-w{i}"), engine, FaultPlan::default());
+            let (transport, handle) = spawn_worker_with_engine(
+                &format!("r1-w{i}"),
+                Arc::clone(&engine),
+                FaultPlan::default(),
+            );
+            engines.push(engine);
             workers.push(transport);
             handles.push(handle);
         }
@@ -307,6 +312,32 @@ fn replicated_caches_restart_warm_after_killing_any_worker() {
         // disk before the warm restarts read the cache dirs.
         for handle in handles {
             handle.join().expect("worker thread exits cleanly");
+        }
+        let admitted: u64 = engines.iter().map(|e| e.counters().replicas_admitted).sum();
+        let refused: u64 = engines.iter().map(|e| e.counters().replicas_refused).sum();
+        assert_eq!((admitted, refused), (tasks.len() as u64, 0));
+        // Each entry sits on exactly two machines — the computing
+        // worker's file and a replica admitted from bytes — and the two
+        // files are byte-identical.
+        let mut copies: std::collections::BTreeMap<std::ffi::OsString, Vec<Vec<u8>>> =
+            std::collections::BTreeMap::new();
+        for dir in &cache_dirs {
+            for entry in std::fs::read_dir(dir).expect("cache dir exists") {
+                let path = entry.expect("dir entry").path();
+                if path.is_file() {
+                    let name = path.file_name().expect("file name").to_owned();
+                    let bytes = std::fs::read(&path).expect("entry reads");
+                    copies.entry(name).or_default().push(bytes);
+                }
+            }
+        }
+        assert_eq!(copies.len(), tasks.len());
+        for (name, bytes) in &copies {
+            assert_eq!(bytes.len(), 2, "{name:?} must sit on two machines");
+            assert!(
+                bytes[0] == bytes[1],
+                "{name:?}: replica differs from its source"
+            );
         }
     }
 
@@ -350,25 +381,18 @@ fn replicated_caches_restart_warm_after_killing_any_worker() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// `Replicate` frames carry a full profile and must round-trip
-/// byte-stably through the wire codec like every other message.
+/// `Replicate` frames carry a cache-entry record and must round-trip
+/// byte-stably through the wire codec like every other message, with
+/// the record carried verbatim.
 #[test]
 fn replicate_frames_roundtrip_byte_stably() {
     use bdb_cluster::wire::{decode_frames, encode_frame};
 
-    let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(1).collect();
-    let profile = Engine::serial()
-        .profile_all(
-            &workloads,
-            Scale::tiny(),
-            &machine(),
-            &NodeConfig::default(),
-        )
-        .remove(0);
+    let (task, record) = tiny_entry();
     let msg = Message::Replicate {
-        workload_id: workloads[0].spec.id.clone(),
-        fingerprint: 0x00ab_cdef_0123_4567,
-        profile: Box::new(profile),
+        workload_id: task.workload_id.clone(),
+        fingerprint: task.fingerprint(),
+        record: record.clone(),
     };
     let frame = encode_frame(&msg);
     let decoded = decode_frames(&frame).expect("replicate frame decodes");
@@ -378,4 +402,83 @@ fn replicate_frames_roundtrip_byte_stably() {
         frame,
         "re-encoding is the identity on replicate frames"
     );
+    match &decoded[0] {
+        Message::Replicate {
+            record: carried, ..
+        } => assert!(*carried == record, "the record crosses the wire verbatim"),
+        other => panic!("decoded {other:?}"),
+    }
+}
+
+/// One tiny-scale task and its cache-entry record, as the engine
+/// builds it.
+fn tiny_entry() -> (bdb_engine::Task, Vec<u8>) {
+    let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(1).collect();
+    let task = fleet_tasks(
+        &workloads,
+        Scale::tiny(),
+        &machine(),
+        &NodeConfig::default(),
+    )
+    .remove(0);
+    let (fingerprint, record) = Engine::serial()
+        .run_task_entry(&task)
+        .expect("catalog task runs");
+    assert_eq!(fingerprint, task.fingerprint());
+    (task, record)
+}
+
+/// A worker writes a pushed replica only if its record is intact and
+/// keyed under the fingerprint it is pushed as: a record that fails its
+/// CRC, or that names another fingerprint, is refused and counted, and
+/// nothing is written for it.
+#[test]
+fn replicate_refuses_damaged_or_misaddressed_records() {
+    let dir = std::env::temp_dir().join(format!("bdb-elastic-refuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (task, record) = tiny_entry();
+    let fingerprint = task.fingerprint();
+    let engine = Arc::new(Engine::new(EngineConfig::default().cache_dir(&dir)));
+    let (coord, handle) =
+        spawn_worker_with_engine("refuse", Arc::clone(&engine), FaultPlan::default());
+    assert!(matches!(coord.recv(), Ok(Message::Hello { .. })));
+    let mut damaged = record.clone();
+    let mid = damaged.len() / 2;
+    damaged[mid] ^= 0x04;
+    let replicate = |fingerprint: u64, record: &[u8]| Message::Replicate {
+        workload_id: task.workload_id.clone(),
+        fingerprint,
+        record: record.to_vec(),
+    };
+    coord.send(&replicate(fingerprint, &damaged)).unwrap();
+    coord.send(&replicate(fingerprint ^ 1, &record)).unwrap();
+    coord.send(&Message::Bye).unwrap();
+    handle.join().expect("worker thread exits cleanly");
+    let counters = engine.counters();
+    assert_eq!(
+        (counters.replicas_refused, counters.replicas_admitted),
+        (2, 0)
+    );
+    let written = std::fs::read_dir(&dir).map_or(0, |entries| entries.count());
+    assert_eq!(written, 0, "a refused replica writes nothing");
+
+    // The intact record under its own fingerprint is admitted verbatim.
+    let engine = Arc::new(Engine::new(EngineConfig::default().cache_dir(&dir)));
+    let (coord, handle) =
+        spawn_worker_with_engine("admit", Arc::clone(&engine), FaultPlan::default());
+    assert!(matches!(coord.recv(), Ok(Message::Hello { .. })));
+    coord.send(&replicate(fingerprint, &record)).unwrap();
+    coord.send(&Message::Bye).unwrap();
+    handle.join().expect("worker thread exits cleanly");
+    assert_eq!(engine.counters().replicas_admitted, 1);
+    let files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+        .expect("cache dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(files.len(), 1);
+    assert!(
+        std::fs::read(&files[0]).unwrap() == record,
+        "admitted byte for byte"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

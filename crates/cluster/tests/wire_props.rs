@@ -1,15 +1,58 @@
 //! Property tests for the cluster wire codec: arbitrary messages must
 //! round-trip byte-stably, every mid-frame truncation must be detected,
 //! and duplicated frames must decode to byte-identical copies (the
-//! coordinator's dedup-by-content-key relies on that).
+//! coordinator's dedup-by-content-key relies on that). Successful
+//! results and replicas carry real tiny-scale cache-entry records.
 
 use bdb_cluster::wire::{decode_frames, encode_frame, WireError};
 use bdb_cluster::{Message, PROTOCOL_VERSION};
-use bdb_engine::Task;
+use bdb_engine::{Engine, Task};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
-use bdb_workloads::Scale;
+use bdb_wcrt::WorkloadProfile;
+use bdb_workloads::{catalog, Scale};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// A real tiny-scale result: its task, profile and cache-entry record.
+struct Entry {
+    task: Task,
+    profile: WorkloadProfile,
+    record: Vec<u8>,
+}
+
+/// Three catalog workloads' entries, profiled once per test binary.
+fn entries() -> &'static [Entry] {
+    static ENTRIES: OnceLock<Vec<Entry>> = OnceLock::new();
+    ENTRIES.get_or_init(|| {
+        let engine = Engine::serial();
+        catalog::full_catalog()
+            .iter()
+            .take(3)
+            .map(|def| {
+                let task = Task::new(
+                    def,
+                    Scale::tiny(),
+                    &MachineConfig::xeon_e5645(),
+                    &NodeConfig::default(),
+                );
+                let (fingerprint, record) =
+                    engine.run_task_entry(&task).expect("catalog task runs");
+                let profile = bdb_engine::decode_profile_entry(&record, fingerprint)
+                    .expect("the engine's record decodes");
+                Entry {
+                    task,
+                    profile,
+                    record,
+                }
+            })
+            .collect()
+    })
+}
+
+fn entry() -> impl Strategy<Value = &'static Entry> {
+    (0..entries().len()).prop_map(|i| &entries()[i])
+}
 
 fn ident() -> impl Strategy<Value = String> {
     proptest::collection::vec(97u8..123, 1..16)
@@ -62,9 +105,71 @@ fn message() -> impl Strategy<Value = Message> {
                 outcome: Err(error),
             }
         }),
+        (any::<u64>(), entry()).prop_map(|(task_id, entry)| Message::Result {
+            task_id,
+            fingerprint: entry.task.fingerprint(),
+            outcome: Ok(Box::new(entry.profile.clone())),
+        }),
+        (any::<u64>(), entry()).prop_map(|(task_id, entry)| Message::ResultEntry {
+            task_id,
+            fingerprint: entry.task.fingerprint(),
+            record: entry.record.clone(),
+        }),
+        entry().prop_map(|entry| Message::Replicate {
+            workload_id: entry.task.workload_id.clone(),
+            fingerprint: entry.task.fingerprint(),
+            record: entry.record.clone(),
+        }),
         any::<u64>().prop_map(|seq| Message::Heartbeat { seq }),
         Just(Message::Bye),
     ]
+}
+
+/// A worker's warm answer is the same frame as the decoded `Result`
+/// re-encoded: the entry record crosses verbatim, and the engine's one
+/// encoder rebuilds it from the profile byte for byte.
+#[test]
+fn warm_result_frames_equal_decoded_result_frames() {
+    for entry in entries() {
+        let fingerprint = entry.task.fingerprint();
+        let warm = encode_frame(&Message::ResultEntry {
+            task_id: 5,
+            fingerprint,
+            record: entry.record.clone(),
+        });
+        let decoded = encode_frame(&Message::Result {
+            task_id: 5,
+            fingerprint,
+            outcome: Ok(Box::new(entry.profile.clone())),
+        });
+        assert_eq!(warm, decoded, "{}", entry.task.workload_id);
+        assert!(
+            warm.ends_with(&entry.record),
+            "the record is the frame's tail"
+        );
+    }
+}
+
+/// Mirrors the unit test on a control frame, over a successful Result
+/// frame: a single flipped bit anywhere in the payload — header record
+/// or entry record — is a decode error, never a wrong profile.
+#[test]
+fn bit_flips_in_a_result_frame_are_decode_errors() {
+    let entry = &entries()[0];
+    let frame = encode_frame(&Message::ResultEntry {
+        task_id: 1,
+        fingerprint: entry.task.fingerprint(),
+        record: entry.record.clone(),
+    });
+    for bit in 32..frame.len() * 8 {
+        let mut bad = frame.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let decoded = decode_frames(&bad);
+        assert!(
+            matches!(decoded, Err((0, WireError::Decode(_)))),
+            "bit {bit} undetected: {decoded:?}"
+        );
+    }
 }
 
 proptest! {
@@ -75,7 +180,9 @@ proptest! {
         let frame = encode_frame(&msg);
         let decoded = decode_frames(&frame).unwrap();
         prop_assert_eq!(decoded.len(), 1);
-        // Canonical JSON makes re-encoding the identity on bytes.
+        // Canonical JSON makes re-encoding the identity on bytes; the
+        // warm send form comes back as the `Result` it encodes.
+        prop_assert!(!matches!(decoded[0], Message::ResultEntry { .. }));
         prop_assert_eq!(encode_frame(&decoded[0]), frame);
     }
 

@@ -188,6 +188,20 @@ pub fn encode_record(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
 /// Decodes one container that must span `bytes` exactly, returning the
 /// kind and a zero-copy payload slice.
 pub fn decode_record(bytes: &[u8]) -> Result<(RecordKind, &[u8]), CodecError> {
+    let (kind, payload, rest) = decode_record_prefix(bytes)?;
+    if !rest.is_empty() {
+        return Err(CodecError::TrailingBytes {
+            at: bytes.len() - rest.len(),
+        });
+    }
+    Ok((kind, payload))
+}
+
+/// Decodes the container at the front of `bytes` as strictly as
+/// [`decode_record`] does, returning its kind, a zero-copy payload
+/// slice and the bytes after it. A cluster frame is two records back to
+/// back — a message header and a cache entry — and splits here.
+pub fn decode_record_prefix(bytes: &[u8]) -> Result<(RecordKind, &[u8], &[u8]), CodecError> {
     if bytes.len() < MAGIC.len() {
         return Err(CodecError::Truncated { at: bytes.len() });
     }
@@ -222,10 +236,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<(RecordKind, &[u8]), CodecError> {
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-    if end != bytes.len() {
-        return Err(CodecError::TrailingBytes { at: end });
-    }
-    Ok((kind, payload))
+    Ok((kind, payload, &bytes[end..]))
 }
 
 /// Builds the payload of a [`RecordKind::CacheEntry`] record:
@@ -240,14 +251,20 @@ pub fn encode_cache_payload(fingerprint: u64, profile: &json::Value) -> Vec<u8> 
 
 /// Inverse of [`encode_cache_payload`].
 pub fn decode_cache_payload(payload: &[u8]) -> Result<(u64, json::Value), CodecError> {
+    let (fingerprint, value) = split_cache_payload(payload)?;
+    Ok((fingerprint, bval::decode_value(value)?))
+}
+
+/// Splits a [`RecordKind::CacheEntry`] payload into its fingerprint and
+/// its still-encoded bval value, decoding nothing else.
+pub fn split_cache_payload(payload: &[u8]) -> Result<(u64, &[u8]), CodecError> {
     if payload.len() < 8 {
         return Err(CodecError::Truncated { at: payload.len() });
     }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&payload[..8]);
-    let fingerprint = u64::from_le_bytes(raw);
-    let profile = bval::decode_value(&payload[8..])?;
-    Ok((fingerprint, profile))
+    let (raw, value) = payload.split_at(8);
+    let mut fingerprint = [0u8; 8];
+    fingerprint.copy_from_slice(raw);
+    Ok((u64::from_le_bytes(fingerprint), value))
 }
 
 /// [`decode_record`] that also enforces the expected kind.
@@ -361,5 +378,9 @@ mod tests {
             decode_record(&stream),
             Err(CodecError::TrailingBytes { at: first.len() })
         );
+        // The prefix decoder splits them instead.
+        let (kind, payload, rest) = decode_record_prefix(&stream).unwrap();
+        assert_eq!((kind, payload), (RecordKind::WireMessage, &b"one"[..]));
+        assert_eq!(decode_record(rest).unwrap().1, b"two");
     }
 }

@@ -252,9 +252,13 @@ pub struct CacheCounters {
     /// Memoized profiles dropped via [`Engine::invalidate`] (incremental
     /// recomputation marking entries stale).
     pub invalidated: u64,
-    /// Profiles computed elsewhere and admitted via [`Engine::admit`]
-    /// (the cluster's replicated result tier pushing entries here).
+    /// Entry records computed elsewhere and admitted via
+    /// [`Engine::admit_entry`] (the cluster's replicated result tier
+    /// pushing entries here).
     pub replicas_admitted: u64,
+    /// Entry records [`Engine::admit_entry`] refused (damaged, or keyed
+    /// under another fingerprint) and did not write.
+    pub replicas_refused: u64,
 }
 
 /// How the engine dispatches independent simulations.
@@ -290,6 +294,7 @@ pub struct Engine {
     tmp_reclaimed: AtomicU64,
     invalidated: AtomicU64,
     replicas_admitted: AtomicU64,
+    replicas_refused: AtomicU64,
 }
 
 impl Engine {
@@ -330,6 +335,7 @@ impl Engine {
             tmp_reclaimed: AtomicU64::new(tmp_reclaimed),
             invalidated: AtomicU64::new(0),
             replicas_admitted: AtomicU64::new(0),
+            replicas_refused: AtomicU64::new(0),
         }
     }
 
@@ -370,19 +376,33 @@ impl Engine {
             tmp_reclaimed: self.tmp_reclaimed.load(Ordering::Relaxed),
             invalidated: self.invalidated.load(Ordering::Relaxed),
             replicas_admitted: self.replicas_admitted.load(Ordering::Relaxed),
+            replicas_refused: self.replicas_refused.load(Ordering::Relaxed),
         }
     }
 
-    /// Admits a profile computed *elsewhere* (a replica pushed by the
-    /// cluster coordinator) into this engine's caches: persisted exactly
-    /// like a locally computed entry — same CRC-64 envelope, same
-    /// tmp+rename write, same LRU cap — and memoized. Read-side
-    /// verification is unchanged, so a replica that corrupts on disk
-    /// quarantines independently of every other copy.
-    pub fn admit(&self, workload_id: &str, fingerprint: u64, profile: &WorkloadProfile) {
-        self.write_entry(workload_id, fingerprint, profile);
-        self.remember(fingerprint, profile);
+    /// Admits a profile's entry record computed *elsewhere* (a replica
+    /// pushed by the cluster coordinator) into this engine's disk cache,
+    /// byte for byte. The record gets the check a cache read makes —
+    /// container, CRC-64 trailer, embedded fingerprint — and is then
+    /// written through the same tmp+rename path and LRU cap as a locally
+    /// computed entry. A record that fails the check is refused, counted
+    /// in `replicas_refused` and not written. No profile is decoded here:
+    /// a later read decodes the entry, and quarantines it if it does not
+    /// decode, like any other. An engine without a disk cache has
+    /// nowhere to keep a replica, so admitting one there stores nothing.
+    pub fn admit_entry(
+        &self,
+        workload_id: &str,
+        fingerprint: u64,
+        record: &[u8],
+    ) -> Result<(), EntryError> {
+        if let Err(e) = check_entry(record, fingerprint) {
+            self.replicas_refused.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
+        self.write_record(&cache_file_name(workload_id, fingerprint), record);
         self.replicas_admitted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// The content fingerprints of every entry in the disk cache, sorted
@@ -471,17 +491,35 @@ impl Engine {
         machine: &MachineConfig,
         node: &NodeConfig,
     ) -> WorkloadProfile {
-        if let Some(memory) = &self.memory {
-            if let Some(hit) = lock(memory).get(&key) {
-                self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                return hit.clone();
-            }
+        if let Some(hit) = self.memo(key) {
+            return hit;
         }
-        if let Some(profile) = self.read_entry::<WorkloadProfile>(&workload.spec.id, key) {
+        let id = &workload.spec.id;
+        if let Some(profile) = self.read_entry::<WorkloadProfile, _>(id, key, decode_value) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.remember(key, &profile);
             return profile;
         }
+        self.simulate(key, workload, scale, machine, node)
+    }
+
+    /// The memoized profile under `key`, counted as a memory hit.
+    fn memo(&self, key: u64) -> Option<WorkloadProfile> {
+        let hit = lock(self.memory.as_ref()?).get(&key)?.clone();
+        self.memory_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// Simulates a profile no cache holds: counts it, persists its entry
+    /// and memoizes it. `key` is as in [`Engine::profile_keyed`].
+    fn simulate(
+        &self,
+        key: u64,
+        workload: &WorkloadDef,
+        scale: Scale,
+        machine: &MachineConfig,
+        node: &NodeConfig,
+    ) -> WorkloadProfile {
         let profile = profile_workload(workload, scale, machine.clone(), *node);
         self.computed.fetch_add(1, Ordering::Relaxed);
         self.write_entry(&workload.spec.id, key, &profile);
@@ -572,7 +610,7 @@ impl Engine {
     ) -> SweepResult {
         let id = &def.spec.id;
         let key = sweep_fingerprint(id, scale, capacities_kib);
-        if let Some(result) = self.read_entry::<SweepResult>(id, key) {
+        if let Some(result) = self.read_entry::<SweepResult, _>(id, key, decode_value) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             return result;
         }
@@ -597,11 +635,18 @@ impl Engine {
         }
     }
 
-    /// Reads, verifies and decodes the entry of workload `id` under
-    /// `key`: the one read path for profiles and sweeps. A miss is
-    /// `None`; an entry that fails verification is quarantined and is a
-    /// miss too.
-    fn read_entry<T: Entry>(&self, id: &str, key: u64) -> Option<T> {
+    /// The one read path for profiles and sweeps. Reads the entry of
+    /// workload `id` under `key`, checks its container, CRC-64 trailer
+    /// and fingerprint, and hands the record and its still-encoded value
+    /// to `finish`, which decodes the value or keeps the record bytes. A
+    /// miss is `None`; an entry that fails the check or `finish` is
+    /// quarantined and is a miss too.
+    fn read_entry<T: Entry, R>(
+        &self,
+        id: &str,
+        key: u64,
+        finish: impl FnOnce(&[u8], &[u8]) -> Result<R, EntryError>,
+    ) -> Option<R> {
         let dir = self.cache_dir.as_ref()?;
         let path = dir.join(T::file_name(id, key));
         let bytes = match self.store.read(&path) {
@@ -612,7 +657,7 @@ impl Engine {
                 return None;
             }
         };
-        match verify_entry::<T>(&bytes, key) {
+        match check_entry(&bytes, key).and_then(|value| finish(&bytes, value)) {
             Ok(entry) => {
                 // A hit refreshes the entry's recency so LRU eviction
                 // spares hot entries. Best-effort: a failed touch only
@@ -654,24 +699,26 @@ impl Engine {
         }
     }
 
-    /// Persists `entry` for workload `id` under `key`, within the cap:
-    /// the one write path for profiles and sweeps.
+    /// Encodes and persists `entry` for workload `id` under `key`.
     fn write_entry<T: Entry>(&self, id: &str, key: u64, entry: &T) {
+        if self.cache_dir.is_some() {
+            self.write_record(&T::file_name(id, key), &entry_record(key, entry));
+        }
+    }
+
+    /// Persists an entry record as file `name`, within the cap: the one
+    /// write path for profiles, sweeps and admitted replicas.
+    fn write_record(&self, name: &str, bytes: &[u8]) {
         let Some(dir) = &self.cache_dir else {
             return;
         };
-        let name = T::file_name(id, key);
-        let bytes = bdb_codec::encode_record(
-            bdb_codec::RecordKind::CacheEntry,
-            &bdb_codec::encode_cache_payload(key, &entry.to_value()),
-        );
         // Write-to-temp + rename so concurrent engines never observe a
         // half-written entry; all writers produce identical bytes, so the
         // last rename winning is harmless. Both failure arms remove the
         // temp file — a failed write used to leak its partial `.tmp`.
         let tmp = dir.join(format!(".{name}.tmp{}", std::process::id()));
         let path = dir.join(name);
-        match self.store.write(&tmp, &bytes) {
+        match self.store.write(&tmp, bytes) {
             Ok(()) => {
                 if self.store.rename(&tmp, &path).is_err() {
                     self.disk_errors.fetch_add(1, Ordering::Relaxed);
@@ -896,32 +943,90 @@ impl Entry for SweepResult {
     }
 }
 
-/// Verifies and decodes one cache entry against the key it was looked up
-/// under. This is the single decode path for every reader (the engine's
-/// own cache reads and [`read_cache_dir`]), so no two readers can
-/// disagree on what counts as a valid entry. A hit costs one checksum
-/// and one decode: the container check (magic, version, kind, exact
-/// length, CRC-64 trailer over the payload), then the fingerprint, then
-/// the profile. Any failure — bytes that are not a BDBC `CacheEntry`
-/// record (a JSON entry included), a checksum or fingerprint mismatch,
-/// an undecodable profile — is grounds for quarantine: a valid entry can
-/// only fail here if its bytes changed underneath us.
-pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
-    verify_entry(bytes, expected_key)
+/// Why a cache-entry record was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EntryError {
+    /// The bytes are not an intact BDBC `CacheEntry` record: the magic,
+    /// version, kind, length or CRC-64 trailer check failed, so they
+    /// changed in storage or in transit.
+    Damaged(String),
+    /// The record is intact but is not the entry asked for: its
+    /// fingerprint is missing or names another key, or its value does
+    /// not decode.
+    Invalid(String),
 }
 
-/// [`verify_cache_entry`] for either kind of entry: profiles and sweeps
-/// share the container, checksum and fingerprint checks and differ only
-/// in the value decode.
-fn verify_entry<T: Entry>(bytes: &[u8], expected_key: u64) -> Result<T, String> {
-    let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, bytes)
-        .map_err(|e| e.to_string())?;
-    let (fingerprint, value) =
-        bdb_codec::decode_cache_payload(payload).map_err(|e| e.to_string())?;
-    if fingerprint != expected_key {
-        return Err(format!("fingerprint mismatch (want {expected_key:016x})"));
+impl std::fmt::Display for EntryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EntryError::Damaged(e) | EntryError::Invalid(e) => f.write_str(e),
+        }
     }
-    T::from_value(&value).map_err(|e| e.to_string())
+}
+
+impl std::error::Error for EntryError {}
+
+/// Encodes `profile` as the cache-entry record keyed by `fingerprint`:
+/// the bytes the engine writes to disk, a warm cluster worker ships and
+/// a replica is admitted from. Every entry record is built here.
+pub fn profile_entry_record(fingerprint: u64, profile: &WorkloadProfile) -> Vec<u8> {
+    entry_record(fingerprint, profile)
+}
+
+fn entry_record<T: Entry>(key: u64, entry: &T) -> Vec<u8> {
+    bdb_codec::encode_record(
+        bdb_codec::RecordKind::CacheEntry,
+        &bdb_codec::encode_cache_payload(key, &entry.to_value()),
+    )
+}
+
+/// Checks one cache-entry record against the key it was looked up
+/// under, without decoding its value: the container (magic, version,
+/// kind, exact length), the CRC-64 trailer over the payload, then the
+/// embedded fingerprint. Returns the value's bval bytes. Every reader
+/// starts here, so no two can disagree on what an intact entry is.
+fn check_entry(record: &[u8], expected_key: u64) -> Result<&[u8], EntryError> {
+    let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, record)
+        .map_err(|e| EntryError::Damaged(e.to_string()))?;
+    let (fingerprint, value) =
+        bdb_codec::split_cache_payload(payload).map_err(|e| EntryError::Invalid(e.to_string()))?;
+    if fingerprint != expected_key {
+        return Err(EntryError::Invalid(format!(
+            "fingerprint mismatch (want {expected_key:016x}, found {fingerprint:016x})"
+        )));
+    }
+    Ok(value)
+}
+
+/// Decodes a checked entry's bval value (the `finish` step of a
+/// decoding [`Engine::read_entry`]).
+fn decode_value<T: Entry>(_record: &[u8], value: &[u8]) -> Result<T, EntryError> {
+    let value =
+        bdb_codec::bval::decode_value(value).map_err(|e| EntryError::Invalid(e.to_string()))?;
+    T::from_value(&value).map_err(|e| EntryError::Invalid(e.to_string()))
+}
+
+/// The container, CRC-64 and fingerprint check of every cache read,
+/// then the profile decode: one checksum and one decode. A record that fails is [`EntryError::Damaged`] if its bytes
+/// changed and [`EntryError::Invalid`] if they are intact but hold
+/// something else, so the cluster can tell a damaged frame from a bad
+/// answer.
+pub fn decode_profile_entry(
+    record: &[u8],
+    expected_key: u64,
+) -> Result<WorkloadProfile, EntryError> {
+    let value = check_entry(record, expected_key)?;
+    decode_value(record, value)
+}
+
+/// [`decode_profile_entry`] with the error rendered: verifies and
+/// decodes one cache entry against the key it was looked up under. Any
+/// failure — bytes that are not a BDBC `CacheEntry` record (a JSON entry
+/// included), a checksum or fingerprint mismatch, an undecodable profile
+/// — is grounds for quarantine: a valid entry can only fail here if its
+/// bytes changed underneath us.
+pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
+    decode_profile_entry(bytes, expected_key).map_err(|e| e.to_string())
 }
 
 /// Loads every valid profile entry under `dir` (diagnostics /
@@ -1129,7 +1234,8 @@ mod tests {
         let quarantined = dir.join(QUARANTINE_DIR).join(path.file_name().unwrap());
         assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
         let fresh = std::fs::read(&path).unwrap();
-        assert!(verify_entry::<SweepResult>(&fresh, key).is_ok());
+        let value = check_entry(&fresh, key).unwrap();
+        assert!(decode_value::<SweepResult>(&fresh, value).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

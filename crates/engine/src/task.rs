@@ -3,10 +3,10 @@
 //! A [`Task`] names everything a measurement depends on — workload id,
 //! scale, machine config, node config — in a form that can cross a
 //! process or network boundary (see `bdb-cluster`). [`Engine::run_task`]
-//! is the single entry point that turns a task back into a
-//! [`WorkloadProfile`]; it consults the engine's caches exactly like
-//! [`Engine::profile`], so a worker with a warm local cache never
-//! re-simulates.
+//! turns a task back into a [`WorkloadProfile`], and
+//! [`Engine::run_task_entry`] into that profile's cache-entry record;
+//! both consult the engine's caches exactly like [`Engine::profile`], so
+//! a worker with a warm local cache never re-simulates.
 //!
 //! The workload is carried *by id*, not by value: workload definitions
 //! contain closures and cannot be serialized, but every id resolves
@@ -16,11 +16,12 @@
 //! in full — they are plain data and the fingerprint depends on their
 //! exact field values.
 
-use crate::{profile_fingerprint, Engine};
+use crate::{profile_entry_record, profile_fingerprint, Engine};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 /// One unit of profiling work, self-describing across process boundaries.
@@ -136,6 +137,31 @@ impl Engine {
             profile,
         })
     }
+
+    /// Executes one [`Task`] into its cache-entry record rather than its
+    /// profile: the task's fingerprint and the BDBC `CacheEntry` bytes
+    /// [`crate::profile_entry_record`] builds for it. A disk hit returns
+    /// the entry as it sits on disk, after the container, CRC-64 and
+    /// fingerprint check of every cache read but without decoding the
+    /// profile — what a warm cluster worker ships. A miss profiles
+    /// through the memo or a simulation, as [`Engine::run_task`] does,
+    /// and encodes the record the engine persists.
+    pub fn run_task_entry(&self, task: &Task) -> Result<(u64, Vec<u8>), TaskError> {
+        let workload = resolve_workload(&task.workload_id)
+            .ok_or_else(|| TaskError::UnknownWorkload(task.workload_id.clone()))?;
+        let fingerprint = task.fingerprint();
+        let id = &workload.spec.id;
+        let on_disk =
+            self.read_entry::<WorkloadProfile, _>(id, fingerprint, |record, _| Ok(record.to_vec()));
+        if let Some(record) = on_disk {
+            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((fingerprint, record));
+        }
+        let profile = self.memo(fingerprint).unwrap_or_else(|| {
+            self.simulate(fingerprint, workload, task.scale, &task.machine, &task.node)
+        });
+        Ok((fingerprint, profile_entry_record(fingerprint, &profile)))
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +188,99 @@ mod tests {
             crate::codec::profile_to_value(&direct).encode(),
             "task path must be byte-identical to the direct path"
         );
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("bdb-task-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn tiny_task() -> Task {
+        Task::new(
+            &catalog::representatives()[0],
+            Scale::tiny(),
+            &MachineConfig::xeon_e5645(),
+            &NodeConfig::default(),
+        )
+    }
+
+    #[test]
+    fn run_task_entry_ships_the_file_and_builds_the_same_bytes_on_a_miss() {
+        let dir = scratch_dir("entry");
+        let task = tiny_task();
+        let cold = Engine::new(crate::EngineConfig::default().threads(1).cache_dir(&dir));
+        let (fingerprint, built) = cold.run_task_entry(&task).unwrap();
+        assert_eq!(fingerprint, task.fingerprint());
+        assert_eq!(cold.counters().computed, 1);
+        let path = dir.join(crate::cache_file_name(&task.workload_id, fingerprint));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            built,
+            "the miss writes what it returns"
+        );
+        let profile = cold.run_task(&task).unwrap().profile;
+        assert_eq!(built, profile_entry_record(fingerprint, &profile));
+
+        // A warm engine returns the file as it sits, undecoded: an intact
+        // record holding no profile goes out as is, and only the
+        // decoding path quarantines it.
+        let planted = bdb_codec::encode_record(
+            bdb_codec::RecordKind::CacheEntry,
+            &bdb_codec::encode_cache_payload(fingerprint, &crate::json::Value::object(Vec::new())),
+        );
+        std::fs::write(&path, &planted).unwrap();
+        let warm = Engine::new(crate::EngineConfig::default().threads(1).cache_dir(&dir));
+        assert_eq!(warm.run_task_entry(&task).unwrap().1, planted);
+        let counters = warm.counters();
+        assert_eq!((counters.disk_hits, counters.corrupt_quarantined), (1, 0));
+        let again = warm.run_task(&task).unwrap().profile;
+        let counters = warm.counters();
+        assert_eq!((counters.corrupt_quarantined, counters.computed), (1, 1));
+        assert_eq!(profile_entry_record(fingerprint, &again), built);
+
+        // A damaged record is quarantined and recomputed on the raw path.
+        let mut damaged = built.clone();
+        damaged[built.len() / 2] ^= 0x01;
+        std::fs::write(&path, &damaged).unwrap();
+        let raw = Engine::new(crate::EngineConfig::default().threads(1).cache_dir(&dir));
+        assert_eq!(raw.run_task_entry(&task).unwrap().1, built);
+        let counters = raw.counters();
+        assert_eq!((counters.corrupt_quarantined, counters.computed), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn admit_entry_writes_intact_records_verbatim_and_refuses_the_rest() {
+        let dir = scratch_dir("admit");
+        let task = tiny_task();
+        let (fingerprint, record) = Engine::serial().run_task_entry(&task).unwrap();
+        let engine = Engine::new(crate::EngineConfig::default().threads(1).cache_dir(&dir));
+        let mut damaged = record.clone();
+        damaged[20] ^= 0x80;
+        assert!(matches!(
+            engine.admit_entry(&task.workload_id, fingerprint, &damaged),
+            Err(crate::EntryError::Damaged(_))
+        ));
+        assert!(matches!(
+            engine.admit_entry(&task.workload_id, fingerprint ^ 1, &record),
+            Err(crate::EntryError::Invalid(_))
+        ));
+        assert!(
+            std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "nothing written"
+        );
+        engine
+            .admit_entry(&task.workload_id, fingerprint, &record)
+            .unwrap();
+        let counters = engine.counters();
+        assert_eq!(
+            (counters.replicas_admitted, counters.replicas_refused),
+            (1, 2)
+        );
+        assert_eq!(engine.run_task_entry(&task).unwrap().1, record);
+        assert_eq!(engine.counters().computed, 0, "the replica is a disk hit");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -69,6 +69,10 @@ const NONDET: ReachRule = ReachRule {
             suffix: &["Engine", "run_task"],
         },
         RootSpec {
+            krate: "engine",
+            suffix: &["Engine", "run_task_entry"],
+        },
+        RootSpec {
             krate: "cluster",
             suffix: &["run_worker"],
         },
@@ -117,7 +121,7 @@ const PANIC: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "engine",
-            suffix: &["Engine", "admit"],
+            suffix: &["Engine", "admit_entry"],
         },
         RootSpec {
             krate: "engine",
