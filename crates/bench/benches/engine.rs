@@ -18,7 +18,7 @@ use bdb_cluster::{proto, Message, Transport, WorkerConfig};
 use bdb_codec::RecordKind;
 use bdb_engine::{json::Value, Engine, EngineConfig};
 use bdb_node::NodeConfig;
-use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig, WireFormat};
+use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig};
 use bdb_sim::{sweep_per_point, MachineConfig, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
@@ -324,7 +324,7 @@ fn measure_and_report() {
         let (client_end, server_end) = loopback_pair(label);
         let srv = server.clone();
         std::thread::spawn(move || srv.serve_session(Arc::new(server_end)));
-        let mut client = ServeClient::over(Arc::new(client_end), WireFormat::Json);
+        let mut client = ServeClient::over(Arc::new(client_end));
         client.hello(label).expect("serve hello");
         client
     };

@@ -113,7 +113,6 @@ fn served_help_documents_its_own_knobs() {
         "BDB_SERVE_ADDR",
         "BDB_SERVE_MAX_CLIENTS",
         "BDB_SERVE_SUB_QUEUE",
-        "BDB_SERVE_FORMAT",
     ] {
         assert!(
             source.contains(knob),
@@ -123,11 +122,12 @@ fn served_help_documents_its_own_knobs() {
 }
 
 /// Knobs that no longer exist: BDBC is the only encoding for cache
-/// entries and cluster frames, a warm cache is the only resume path, and
-/// the fused pipeline is the only sweep path.
+/// entries, cluster frames and serve frames, a warm cache is the only
+/// resume path, and the fused pipeline is the only sweep path.
 const RETIRED_KNOBS: &[&str] = &[
     "BDB_CACHE_FORMAT",
     "BDB_WIRE_FORMAT",
+    "BDB_SERVE_FORMAT",
     "BDB_JOURNAL",
     "BDB_RESUME",
     "BDB_SWEEP_MODE",
@@ -158,17 +158,6 @@ fn no_help_advertises_a_retired_knob() {
         assert!(
             !text.to_ascii_lowercase().contains("journal"),
             "{what} still mentions the run journal"
-        );
-    }
-    // The serve protocol keeps both formats, JSON by default.
-    for rel in [
-        "../serve/src/bin/bdb_served.rs",
-        "../serve/src/bin/serve_smoke.rs",
-    ] {
-        let source = std::fs::read_to_string(crate_dir.join(rel)).expect("read serve source");
-        assert!(
-            source.contains("json (default) | binary"),
-            "{rel} must document BDB_SERVE_FORMAT's json default"
         );
     }
 }

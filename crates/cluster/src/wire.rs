@@ -217,7 +217,9 @@ mod tests {
     #[test]
     fn frames_are_bdbc_records_and_json_payloads_are_rejected() {
         let frame = encode_frame(&hello());
-        assert!(bdb_codec::is_binary(&frame[4..]));
+        assert!(
+            bdb_codec::decode_record_of(bdb_codec::RecordKind::WireMessage, &frame[4..]).is_ok()
+        );
         let json = message_to_parts(&hello()).0.encode().into_bytes();
         assert!(matches!(
             decode_frames(&encode_payload_frame(&json)),

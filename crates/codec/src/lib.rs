@@ -4,9 +4,8 @@
 //!
 //! Every layer that persists or ships bytes — the engine's cache of
 //! profiles and sweeps, the cluster wire and the serve wire — encodes
-//! through this crate. All but the serve wire store and ship BDBC
-//! records only; canonical JSON is the form of reports, figures and
-//! fingerprints, and one of the serve wire's two formats:
+//! through this crate, and each stores and ships BDBC records only;
+//! canonical JSON is the form of reports, figures and fingerprints:
 //!
 //! * **Canonical JSON** ([`json`]): the human-readable debug/interchange
 //!   form. Byte-stable (`encode(decode(b)) == b`), shortest-roundtrip
@@ -166,13 +165,6 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Whether `bytes` look like a BDBC binary record (vs canonical JSON).
-/// Sniffing on the magic lets a serve reader accept either payload
-/// format: `BDB_SERVE_FORMAT` selects only what gets *written*.
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
 /// Wraps `payload` in a BDBC container of the given kind.
 pub fn encode_record(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + TRAILER_BYTES);
@@ -284,11 +276,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_roundtrips_and_is_sniffable() {
+    fn record_roundtrips_and_json_is_bad_magic() {
         let payload = b"hello binary world";
         let record = encode_record(RecordKind::WireMessage, payload);
-        assert!(is_binary(&record));
-        assert!(!is_binary(b"{\"format\":3}"));
+        assert_eq!(decode_record(b"{\"format\":3}"), Err(CodecError::BadMagic));
         let (kind, got) = decode_record(&record).unwrap();
         assert_eq!(kind, RecordKind::WireMessage);
         assert_eq!(got, payload);

@@ -10,7 +10,7 @@
 //! `binary → JSON → binary` interchange contract is pinned here too.
 
 use bdb_codec::json::Value;
-use bdb_codec::{bval, decode_record, encode_record, is_binary};
+use bdb_codec::{bval, decode_record, decode_record_of, encode_record};
 use bdb_codec::{encode_cache_payload, CodecError, RecordKind, FORMAT_VERSION};
 use proptest::collection;
 use proptest::prelude::*;
@@ -88,7 +88,10 @@ fn deep_decode(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
 #[test]
 fn every_kind_roundtrips_binary_to_json_to_binary_losslessly() {
     for (kind, record) in genuine_records() {
-        assert!(is_binary(&record), "{kind:?} record carries the magic");
+        assert!(
+            decode_record_of(kind, &record).is_ok(),
+            "{kind:?} record is an intact container of its kind"
+        );
         // binary → decode (the JSON value) → re-encode is byte-identical.
         let reencoded = deep_decode(&record).expect("pristine record decodes");
         assert_eq!(reencoded, record, "{kind:?} deep round-trip drifted");

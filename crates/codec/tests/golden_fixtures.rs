@@ -9,7 +9,7 @@
 //! polynomial — fails CI until the change is deliberate and blessed:
 //!
 //! ```text
-//! BDB_BLESS=1 cargo test -p bdb-codec --test golden_fixtures
+//! BDB_BLESS_CONTRACTS=1 cargo test -p bdb-codec --test golden_fixtures
 //! ```
 
 use bdb_codec::json::Value;
@@ -84,7 +84,7 @@ fn golden() -> Vec<(&'static str, Vec<u8>, Value)> {
 #[test]
 fn golden_fixtures_match_the_checkout() {
     let dir = fixtures_dir();
-    let bless = std::env::var_os("BDB_BLESS").is_some();
+    let bless = std::env::var_os("BDB_BLESS_CONTRACTS").is_some();
     if bless {
         std::fs::create_dir_all(&dir).expect("create contracts/fixtures");
     }
@@ -99,14 +99,14 @@ fn golden_fixtures_match_the_checkout() {
         }
         let on_disk = std::fs::read(&bin).unwrap_or_else(|e| {
             panic!(
-                "missing golden fixture {}: {e} (bless with BDB_BLESS=1)",
+                "missing golden fixture {}: {e} (bless with BDB_BLESS_CONTRACTS=1)",
                 bin.display()
             )
         });
         assert_eq!(
             on_disk, record,
             "{name}.bin drifted from the encoder — a format change must be deliberate; \
-             re-bless with BDB_BLESS=1 and call it out in the PR"
+             re-bless with BDB_BLESS_CONTRACTS=1 and call it out in the PR"
         );
         let sidecar_on_disk = std::fs::read_to_string(&json)
             .unwrap_or_else(|e| panic!("missing sidecar {}: {e}", json.display()));

@@ -1152,8 +1152,8 @@ mod tests {
         assert_eq!(path.extension().unwrap(), "bin");
         let cold_bytes = std::fs::read(&path).expect("cache file written");
         assert!(
-            bdb_codec::is_binary(&cold_bytes),
-            "entries are BDBC records"
+            bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, &cold_bytes).is_ok(),
+            "entries are intact BDBC cache-entry records"
         );
 
         // A fresh engine over the same directory must hit, not recompute,

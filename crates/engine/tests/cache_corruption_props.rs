@@ -38,7 +38,10 @@ fn compute_genuine_entry(tag: &str) -> (Vec<u8>, u64, String) {
         .cache_file(&workload, Scale::tiny(), &machine, &node)
         .expect("disk cache configured");
     let bytes = std::fs::read(&path).expect("engine wrote the entry");
-    assert!(bdb_codec::is_binary(&bytes), "entries are BDBC records");
+    assert!(
+        bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, &bytes).is_ok(),
+        "entries are intact BDBC cache-entry records"
+    );
     let key = bdb_engine::profile_fingerprint(&workload.spec.id, Scale::tiny(), &machine, &node);
     let canonical = codec::profile_to_value(&profile).encode();
     let _ = std::fs::remove_dir_all(&dir);

@@ -151,7 +151,11 @@ fn legacy_json_entry_is_a_plain_miss() {
     assert_eq!(counters.disk_errors, 0, "a miss is not a disk error");
     assert_eq!(counters.corrupt_quarantined, 0, "a miss is not corruption");
     // The recompute wrote the BDBC entry and left the legacy file alone.
-    assert!(bdb_codec::is_binary(&std::fs::read(&bin_path).unwrap()));
+    assert!(bdb_codec::decode_record_of(
+        bdb_codec::RecordKind::CacheEntry,
+        &std::fs::read(&bin_path).unwrap()
+    )
+    .is_ok());
     assert_eq!(std::fs::read(&json_path).unwrap(), legacy);
     assert_eq!(engine.cached_fingerprints(), vec![key]);
 

@@ -10,7 +10,7 @@
 //! * a knob named in the docs but never read anywhere
 //!
 //! Reads are collected by the parser from *all* file kinds — test and
-//! bench knobs (`BDB_BLESS`, `BDB_CHAOS_SEEDS`, `BDB_BENCH_SCALE`) are
+//! bench knobs (`BDB_BLESS_CONTRACTS`, `BDB_CHAOS_SEEDS`, `BDB_BENCH_SCALE`) are
 //! part of the user surface too. `scripts/lint_bless.sh` regenerates
 //! the inventory via [`knobs_txt`].
 

@@ -51,10 +51,6 @@ fn usage() -> String {
                 "BDB_SERVE_SUB_QUEUE",
                 "Per-subscriber delta queue bound in frames (default 64); slower subscribers are evicted",
             ),
-            (
-                "BDB_SERVE_FORMAT",
-                "Reply/delta payload format: json (default) | binary",
-            ),
         ],
     )
 }

@@ -13,8 +13,7 @@
 //!
 //! Snapshot lines are `key fingerprint profile-json`, one per entry, in
 //! key order — identical bytes whether they came from a baseline run, a
-//! daemon snapshot, or a delta-patched snapshot, and whatever payload
-//! format (`BDB_SERVE_FORMAT`) the wire used.
+//! daemon snapshot, or a delta-patched snapshot.
 //!
 //! Mutation specs: `knob:<config>:<path>=<value>`,
 //! `add-workload:<id>`, `remove-workload:<id>`,
@@ -73,10 +72,7 @@ fn usage() -> String {
             ("--shutdown", "Ask the daemon to exit"),
             ("--knobs", "List every machine-config knob path and exit"),
         ],
-        &[(
-            "BDB_SERVE_FORMAT",
-            "Request payload format: json (default) | binary",
-        )],
+        &[],
     )
 }
 

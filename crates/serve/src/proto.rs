@@ -1,40 +1,25 @@
 //! The serve request/reply protocol.
 //!
 //! Payloads ride the same 4-byte length-prefixed frames as the cluster
-//! wire ([`bdb_cluster::wire`]), but carry their own message set,
-//! encoded either as canonical JSON or as checksummed BDBC records —
+//! wire ([`bdb_cluster::wire`]), but carry their own message set, each
+//! encoded as one checksummed BDBC record —
 //! [`bdb_codec::RecordKind::ServeRequest`] for requests and
 //! [`bdb_codec::RecordKind::ServeDelta`] for replies (delta streams are
-//! the reply family's namesake). Receivers sniff per payload
-//! ([`bdb_codec::is_binary`]), so JSON and binary clients interoperate
-//! on one server.
+//! the reply family's namesake). BDBC is the only payload encoding: a
+//! payload that is not a record of the expected kind is a decode error.
 //!
-//! Every encoded object lists its keys **alphabetically**. That is what
-//! makes the two formats interchangeable at the byte level: a BDBC
-//! payload round-trips through `bval` (which sorts map keys) and
-//! re-encodes to exactly the JSON a JSON-format peer produced.
+//! Every encoded object lists its keys **alphabetically**. `bval` sorts
+//! map keys, so a decoded payload re-encodes to the same bytes, and
+//! [`reply_to_value`]`.encode()` is a stable canonical form for
+//! comparing profiles.
 
 use crate::spec::{mutation_from_value, mutation_to_value, EntryKey, Mutation};
 use crate::state::{Delta, DeltaBatch};
 use crate::ServeError;
 use bdb_codec::{bval, RecordKind};
 use bdb_engine::codec::{profile_from_value, profile_to_value};
-use bdb_engine::json::{self, Value};
+use bdb_engine::json::Value;
 use bdb_wcrt::WorkloadProfile;
-
-/// Payload encoding for outgoing serve frames. The outer `[u32 BE len]`
-/// framing is format-independent, and receivers sniff per payload, so
-/// the two formats coexist on one connection. The serve protocol is the
-/// one wire that keeps JSON: a profile reply decodes faster from JSON
-/// than from bval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WireFormat {
-    /// Canonical-JSON payloads (the default).
-    #[default]
-    Json,
-    /// BDBC records — compact and CRC-64-checksummed.
-    Binary,
-}
 
 /// Version tag exchanged in `Hello`; bumped on incompatible changes.
 ///
@@ -45,8 +30,9 @@ pub enum WireFormat {
 /// leniently (absent → 0) so a v2 client still reads a v1 server's
 /// `stats` replies. v3 dropped the journal-hit stats counter with the
 /// engine's run journal; the decoder ignores keys it does not know, so a
-/// v3 client still reads a v1 or v2 server's `stats` replies.
-pub const SERVE_PROTOCOL_VERSION: u64 = 3;
+/// v3 client still reads a v1 or v2 server's `stats` replies. v4: BDBC
+/// payloads only; a JSON payload is a decode error.
+pub const SERVE_PROTOCOL_VERSION: u64 = 4;
 
 /// A client-to-server message. Every request except `Hello`/`Bye`
 /// carries a client-chosen `id`, echoed verbatim in the reply so a
@@ -627,58 +613,41 @@ pub fn reply_from_value(v: &Value) -> Result<ServeReply, ServeError> {
     }
 }
 
-/// Encodes a request payload in `format` (the frame layer adds the
-/// length prefix).
-pub fn encode_request(format: WireFormat, req: &ServeRequest) -> Vec<u8> {
-    encode_payload(format, RecordKind::ServeRequest, &request_to_value(req))
+/// Encodes a request payload as a BDBC `ServeRequest` record (the frame
+/// layer adds the length prefix).
+pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
+    encode_payload(RecordKind::ServeRequest, &request_to_value(req))
 }
 
-/// Decodes a request payload, sniffing JSON vs BDBC.
+/// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, ServeError> {
     request_from_value(&payload_value(payload, RecordKind::ServeRequest)?)
 }
 
-/// Encodes a reply payload in `format`.
-pub fn encode_reply(format: WireFormat, reply: &ServeReply) -> Vec<u8> {
-    encode_payload(format, RecordKind::ServeDelta, &reply_to_value(reply))
+/// Encodes a reply payload as a BDBC `ServeDelta` record.
+pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
+    encode_payload(RecordKind::ServeDelta, &reply_to_value(reply))
 }
 
-/// Decodes a reply payload, sniffing JSON vs BDBC.
+/// Decodes a reply payload.
 pub fn decode_reply(payload: &[u8]) -> Result<ServeReply, ServeError> {
     reply_from_value(&payload_value(payload, RecordKind::ServeDelta)?)
 }
 
-fn encode_payload(format: WireFormat, kind: RecordKind, value: &Value) -> Vec<u8> {
-    match format {
-        WireFormat::Json => value.encode().into_bytes(),
-        WireFormat::Binary => bdb_codec::encode_record(kind, &bval::encode_value(value)),
-    }
+fn encode_payload(kind: RecordKind, value: &Value) -> Vec<u8> {
+    bdb_codec::encode_record(kind, &bval::encode_value(value))
 }
 
 fn payload_value(payload: &[u8], kind: RecordKind) -> Result<Value, ServeError> {
-    if bdb_codec::is_binary(payload) {
-        let inner = bdb_codec::decode_record_of(kind, payload)
-            .map_err(|e| ServeError::Decode(e.to_string()))?;
-        bval::decode_value(inner).map_err(|e| ServeError::Decode(e.to_string()))
-    } else {
-        let text =
-            std::str::from_utf8(payload).map_err(|_| ServeError::Decode("not UTF-8".to_owned()))?;
-        json::parse(text).map_err(|e| ServeError::Decode(e.to_string()))
-    }
-}
-
-/// The payload format selected by `BDB_SERVE_FORMAT`: `binary` / `bin`
-/// / `bdbc` pick BDBC; anything else, or unset, is JSON.
-pub fn serve_format_from_env() -> WireFormat {
-    match std::env::var("BDB_SERVE_FORMAT") {
-        Ok(v) if matches!(v.as_str(), "binary" | "bin" | "bdbc") => WireFormat::Binary,
-        _ => WireFormat::Json,
-    }
+    let decode = |e: bdb_codec::CodecError| ServeError::Decode(e.to_string());
+    let inner = bdb_codec::decode_record_of(kind, payload).map_err(decode)?;
+    bval::decode_value(inner).map_err(decode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdb_engine::json;
     use bdb_workloads::{catalog, Scale};
 
     fn sample_profile() -> WorkloadProfile {
@@ -805,53 +774,28 @@ mod tests {
     }
 
     #[test]
-    fn requests_round_trip_in_both_formats() {
+    fn requests_round_trip() {
         for req in sample_requests() {
-            for format in [WireFormat::Json, WireFormat::Binary] {
-                let payload = encode_request(format, &req);
-                let back = decode_request(&payload).expect("round trip");
-                assert_eq!(back, req, "format {format:?}");
-            }
+            let back = decode_request(&encode_request(&req)).expect("round trip");
+            assert_eq!(back, req);
         }
     }
 
     #[test]
-    fn replies_round_trip_in_both_formats() {
+    fn replies_round_trip() {
         for reply in sample_replies() {
-            let canonical = reply_to_value(&reply).encode();
-            for format in [WireFormat::Json, WireFormat::Binary] {
-                let payload = encode_reply(format, &reply);
-                let back = decode_reply(&payload).expect("round trip");
-                assert_eq!(
-                    reply_to_value(&back).encode(),
-                    canonical,
-                    "format {format:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn json_and_binary_reencode_to_identical_bytes() {
-        // The cross-format interop contract: whatever format a payload
-        // arrives in, decoding and re-encoding as JSON yields the same
-        // canonical bytes, because every object's keys are already
-        // alphabetical.
-        for reply in sample_replies() {
-            let json_payload = encode_reply(WireFormat::Json, &reply);
-            let binary_payload = encode_reply(WireFormat::Binary, &reply);
-            let via_json = reply_to_value(&decode_reply(&json_payload).expect("json")).encode();
-            let via_binary =
-                reply_to_value(&decode_reply(&binary_payload).expect("binary")).encode();
-            assert_eq!(via_json, via_binary);
-            assert_eq!(via_json.as_bytes(), json_payload.as_slice());
+            let back = decode_reply(&encode_reply(&reply)).expect("round trip");
+            assert_eq!(
+                reply_to_value(&back).encode(),
+                reply_to_value(&reply).encode()
+            );
         }
     }
 
     #[test]
     fn wrong_record_kind_is_rejected() {
         let req = ServeRequest::Snapshot { id: 1 };
-        let payload = encode_request(WireFormat::Binary, &req);
+        let payload = encode_request(&req);
         // A request record handed to the reply decoder must fail
         // loudly, not decode into garbage.
         let err = decode_reply(&payload).expect_err("kind mismatch");

@@ -12,7 +12,7 @@ use bdb_engine::json::Value;
 use bdb_engine::{Engine, EngineConfig};
 use bdb_serve::{
     apply_delta_batch, Mutation, ServeClient, ServeError, ServeSpec, ServeState, Server,
-    ServerConfig, SnapshotEntry, WireFormat,
+    ServerConfig, SnapshotEntry,
 };
 use bdb_sim::MachineConfig;
 use bdb_workloads::Scale;
@@ -37,7 +37,7 @@ fn session(server: &Server) -> ServeClient {
     let (client_end, server_end) = loopback_pair("test-session");
     let server = server.clone();
     std::thread::spawn(move || server.serve_session(Arc::new(server_end)));
-    ServeClient::over(Arc::new(client_end), WireFormat::Json)
+    ServeClient::over(Arc::new(client_end))
 }
 
 fn snapshot_lines(entries: &[SnapshotEntry]) -> Vec<String> {
@@ -228,6 +228,46 @@ fn unbuildable_cache_geometry_is_a_bad_knob_and_the_session_survives() {
     client.bye().expect("bye");
 }
 
+/// Serve payloads are BDBC records only. A canonical-JSON request is
+/// undecodable: the server answers it with a BDBC `Error { id: 0 }` and
+/// keeps the session open for well-formed requests.
+#[test]
+fn json_request_is_an_error_and_the_session_survives() {
+    let state =
+        ServeState::materialize(Arc::new(Engine::in_memory()), small_spec()).expect("materialize");
+    let key = state.keys()[0].clone();
+    let server = Server::new(state, ServerConfig::named("bdbc-only"));
+    let (client_end, server_end) = loopback_pair("json-client");
+    {
+        let server = server.clone();
+        std::thread::spawn(move || server.serve_session(Arc::new(server_end)));
+    }
+    let transport: Arc<dyn bdb_cluster::FrameTransport> = Arc::new(client_end);
+
+    let json_hello = bdb_serve::proto::request_to_value(&bdb_serve::ServeRequest::Hello {
+        client: "json-era".to_owned(),
+        protocol: bdb_serve::SERVE_PROTOCOL_VERSION,
+    })
+    .encode();
+    transport
+        .send_payload(json_hello.as_bytes())
+        .expect("send JSON hello");
+    let reply = transport.recv_payload().expect("the server answers");
+    match bdb_serve::decode_reply(&reply).expect("the reply is a BDBC record") {
+        bdb_serve::ServeReply::Error { id: 0, .. } => {}
+        other => panic!("expected Error {{ id: 0 }}, got {other:?}"),
+    }
+
+    let mut client = ServeClient::over(transport);
+    assert_eq!(client.hello("bdbc").expect("BDBC hello").entries, 3);
+    let (_, profile) = client
+        .query(&key)
+        .expect("query")
+        .expect("served key is present");
+    assert_eq!(profile.spec.id, key.workload);
+    client.bye().expect("bye");
+}
+
 #[test]
 fn subscriber_patches_snapshot_to_byte_identical_catalog() {
     let engine = Arc::new(Engine::in_memory());
@@ -407,7 +447,6 @@ fn slow_subscriber_is_evicted_not_buffered_without_bound() {
     // wedges on the first delta frame.
     let (tx, rx) = std::sync::mpsc::channel();
     tx.send(bdb_serve::encode_request(
-        WireFormat::Json,
         &bdb_serve::ServeRequest::Subscribe { id: 1 },
     ))
     .expect("script send");
@@ -526,7 +565,6 @@ fn evicted_subscriber_gets_a_farewell_error_frame() {
 
     let (tx, rx) = std::sync::mpsc::channel();
     tx.send(bdb_serve::encode_request(
-        WireFormat::Json,
         &bdb_serve::ServeRequest::Subscribe { id: 1 },
     ))
     .expect("script send");

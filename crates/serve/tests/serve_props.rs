@@ -6,8 +6,8 @@
 //! recompute of the final spec — and that a shadow catalog patched only
 //! by the emitted delta batches lands on the same bytes. The wire
 //! properties check that [`ServeRequest`] frames round-trip byte-stably
-//! in both payload formats and that truncated or bit-flipped binary
-//! frames are always rejected, never misdecoded.
+//! and that truncated or bit-flipped frames are always rejected, never
+//! misdecoded.
 
 use bdb_engine::codec::profile_to_value;
 use bdb_engine::json::Value;
@@ -15,7 +15,7 @@ use bdb_engine::{resolve_workload, Engine};
 use bdb_node::NodeConfig;
 use bdb_serve::{
     decode_request, encode_reply, encode_request, Delta, DeltaBatch, EntryKey, Mutation,
-    ServeReply, ServeRequest, ServeSpec, ServeState, WireFormat, SERVE_PROTOCOL_VERSION,
+    ServeReply, ServeRequest, ServeSpec, ServeState, SERVE_PROTOCOL_VERSION,
 };
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
@@ -187,10 +187,6 @@ fn request() -> impl Strategy<Value = ServeRequest> {
     ]
 }
 
-fn format() -> impl Strategy<Value = WireFormat> {
-    prop_oneof![Just(WireFormat::Json), Just(WireFormat::Binary)]
-}
-
 /// One real profile, computed once — delta frames need a profile body
 /// and simulating a fresh one per proptest case would swamp the suite.
 fn sample_profile() -> &'static WorkloadProfile {
@@ -231,30 +227,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn requests_roundtrip_byte_stably(req in request(), fmt in format()) {
-        let frame = encode_request(fmt, &req);
+    fn requests_roundtrip_byte_stably(req in request()) {
+        let frame = encode_request(&req);
         let decoded = decode_request(&frame).expect("own frames decode");
         prop_assert_eq!(&decoded, &req);
         // Canonical key order makes re-encoding the identity on bytes.
-        prop_assert_eq!(encode_request(fmt, &decoded), frame);
+        prop_assert_eq!(encode_request(&decoded), frame);
     }
 
     #[test]
-    fn json_and_binary_requests_carry_identical_values(req in request()) {
-        let via_json = decode_request(&encode_request(WireFormat::Json, &req))
-            .expect("json decodes");
-        let via_binary = decode_request(&encode_request(WireFormat::Binary, &req))
-            .expect("binary decodes");
-        prop_assert_eq!(via_json, via_binary);
-    }
-
-    #[test]
-    fn truncated_request_frames_are_rejected(
-        req in request(),
-        fmt in format(),
-        cut_seed in any::<u64>(),
-    ) {
-        let frame = encode_request(fmt, &req);
+    fn truncated_request_frames_are_rejected(req in request(), cut_seed in any::<u64>()) {
+        let frame = encode_request(&req);
         let cut = 1 + (cut_seed as usize) % (frame.len() - 1);
         prop_assert!(
             decode_request(&frame[..cut]).is_err(),
@@ -263,16 +246,15 @@ proptest! {
     }
 
     #[test]
-    fn bitflipped_binary_delta_frames_are_rejected(
+    fn bitflipped_delta_frames_are_rejected(
         reply in delta_reply(),
         pos_seed in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let mut frame = encode_reply(WireFormat::Binary, &reply);
-        // Flip past the 4-byte magic: with the magic intact the payload
-        // must reach the checksummed BDBC decoder, which has to catch
-        // any single-bit flip.
-        let pos = 4 + (pos_seed as usize) % (frame.len() - 4);
+        let mut frame = encode_reply(&reply);
+        // Any byte, magic included: a damaged magic is a bad record, and
+        // past it the CRC-64 has to catch any single-bit flip.
+        let pos = (pos_seed as usize) % frame.len();
         frame[pos] ^= 1 << bit;
         prop_assert!(
             bdb_serve::decode_reply(&frame).is_err(),
