@@ -28,7 +28,19 @@
 //! The fleet defers assignment to any worker at its in-flight depth cap
 //! ([`ClusterConfig::max_inflight`]) or with an unanswered heartbeat
 //! probe outstanding — backpressure against slow or suspect machines,
-//! denominated in ticks, never wall clock.
+//! denominated in ticks, never wall clock. The default depth of 2 keeps
+//! each worker's next `Assign` queued behind the task it is answering,
+//! so a worker does not idle while the coordinator merges its last
+//! result; each result restarts the deadline of the task queued behind
+//! it (see [`crate::fleet`]).
+//!
+//! # Assignments
+//!
+//! An `Assign` is a key — workload id and content fingerprint — and a
+//! config record. The coordinator fingerprints every task once for the
+//! fleet and encodes each distinct config once per run; every `Assign`
+//! of that config shares the bytes. A warm worker answers from its
+//! cache by key without reading the config.
 //!
 //! # Replication
 //!
@@ -60,7 +72,7 @@
 //! faulty and its work re-run.
 
 use crate::fleet::{Fleet, FleetError};
-use crate::proto::{Message, PROTOCOL_VERSION};
+use crate::proto::{config_record, Message, PROTOCOL_VERSION};
 use crate::transport::Transport;
 use bdb_engine::Task;
 use bdb_wcrt::WorkloadProfile;
@@ -89,7 +101,8 @@ pub struct ClusterConfig {
     /// Upper bound on the retry backoff, in ticks.
     pub backoff_cap_ticks: u64,
     /// Admission control: per-worker in-flight depth cap (values below
-    /// 1 behave as 1).
+    /// 1 behave as 1). The default of 2 queues each worker's next task
+    /// behind the one it is computing.
     pub max_inflight: usize,
     /// Peer workers each verified result is replicated to (`0` disables
     /// the replicated result tier). Env knob: `BDB_REPLICATION`.
@@ -106,7 +119,7 @@ impl Default for ClusterConfig {
             max_attempts: 5,
             backoff_base_ticks: 2,
             backoff_cap_ticks: 64,
-            max_inflight: 1,
+            max_inflight: 2,
             replication: 0,
         }
     }
@@ -191,6 +204,8 @@ struct Run<'a> {
     config: &'a ClusterConfig,
     workers: Vec<Arc<dyn Transport>>,
     tasks: &'a [Task],
+    /// Each task's config record; tasks with one config share one.
+    configs: Vec<Arc<[u8]>>,
     fleet: Fleet,
     results: Vec<Option<WorkloadProfile>>,
     /// Readers for joining workers are spawned onto this sender.
@@ -255,6 +270,7 @@ impl Coordinator {
             fleet: Fleet::new(workers.len(), fingerprints, self.config.clone()),
             workers,
             tasks,
+            configs: config_records(tasks),
             results: tasks.iter().map(|_| None).collect(),
             tx,
             joins_open: true,
@@ -321,7 +337,11 @@ impl Run<'_> {
 
     /// Sends one assignment; `Ok(true)` if the worker may receive more.
     fn assign(&mut self, idx: usize, task: usize) -> Result<bool, ClusterError> {
-        let Some(def) = self.tasks.get(task) else {
+        let (Some(def), Some(config), Some(fingerprint)) = (
+            self.tasks.get(task),
+            self.configs.get(task),
+            self.fleet.fingerprint(task),
+        ) else {
             // Unreachable while the fleet is built from these tasks'
             // fingerprints, but if that invariant ever drifts the task
             // must not be stranded in the slot's in-flight set.
@@ -331,7 +351,9 @@ impl Run<'_> {
         };
         let msg = Message::Assign {
             task_id: task as u64,
-            task: Box::new(def.clone()),
+            workload_id: def.workload_id.clone(),
+            fingerprint,
+            config: Arc::clone(config),
         };
         if self.transport_send(idx, &msg) {
             Ok(true)
@@ -493,6 +515,28 @@ impl Run<'_> {
     }
 }
 
+/// Each task's config record, encoded once per distinct config: tasks
+/// with the same scale bits, machine and node share one buffer.
+fn config_records(tasks: &[Task]) -> Vec<Arc<[u8]>> {
+    let mut distinct: Vec<(&Task, Arc<[u8]>)> = Vec::new();
+    tasks
+        .iter()
+        .map(|task| {
+            let shared = distinct.iter().find(|(seen, _)| {
+                seen.scale.factor().to_bits() == task.scale.factor().to_bits()
+                    && seen.machine == task.machine
+                    && seen.node == task.node
+            });
+            if let Some((_, record)) = shared {
+                return Arc::clone(record);
+            }
+            let record: Arc<[u8]> = config_record(task).into();
+            distinct.push((task, Arc::clone(&record)));
+            record
+        })
+        .collect()
+}
+
 /// A join channel that is already closed: membership fixed at startup.
 fn closed_joins() -> Receiver<Arc<dyn Transport>> {
     let (_, rx) = channel();
@@ -547,6 +591,34 @@ mod tests {
         // runs tests in-process: touch a unique var name instead of
         // mutating BDB_REPLICATION globally.
         assert_eq!(ClusterConfig::from_env().replication, 0);
+    }
+
+    #[test]
+    fn tasks_with_one_config_share_one_record() {
+        use bdb_node::NodeConfig;
+        use bdb_sim::MachineConfig;
+        use bdb_workloads::{catalog, Scale};
+        let defs = catalog::full_catalog();
+        let node = NodeConfig::default();
+        let mut tasks = crate::fleet_tasks(
+            &defs[..3],
+            Scale::tiny(),
+            &MachineConfig::xeon_e5645(),
+            &node,
+        );
+        tasks.extend(crate::fleet_tasks(
+            &defs[..2],
+            Scale::tiny(),
+            &MachineConfig::atom_d510(),
+            &node,
+        ));
+        let records = config_records(&tasks);
+        assert!(Arc::ptr_eq(&records[0], &records[2]));
+        assert!(Arc::ptr_eq(&records[3], &records[4]));
+        assert!(!Arc::ptr_eq(&records[0], &records[3]));
+        for (task, record) in tasks.iter().zip(&records) {
+            assert_eq!(record[..], config_record(task)[..]);
+        }
     }
 
     #[test]

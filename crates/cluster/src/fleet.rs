@@ -23,13 +23,17 @@
 //! # Admission control
 //!
 //! A worker is assignable only while its in-flight depth is below
-//! [`crate::ClusterConfig::max_inflight`] and it has no unanswered
+//! [`crate::ClusterConfig::max_inflight`] (2 by default: the task being
+//! computed and the next, already on the wire) and it has no unanswered
 //! heartbeat probe (a *suspect* — shedding load away from a machine
 //! that may already be gone costs one tick of idleness if it answers,
 //! and saves a full task deadline if it does not). Retry dispatch is
 //! queue-age ordered: among eligible entries the oldest-queued goes
-//! first, so no task starves behind younger failures. All of it is
-//! tick-denominated; the machine owns no wall clock.
+//! first, so no task starves behind younger failures. A task's deadline
+//! runs from its assignment and restarts whenever a result arrives from
+//! its worker ([`Fleet::clear_inflight`]), so a task queued behind a
+//! long one is not expired while the worker is still busy ahead of it.
+//! All of it is tick-denominated; the machine owns no wall clock.
 //!
 //! # Replica affinity
 //!
@@ -363,18 +367,32 @@ impl Fleet {
         outcome
     }
 
-    /// Removes `task` from `slot`'s in-flight set (a result arrived, or
-    /// the assignment is being rolled back). No-op if absent.
+    /// A result for `task` arrived from `slot`: the task leaves the
+    /// slot's in-flight set, and the deadline of every task still queued
+    /// there restarts at `now + task_deadline_ticks`. A worker answers
+    /// its queue in order, so a queued task's clock starts when the
+    /// worker can begin it; a worker busy with a long task ahead of it
+    /// is not slow. No-op if `task` is not in flight there.
     pub fn clear_inflight(&mut self, slot: usize, task: usize) {
+        let deadline = self.now + self.config.task_deadline_ticks;
         if let Some(s) = self.slots.get_mut(slot) {
+            let before = s.inflight.len();
             s.inflight.retain(|b| b.task != task);
+            if s.inflight.len() < before {
+                for busy in &mut s.inflight {
+                    busy.deadline = deadline;
+                }
+            }
         }
     }
 
     /// Rolls back an assignment whose send failed before the worker saw
-    /// it: back to the queue with no delay and no attempt charged.
+    /// it: back to the queue with no delay and no attempt charged. The
+    /// slot's other deadlines stand (no result arrived).
     pub fn unassign(&mut self, slot: usize, task: usize) {
-        self.clear_inflight(slot, task);
+        if let Some(s) = self.slots.get_mut(slot) {
+            s.inflight.retain(|b| b.task != task);
+        }
         if !self.completed.get(task).copied().unwrap_or(true) {
             self.requeue(task, 0);
         }
@@ -815,7 +833,9 @@ mod tests {
         let mut fleet = ready_fleet(1, 4);
         assert!(fleet.assignable(0));
         fleet.next_assignment(0).unwrap();
-        assert!(!fleet.assignable(0), "depth cap of 1 reached");
+        assert!(fleet.assignable(0), "the default depth is 2");
+        fleet.next_assignment(0).unwrap();
+        assert!(!fleet.assignable(0), "depth cap of 2 reached");
         // An idle worker with an outstanding probe is a suspect.
         let mut fleet = ready_fleet(1, 0);
         let mut out = TickOutcome::default();
@@ -826,6 +846,42 @@ mod tests {
         assert!(!fleet.assignable(0), "suspect sheds load");
         fleet.heartbeat(0, out.probes[0].1);
         assert!(fleet.assignable(0));
+    }
+
+    #[test]
+    fn a_result_restarts_the_deadline_of_the_task_queued_behind_it() {
+        let deadline = config().task_deadline_ticks;
+        let mut fleet = ready_fleet(1, 3);
+        let ahead = fleet.next_assignment(0).unwrap();
+        let queued = fleet.next_assignment(0).unwrap();
+        // The task ahead takes all but one tick of the deadline.
+        let quiet_tick = |fleet: &mut Fleet| {
+            let out = fleet.tick();
+            for (slot, seq) in out.probes {
+                fleet.heartbeat(slot, seq);
+            }
+            out.deaths
+        };
+        for _ in 1..deadline {
+            assert!(quiet_tick(&mut fleet).is_empty());
+        }
+        fleet.clear_inflight(0, ahead);
+        fleet.complete(ahead);
+        // The queued task gets a full deadline from the result on.
+        for _ in 1..deadline {
+            assert!(
+                quiet_tick(&mut fleet).is_empty(),
+                "queued task expired early"
+            );
+        }
+        assert_eq!(
+            quiet_tick(&mut fleet),
+            vec![0],
+            "the restarted deadline still binds"
+        );
+        fleet.death(0).unwrap();
+        assert_eq!(fleet.attempts.get(queued).copied(), Some(1));
+        fleet.check_conservation().unwrap();
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! Layers, bottom up:
 //!
 //! * [`proto`] — the six-message protocol (`Hello`/`Assign`/`Result`/
-//!   `Replicate`/`Heartbeat`/`Bye`, v3) as `bdb-engine` canonical value
-//!   trees, with a result's cache-entry record carried beside its
-//!   header.
+//!   `Replicate`/`Heartbeat`/`Bye`, v4) as `bdb-engine` canonical value
+//!   trees, with a result's cache-entry record or an assignment's
+//!   shared config record carried beside its header.
 //! * [`wire`] — 4-byte length-prefixed framing of BDBC records (a header
-//!   record, then a successful result's entry record verbatim) with a
-//!   size cap and a strict truncated-stream error.
+//!   record, then a successful result's entry record or an assignment's
+//!   config record verbatim) with a size cap and a strict
+//!   truncated-stream error.
 //! * [`transport`] — the [`Transport`] trait plus the in-process
 //!   loopback implementation; [`tcp`] adds the std-only blocking TCP
 //!   implementation (no async runtime).
@@ -25,13 +26,14 @@
 //!   worker crashes, duplicated results) for exercising recovery paths.
 //! * [`worker`] — the blocking serve loop around a local cache-aware
 //!   engine; advertises its warm cache in `Hello`, answers warm tasks
-//!   with their entry bytes undecoded, and admits `Replicate` pushes
-//!   into its cache.
+//!   by key with their entry bytes undecoded (no config decode), and
+//!   admits `Replicate` pushes into its cache.
 //! * [`fleet`] — the pure membership + scheduling state machine: live
 //!   join/leave, admission control (in-flight depth, suspect deferral),
 //!   replica affinity, capped-exponential-backoff retry.
 //! * [`coordinator`] — the transport glue around [`fleet`]: static
-//!   chunking + work stealing, tick-based deadlines and heartbeats,
+//!   chunking + work stealing, two-deep dispatch with one config record
+//!   encoded per distinct config, tick-based deadlines and heartbeats,
 //!   fingerprint-verified deduplicating merge, elastic membership via
 //!   [`Coordinator::run_elastic`], and replica pushes.
 //!

@@ -7,8 +7,11 @@
 //!   worker's name, protocol version, and the content fingerprints
 //!   already in its cache (node registration + warm-state
 //!   advertisement for affinity scheduling).
-//! * [`Message::Assign`] — coordinator → worker; one [`Task`] plus the
-//!   coordinator's task index (job dispatch).
+//! * [`Message::Assign`] — coordinator → worker; the coordinator's task
+//!   index, the task's workload id and content fingerprint, and its
+//!   config record (job dispatch). The fingerprint is the cache key a
+//!   warm worker answers from; the config record rebuilds the [`Task`]
+//!   when it must be computed.
 //! * [`Message::Result`] — worker → coordinator; the task index, the
 //!   task's content fingerprint, and either the profile or an error
 //!   string (job completion). A worker sends a successful result in the
@@ -28,14 +31,20 @@
 //!
 //! A message is a header — a canonical value tree (insertion-ordered
 //! objects, shortest-roundtrip floats) that the wire ships as a bval
-//! `WireMessage` record — and, for a successful `Result` or a
-//! `Replicate`, the result's BDBC `CacheEntry` record, which follows the
-//! header verbatim ([`message_to_parts`] / [`message_from_parts`]). The
-//! entry record is the one `bdb-engine` writes to disk, built by the
-//! one encoder [`bdb_engine::profile_entry_record`]: a warm worker
-//! ships its file's bytes as they are, and `Result { outcome: Ok(p) }`
-//! encodes `p` into the same bytes. Every message is byte-stable:
-//! `encode(decode(bytes)) == bytes`.
+//! `WireMessage` record — and, for three kinds, a record that follows
+//! the header verbatim ([`message_to_parts`] / [`message_from_parts`]):
+//!
+//! * a successful `Result` or a `Replicate` carries the result's BDBC
+//!   `CacheEntry` record. It is the one `bdb-engine` writes to disk,
+//!   built by the one encoder [`bdb_engine::profile_entry_record`]: a
+//!   warm worker ships its file's bytes as they are, and
+//!   `Result { outcome: Ok(p) }` encodes `p` into the same bytes;
+//! * an `Assign` carries its task's config record, a `WireMessage`
+//!   record of `{scale_bits, machine, node}` ([`config_record`]). The
+//!   coordinator encodes each distinct config once per run and every
+//!   `Assign` shares the bytes.
+//!
+//! Every message is byte-stable: `encode(decode(bytes)) == bytes`.
 //!
 //! Decoding is strict: unknown message types, malformed fields, a
 //! missing or unexpected entry record, and an entry record whose
@@ -45,21 +54,26 @@
 //! fingerprint inside, or a value that is not a profile — decodes as a
 //! failed `Result`, so the coordinator retries the task like any other
 //! failure. A `Replicate`'s record is carried undecoded; the receiving
-//! worker's [`bdb_engine::Engine::admit_entry`] checks it.
+//! worker's [`bdb_engine::Engine::admit_entry`] checks it. An `Assign`'s
+//! config record is carried undecoded too: a warm worker answers by key
+//! and never reads it, and a worker that computes checks it with
+//! [`task_from_config_record`].
 
 use bdb_engine::codec::{self, DecodeError};
 use bdb_engine::json::Value;
 use bdb_engine::{EntryError, Task};
 use bdb_wcrt::WorkloadProfile;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Bumped on any wire-visible change; [`Message::Hello`] carries it and
 /// the coordinator refuses workers with a different version (a skewed
 /// worker could compute with different code and break bit-identity).
 /// v2 added `Hello.cached` and [`Message::Replicate`]; v3 moved a
 /// successful `Result`'s profile and a `Replicate`'s out of the header
-/// into the cache-entry record that follows it.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// into the cache-entry record that follows it; v4 made `Assign` a key
+/// (workload id and fingerprint) followed by a shared config record.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// One protocol message. See the module docs for the six kinds.
 #[derive(Debug, Clone)]
@@ -75,12 +89,18 @@ pub enum Message {
         /// what makes a warm restart recompute nothing.
         cached: Vec<u64>,
     },
-    /// Task dispatch.
+    /// Task dispatch, key first.
     Assign {
         /// Coordinator-side task index (position in the submitted batch).
         task_id: u64,
-        /// The work itself.
-        task: Box<Task>,
+        /// Catalog id of the task's workload.
+        workload_id: String,
+        /// The task's content fingerprint: the cache key a warm worker
+        /// answers from, and what the rebuilt task must hash to.
+        fingerprint: u64,
+        /// The task's config record ([`config_record`]), carried
+        /// undecoded and shared by every `Assign` of the same config.
+        config: Arc<[u8]>,
     },
     /// Task completion (success or failure), as the receiver decodes it.
     Result {
@@ -130,9 +150,10 @@ fn hex(fingerprint: u64) -> Value {
     Value::Str(format!("{fingerprint:016x}"))
 }
 
-/// Splits a message into its wire parts: the header value tree and, for
-/// a successful `Result` (either form) or a `Replicate`, the cache-entry
-/// record that follows it on the wire.
+/// Splits a message into its wire parts: the header value tree and the
+/// record that follows it on the wire — the cache-entry record of a
+/// successful `Result` (either form) or a `Replicate`, or the config
+/// record of an `Assign`.
 pub fn message_to_parts(msg: &Message) -> (Value, Option<Cow<'_, [u8]>>) {
     match msg {
         Message::Hello {
@@ -151,13 +172,19 @@ pub fn message_to_parts(msg: &Message) -> (Value, Option<Cow<'_, [u8]>>) {
             ]),
             None,
         ),
-        Message::Assign { task_id, task } => (
+        Message::Assign {
+            task_id,
+            workload_id,
+            fingerprint,
+            config,
+        } => (
             Value::object(vec![
                 ("type", Value::Str("assign".to_owned())),
                 ("task_id", Value::UInt(*task_id)),
-                ("task", codec::task_to_value(task)),
+                ("workload", Value::Str(workload_id.clone())),
+                ("fingerprint", hex(*fingerprint)),
             ]),
-            None,
+            Some(Cow::Borrowed(&config[..])),
         ),
         Message::Result {
             task_id,
@@ -256,6 +283,13 @@ pub fn message_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, De
             record: record.to_vec(),
         }),
         ("replicate", None) => Err(DecodeError("replicate: entry record missing".to_owned())),
+        ("assign", Some(config)) => Ok(Message::Assign {
+            task_id: get_u64(v, "task_id")?,
+            workload_id: get_str(v, "workload")?.to_owned(),
+            fingerprint: get_fingerprint(v, "fingerprint")?,
+            config: Arc::from(config),
+        }),
+        ("assign", None) => Err(DecodeError("assign: config record missing".to_owned())),
         (_, Some(_)) => Err(DecodeError(format!(
             "{kind}: unexpected bytes after the header"
         ))),
@@ -284,16 +318,34 @@ pub fn message_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, De
                 cached,
             })
         }
-        ("assign", None) => Ok(Message::Assign {
-            task_id: get_u64(v, "task_id")?,
-            task: Box::new(codec::task_from_value(get(v, "task")?)?),
-        }),
         ("heartbeat", None) => Ok(Message::Heartbeat {
             seq: get_u64(v, "seq")?,
         }),
         ("bye", None) => Ok(Message::Bye),
         (other, None) => Err(DecodeError(format!("unknown message type {other:?}"))),
     }
+}
+
+/// Encodes `task`'s config record: a BDBC `WireMessage` record holding
+/// [`codec::task_config_to_value`] — `{scale_bits, machine, node}`, with
+/// no workload id, so tasks that share a config share the bytes.
+pub fn config_record(task: &Task) -> Vec<u8> {
+    bdb_codec::encode_record(
+        bdb_codec::RecordKind::WireMessage,
+        &bdb_codec::bval::encode_value(&codec::task_config_to_value(task)),
+    )
+}
+
+/// Rebuilds the [`Task`] of `workload_id` from a config record: the
+/// record's container and CRC-64 are checked, then its value decoded
+/// strictly (a non-finite or non-positive scale is refused). The caller
+/// still checks the task's fingerprint against the `Assign`'s.
+pub fn task_from_config_record(workload_id: &str, record: &[u8]) -> Result<Task, DecodeError> {
+    let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::WireMessage, record)
+        .map_err(|e| DecodeError(format!("config record: {e}")))?;
+    let value = bdb_codec::bval::decode_value(payload)
+        .map_err(|e| DecodeError(format!("config record: {e}")))?;
+    codec::task_from_config_value(workload_id, &value)
 }
 
 /// A `Result` from its header and entry record: exactly one of the
@@ -406,6 +458,36 @@ mod tests {
             record: Vec::new(),
         });
         assert!(message_from_parts(&replicate, None).is_err());
+        let (assign, _) = message_to_parts(&Message::Assign {
+            task_id: 0,
+            workload_id: "w".to_owned(),
+            fingerprint: 1,
+            config: Arc::from(config_record(&sample_task())),
+        });
+        assert!(message_from_parts(&assign, None).is_err());
+    }
+
+    fn sample_task() -> Task {
+        Task::new(
+            &bdb_workloads::catalog::full_catalog()[0],
+            bdb_workloads::Scale::tiny(),
+            &bdb_sim::MachineConfig::xeon_e5645(),
+            &bdb_node::NodeConfig::default(),
+        )
+    }
+
+    #[test]
+    fn damaged_config_records_are_refused() {
+        let record = config_record(&sample_task());
+        for at in [0, record.len() / 2, record.len() - 1] {
+            let mut bad = record.clone();
+            bad[at] ^= 0x10;
+            assert!(
+                task_from_config_record("H-Sort", &bad).is_err(),
+                "byte {at}"
+            );
+        }
+        assert!(task_from_config_record("H-Sort", b"not a record").is_err());
     }
 
     #[test]

@@ -3,19 +3,22 @@
 //! A frame is a 4-byte big-endian payload length followed by the
 //! message payload: a checksummed BDBC `WireMessage` record
 //! ([`bdb_codec`]) holding the message's header value tree, then — for
-//! a successful `Result` or a `Replicate` only — the result's BDBC
-//! `CacheEntry` record, verbatim:
+//! a successful `Result` or a `Replicate` — the result's BDBC
+//! `CacheEntry` record, or — for an `Assign` — the task's config
+//! record, verbatim:
 //!
 //! ```text
 //! [u32 BE len] [WireMessage record: {type, task_id, fingerprint}] [CacheEntry record]
+//! [u32 BE len] [WireMessage record: {type, task_id, workload, fingerprint}] [config record]
 //! ```
 //!
-//! The two records carry a CRC-64 each, so a worker ships its cache
-//! file's bytes without re-encoding or re-checksumming them, and the
-//! coordinator's one decode of the entry is the only one on the path. A
-//! payload that is not such a sequence (a JSON message included), or a
-//! `Result` entry whose container or CRC fails, is a
-//! [`WireError::Decode`]. The length cap ([`MAX_FRAME_BYTES`]) bounds
+//! The records carry a CRC-64 each, so a worker ships its cache file's
+//! bytes without re-encoding or re-checksumming them, and the
+//! coordinator's one decode of the entry is the only one on the path;
+//! likewise the coordinator sends one encoded config record with every
+//! `Assign`, and only a worker that must compute decodes it. A payload
+//! that is not such a sequence (a JSON message included), or a `Result`
+//! entry whose container or CRC fails, is a [`WireError::Decode`]. The length cap ([`MAX_FRAME_BYTES`]) bounds
 //! allocation on garbage input; a stream that ends mid-frame is a
 //! [`WireError::Truncated`], distinct from the clean end-of-stream
 //! (`Ok(None)`) at a frame boundary.
@@ -23,8 +26,10 @@
 use crate::proto::{message_from_parts, message_to_parts, Message};
 use std::io::{ErrorKind, Read, Write};
 
-/// Upper bound on one frame's payload (a full 77-task assign batch plus
-/// profile results stay far under this; anything bigger is garbage).
+/// Upper bound on one frame's payload. The largest real frames — a
+/// profile's `Result` or `Replicate` (about 1.5 KiB at tiny scale) and
+/// an `Assign` with its config record (under 1 KiB) — stay far under
+/// this; anything bigger is garbage.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// A framing or codec failure on the byte stream.
@@ -56,7 +61,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Encodes one message as a length-prefixed BDBC frame: the header
-/// record, then the entry record if the message carries one.
+/// record, then the entry or config record if the message carries one.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
     let (header, entry) = message_to_parts(msg);
     let header = bdb_codec::encode_record(
@@ -136,8 +141,9 @@ pub fn decode_frames(buf: &[u8]) -> Result<Vec<Message>, (usize, WireError)> {
 }
 
 /// Decodes one frame payload (a BDBC `WireMessage` header record and
-/// the entry record after it, if any) into a [`Message`]. A successful
-/// `Result` decodes its entry here, once.
+/// the entry or config record after it, if any) into a [`Message`]. A
+/// successful `Result` decodes its entry here, once; an `Assign`'s
+/// config record is carried undecoded.
 pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
     let decode = |e: bdb_codec::CodecError| WireError::Decode(e.to_string());
     let (kind, header, entry) = bdb_codec::decode_record_prefix(payload).map_err(decode)?;

@@ -2,22 +2,31 @@
 //!
 //! A worker is single-threaded and blocking: it introduces itself with
 //! `Hello`, then serves `Assign` / `Heartbeat` until `Bye` or the
-//! coordinator disconnects. Each task runs through the local engine's
-//! cache-aware [`Engine::run_task_entry`], so repeated fleet runs hit
-//! the worker's own `results/cache/` exactly as local runs do. While a
-//! task is computing the worker cannot echo heartbeats — the
+//! coordinator disconnects. The coordinator keeps up to two `Assign`s
+//! queued per worker, so the next task is waiting when one is answered.
+//! Each task runs through the local engine's caches, so repeated fleet
+//! runs hit the worker's own `results/cache/` exactly as local runs do.
+//! While a task is computing the worker cannot echo heartbeats — the
 //! coordinator covers that window with per-task deadlines instead.
 //!
-//! A successful answer is the task's BDBC `CacheEntry` record as it
-//! sits on disk, sent as [`Message::ResultEntry`] behind a small header
-//! record (protocol v3, see [`crate::wire`]). The worker checks only
-//! the record's container, CRC-64 and fingerprint; it decodes no
-//! profile and encodes none, and the coordinator decodes the record
-//! once. An intact record whose profile does not decode is refused by
-//! the coordinator, which retries the task: a task the worker has
-//! already answered this session therefore takes the full
-//! [`Engine::run_task`] path, which decodes the entry, quarantines it
-//! if it does not decode and recomputes it.
+//! An `Assign` leads with its key: the workload id and the task's
+//! content fingerprint (protocol v4, see [`crate::proto`]). A first
+//! answer looks the key up with [`Engine::cached_entry`]; on a hit the
+//! worker ships the task's BDBC `CacheEntry` record as it sits on disk,
+//! sent as [`Message::ResultEntry`] behind a small header record, after
+//! checking only the record's container, CRC-64 and fingerprint. It
+//! decodes no config and no profile, encodes none and fingerprints
+//! nothing; the coordinator decodes the record once.
+//!
+//! Otherwise the worker decodes the `Assign`'s config record, rebuilds
+//! the task and requires its fingerprint to equal the key; a record
+//! that does not decode or a task that hashes to another key is a failed
+//! `Result`, which the coordinator retries. A first answer then takes
+//! [`Engine::run_task_entry`]. An intact entry whose profile does not
+//! decode is refused by the coordinator, which retries the task: a task
+//! the worker has already answered this session therefore takes the
+//! full [`Engine::run_task`] path, which decodes the entry, quarantines
+//! it if it does not decode and recomputes it.
 //!
 //! `Hello` advertises the content fingerprints already in the engine's
 //! disk cache, so an elastic coordinator can route matching tasks here
@@ -28,7 +37,7 @@
 //! refuses and counts one that fails.
 
 use crate::fault::FaultPlan;
-use crate::proto::{Message, PROTOCOL_VERSION};
+use crate::proto::{task_from_config_record, Message, PROTOCOL_VERSION};
 use crate::transport::{Transport, TransportError};
 use bdb_engine::Engine;
 use std::collections::BTreeSet;
@@ -111,7 +120,12 @@ pub fn run_worker(
             Err(e) => return Err(e.into()),
         };
         match msg {
-            Message::Assign { task_id, task } => {
+            Message::Assign {
+                task_id,
+                workload_id,
+                fingerprint,
+                config: record,
+            } => {
                 if config.faults.crash_on_task == Some(accepted) {
                     return Err(WorkerError::InjectedCrash {
                         task_number: accepted,
@@ -131,33 +145,16 @@ pub fn run_worker(
                     }
                 }
                 accepted += 1;
-                // A first answer ships the entry's bytes; a repeat means
-                // the coordinator refused or lost the first, so verify
-                // in full this time.
-                let reply = if answered.insert(task_id) {
-                    engine
-                        .run_task_entry(&task)
-                        .map(|(fingerprint, record)| Message::ResultEntry {
-                            task_id,
-                            fingerprint,
-                            record,
-                        })
-                } else {
-                    engine.run_task(&task).map(|result| Message::Result {
-                        task_id,
-                        fingerprint: result.fingerprint,
-                        outcome: Ok(Box::new(result.profile)),
-                    })
-                };
-                match reply {
+                let first = answered.insert(task_id);
+                match answer(engine, first, task_id, &workload_id, fingerprint, &record) {
                     Ok(reply) => {
                         served += 1;
                         transport.send(&reply)?;
                     }
-                    Err(e) => transport.send(&Message::Result {
+                    Err(error) => transport.send(&Message::Result {
                         task_id,
-                        fingerprint: task.fingerprint(),
-                        outcome: Err(e.to_string()),
+                        fingerprint,
+                        outcome: Err(error),
                     })?,
                 }
             }
@@ -184,14 +181,61 @@ pub fn run_worker(
     }
 }
 
+/// Answers one `Assign`, or says why it cannot (a failed `Result`).
+/// A `first` answer tries the cache by key before anything else and
+/// ships the entry's bytes; a repeat means the coordinator refused or
+/// lost the first, so it verifies in full this time.
+fn answer(
+    engine: &Engine,
+    first: bool,
+    task_id: u64,
+    workload_id: &str,
+    fingerprint: u64,
+    config: &[u8],
+) -> Result<Message, String> {
+    if first {
+        if let Some(record) = engine.cached_entry(workload_id, fingerprint) {
+            return Ok(Message::ResultEntry {
+                task_id,
+                fingerprint,
+                record,
+            });
+        }
+    }
+    let task = task_from_config_record(workload_id, config).map_err(|e| e.to_string())?;
+    let rebuilt = task.fingerprint();
+    if rebuilt != fingerprint {
+        return Err(format!(
+            "config hashes to {rebuilt:016x}, not the assigned key {fingerprint:016x}"
+        ));
+    }
+    if first {
+        let (_, record) = engine.run_task_entry(&task).map_err(|e| e.to_string())?;
+        Ok(Message::ResultEntry {
+            task_id,
+            fingerprint,
+            record,
+        })
+    } else {
+        let result = engine.run_task(&task).map_err(|e| e.to_string())?;
+        Ok(Message::Result {
+            task_id,
+            fingerprint,
+            outcome: Ok(Box::new(result.profile)),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::config_record;
     use crate::transport::loopback_pair;
-    use bdb_engine::Task;
+    use bdb_engine::{EngineConfig, Task};
     use bdb_node::NodeConfig;
     use bdb_sim::MachineConfig;
     use bdb_workloads::{catalog, Scale};
+    use std::sync::Arc;
 
     fn sample_task() -> Task {
         let workload = &catalog::full_catalog()[0];
@@ -203,33 +247,123 @@ mod tests {
         )
     }
 
-    #[test]
-    fn worker_serves_assign_heartbeat_bye() {
-        let (coord, worker_end) = loopback_pair("serve");
-        let handle = std::thread::spawn(move || {
-            let engine = Engine::in_memory();
-            run_worker(&worker_end, &engine, &WorkerConfig::named("w0"))
-        });
+    /// The `Assign` for `task`, with `config` as its config record.
+    fn assign_with(task_id: u64, task: &Task, config: Vec<u8>) -> Message {
+        Message::Assign {
+            task_id,
+            workload_id: task.workload_id.clone(),
+            fingerprint: task.fingerprint(),
+            config: Arc::from(config),
+        }
+    }
+
+    fn assign(task_id: u64, task: &Task) -> Message {
+        assign_with(task_id, task, config_record(task))
+    }
+
+    /// Serves `engine` on a loopback pair; returns the coordinator end
+    /// with the worker's `Hello` already received.
+    fn serve(
+        engine: Engine,
+    ) -> (
+        crate::transport::LoopbackTransport,
+        std::thread::JoinHandle<Result<u64, WorkerError>>,
+    ) {
+        let (coord, worker_end) = loopback_pair("worker-test");
+        let handle =
+            std::thread::spawn(move || run_worker(&worker_end, &engine, &WorkerConfig::named("w")));
         assert!(matches!(coord.recv(), Ok(Message::Hello { .. })));
-        coord.send(&Message::Heartbeat { seq: 9 }).unwrap();
-        assert!(matches!(coord.recv(), Ok(Message::Heartbeat { seq: 9 })));
-        coord
-            .send(&Message::Assign {
-                task_id: 0,
-                task: Box::new(sample_task()),
-            })
-            .unwrap();
+        (coord, handle)
+    }
+
+    /// The outcome of the next message, which must be `task_id`'s Result.
+    fn outcome(
+        coord: &crate::transport::LoopbackTransport,
+        task_id: u64,
+    ) -> Result<Box<bdb_wcrt::WorkloadProfile>, String> {
         match coord.recv().unwrap() {
             Message::Result {
-                task_id, outcome, ..
+                task_id: answered,
+                outcome,
+                ..
             } => {
-                assert_eq!(task_id, 0);
-                assert!(outcome.is_ok());
+                assert_eq!(answered, task_id);
+                outcome
             }
             other => panic!("expected result, got {other:?}"),
         }
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("bdb-worker-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn worker_serves_assign_heartbeat_bye() {
+        let (coord, handle) = serve(Engine::in_memory());
+        coord.send(&Message::Heartbeat { seq: 9 }).unwrap();
+        assert!(matches!(coord.recv(), Ok(Message::Heartbeat { seq: 9 })));
+        coord.send(&assign(0, &sample_task())).unwrap();
+        assert!(outcome(&coord, 0).is_ok());
         coord.send(&Message::Bye).unwrap();
         assert_eq!(handle.join().unwrap().unwrap(), 1);
+    }
+
+    /// A warm hit is a key lookup: the worker never reads the config
+    /// record, so garbage there still gets the cached entry. Neither the
+    /// config decoder nor `Task::fingerprint` can have run, since no
+    /// task can be built from these bytes.
+    #[test]
+    fn warm_worker_answers_by_key_without_reading_the_config() {
+        let dir = scratch_dir("warm");
+        let task = sample_task();
+        let primer = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+        let (_, record) = primer.run_task_entry(&task).unwrap();
+        let (coord, handle) = serve(Engine::new(
+            EngineConfig::default().threads(1).cache_dir(&dir),
+        ));
+        coord
+            .send(&assign_with(4, &task, b"garbage".to_vec()))
+            .unwrap();
+        let profile = outcome(&coord, 4).expect("the cached entry answers");
+        assert_eq!(
+            bdb_engine::profile_entry_record(task.fingerprint(), &profile),
+            record
+        );
+        coord.send(&Message::Bye).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cold_worker_refuses_a_garbage_config() {
+        let (coord, handle) = serve(Engine::in_memory());
+        coord
+            .send(&assign_with(2, &sample_task(), b"garbage".to_vec()))
+            .unwrap();
+        let error = outcome(&coord, 2).unwrap_err();
+        assert!(error.contains("config record"), "{error}");
+        coord.send(&Message::Bye).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap(), 0);
+    }
+
+    #[test]
+    fn config_hashing_to_another_key_is_refused() {
+        let task = sample_task();
+        let other = Task {
+            scale: Scale::small(),
+            ..task.clone()
+        };
+        let (coord, handle) = serve(Engine::in_memory());
+        coord
+            .send(&assign_with(1, &task, config_record(&other)))
+            .unwrap();
+        let error = outcome(&coord, 1).unwrap_err();
+        assert!(error.contains("not the assigned key"), "{error}");
+        coord.send(&Message::Bye).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap(), 0);
     }
 
     #[test]
@@ -247,12 +381,7 @@ mod tests {
             run_worker(&worker_end, &engine, &config)
         });
         assert!(matches!(coord.recv(), Ok(Message::Hello { .. })));
-        coord
-            .send(&Message::Assign {
-                task_id: 0,
-                task: Box::new(sample_task()),
-            })
-            .unwrap();
+        coord.send(&assign(0, &sample_task())).unwrap();
         assert!(matches!(
             handle.join().unwrap(),
             Err(WorkerError::InjectedCrash { task_number: 0 })

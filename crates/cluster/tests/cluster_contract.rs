@@ -353,38 +353,76 @@ fn previous_protocol_hello_is_refused() {
         &MachineConfig::xeon_e5645(),
         &NodeConfig::default(),
     );
-    assert_eq!(PROTOCOL_VERSION, 3);
-    let (coord_end, old_worker) = loopback_pair("v2");
+    assert_eq!(PROTOCOL_VERSION, 4);
+    let (coord_end, old_worker) = loopback_pair("v3");
     old_worker
         .send(&Message::Hello {
-            worker: "v2".to_owned(),
-            protocol: 2,
+            worker: "v3".to_owned(),
+            protocol: 3,
             cached: Vec::new(),
         })
         .unwrap();
     let alone = Coordinator::new(test_config()).run(vec![Arc::new(coord_end)], &tasks);
     assert!(matches!(alone, Err(ClusterError::AllWorkersDead { .. })));
     while let Ok(Some(msg)) = old_worker.recv_timeout(Duration::ZERO) {
-        assert!(!matches!(msg, Message::Assign { .. }), "v2 worker got work");
+        assert!(!matches!(msg, Message::Assign { .. }), "v3 worker got work");
     }
 
-    let (coord_end, old_worker) = loopback_pair("v2-mixed");
+    let (coord_end, old_worker) = loopback_pair("v3-mixed");
     old_worker
         .send(&Message::Hello {
-            worker: "v2".to_owned(),
-            protocol: 2,
+            worker: "v3".to_owned(),
+            protocol: 3,
             cached: Vec::new(),
         })
         .unwrap();
     let workers: Vec<Arc<dyn Transport>> = vec![
         Arc::new(coord_end),
-        spawn_worker("v3", FaultPlan::default()),
+        spawn_worker("v4", FaultPlan::default()),
     ];
     let merged = Coordinator::new(test_config())
         .run(workers, &tasks)
         .expect("the current worker finishes the run");
     assert_eq!(canonical_bytes(&merged), serial_baseline(&workloads, scale));
     while let Ok(Some(msg)) = old_worker.recv_timeout(Duration::ZERO) {
-        assert!(!matches!(msg, Message::Assign { .. }), "v2 worker got work");
+        assert!(!matches!(msg, Message::Assign { .. }), "v3 worker got work");
     }
+}
+
+/// A v3 `Assign` — the whole task as a value tree in the header, no
+/// config record after it — does not decode under v4: a skewed
+/// coordinator's work is refused at the frame, never run from a guess.
+#[test]
+fn previous_protocol_assign_frame_is_refused() {
+    let task = &fleet_tasks(
+        &catalog::full_catalog()[..1],
+        Scale::tiny(),
+        &MachineConfig::xeon_e5645(),
+        &NodeConfig::default(),
+    )[0];
+    let v3_task = Value::object(vec![
+        ("workload_id", Value::Str(task.workload_id.clone())),
+        (
+            "scale_bits",
+            Value::Str(format!("{:016x}", task.scale.factor().to_bits())),
+        ),
+        (
+            "machine",
+            bdb_engine::codec::machine_config_to_value(&task.machine),
+        ),
+        ("node", bdb_engine::codec::node_config_to_value(&task.node)),
+    ]);
+    let header = Value::object(vec![
+        ("type", Value::Str("assign".to_owned())),
+        ("task_id", Value::UInt(0)),
+        ("task", v3_task),
+    ]);
+    let payload = bdb_codec::encode_record(
+        bdb_codec::RecordKind::WireMessage,
+        &bdb_codec::bval::encode_value(&header),
+    );
+    assert!(matches!(
+        bdb_cluster::wire::decode_payload(&payload),
+        Err(bdb_cluster::WireError::Decode(_))
+    ));
 }

@@ -212,20 +212,16 @@ impl Transport for CountingTransport {
     }
 }
 
-/// Regression: a worker whose connection EOFs while it holds an
-/// assigned task must cause exactly one re-dispatch of that task — the
-/// `Closed` event and the later deadline/heartbeat machinery must not
-/// each re-queue it.
-#[test]
-fn worker_eof_holding_a_task_requeues_exactly_once() {
+/// Runs six tasks over a worker whose connection dies the moment it
+/// tries to send its first Result (frame budget 2 = Hello out + Assign
+/// in) and a healthy survivor, at in-flight depth `max_inflight`.
+/// Returns the `(worker, task)` log of every `Assign` sent.
+fn run_with_a_worker_dying_mid_task(max_inflight: usize) -> Vec<(usize, u64)> {
     let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(6).collect();
     let scale = Scale::tiny();
     let serial = serial_baseline(&workloads, scale);
     let tasks = fleet_tasks(&workloads, scale, &machine(), &NodeConfig::default());
     let assigns: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    // Frame budget 2 = Hello out + Assign in: the connection dies the
-    // moment the worker tries to send its first Result, so the
-    // coordinator sees EOF with the task still in flight.
     let workers: Vec<Arc<dyn Transport>> = vec![
         Arc::new(CountingTransport {
             inner: spawn_worker(
@@ -244,27 +240,62 @@ fn worker_eof_holding_a_task_requeues_exactly_once() {
             assigns: Arc::clone(&assigns),
         }),
     ];
-    let profiles = Coordinator::new(elastic_config())
+    let config = ClusterConfig {
+        max_inflight,
+        ..elastic_config()
+    };
+    let profiles = Coordinator::new(config)
         .run(workers, &tasks)
         .expect("run must converge past the EOF");
     assert_eq!(canonical_bytes(&profiles), serial);
+    let log = assigns.lock().expect("assign log lock").clone();
+    log
+}
 
-    let log = assigns.lock().expect("assign log lock");
+/// The tasks `log` sent to worker 0, checking each was dispatched
+/// exactly twice: once to the dying worker, once again after its death.
+fn orphans_redispatched_once(log: &[(usize, u64)]) -> Vec<u64> {
     let to_dead: Vec<u64> = log
         .iter()
         .filter(|(worker, _)| *worker == 0)
         .map(|&(_, task)| task)
         .collect();
+    for &orphan in &to_dead {
+        let dispatches = log.iter().filter(|&&(_, task)| task == orphan).count();
+        assert_eq!(
+            dispatches, 2,
+            "orphaned task {orphan} must be re-dispatched exactly once: {log:?}"
+        );
+    }
+    to_dead
+}
+
+/// Regression: a worker whose connection EOFs while it holds an
+/// assigned task must cause exactly one re-dispatch of that task — the
+/// `Closed` event and the later deadline/heartbeat machinery must not
+/// each re-queue it. Pinned to depth 1, where the dying worker holds
+/// exactly one task.
+#[test]
+fn worker_eof_holding_a_task_requeues_exactly_once() {
+    let log = run_with_a_worker_dying_mid_task(1);
+    let to_dead = orphans_redispatched_once(&log);
     assert_eq!(
         to_dead.len(),
         1,
         "the dying worker accepts exactly one assignment: {log:?}"
     );
-    let orphan = to_dead[0];
-    let dispatches = log.iter().filter(|&&(_, task)| task == orphan).count();
+}
+
+/// The two-deep twin: the dying worker holds the task it is computing
+/// and the one queued behind it, and each is re-dispatched exactly once.
+#[test]
+fn worker_eof_holding_two_tasks_requeues_each_exactly_once() {
+    let log = run_with_a_worker_dying_mid_task(2);
+    let to_dead = orphans_redispatched_once(&log);
     assert_eq!(
-        dispatches, 2,
-        "orphaned task {orphan} must be re-dispatched exactly once: {log:?}"
+        to_dead.len(),
+        2,
+        "the dying worker is sent two assignments: {log:?}"
     );
 }
 

@@ -58,13 +58,15 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn config() -> ClusterConfig {
+/// Fleet tunables with in-flight depth `max_inflight`.
+fn config(max_inflight: usize) -> ClusterConfig {
     ClusterConfig {
         tick: Duration::from_millis(1),
         task_deadline_ticks: 25,
         heartbeat_every_ticks: 10,
         heartbeat_miss_limit: 2,
         max_attempts: 6,
+        max_inflight,
         ..ClusterConfig::default()
     }
 }
@@ -215,10 +217,12 @@ proptest! {
     /// The conservation invariant holds after EVERY membership and
     /// scheduling event, and any surviving fleet drains to completion.
     /// `workers` starts at 0: a join-only fleet must still conserve
-    /// (its tasks are seeded into the retry queue) and drain.
+    /// (its tasks are seeded into the retry queue) and drain. `depth`
+    /// covers both a one-deep fleet and the default two-deep pipeline.
     #[test]
     fn task_set_is_conserved_under_arbitrary_membership_churn(
         workers in 0usize..4,
+        depth in 1usize..3,
         tasks in 1usize..12,
         hellos in proptest::collection::vec(any::<usize>(), 0..4),
         ops in proptest::collection::vec(op(), 0..60),
@@ -226,7 +230,7 @@ proptest! {
         // Distinct fingerprints so affinity bookkeeping is exercised.
         let fingerprints: Vec<u64> =
             (0..tasks as u64).map(|t| t.wrapping_mul(0x9e37_79b9)).collect();
-        let mut fleet = Fleet::new(workers, fingerprints, config());
+        let mut fleet = Fleet::new(workers, fingerprints, config(depth));
         conserve(&fleet, "on the fresh fleet");
         for seed in hellos {
             if fleet.slot_count() > 0 {

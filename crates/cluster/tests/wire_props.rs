@@ -2,8 +2,11 @@
 //! round-trip byte-stably, every mid-frame truncation must be detected,
 //! and duplicated frames must decode to byte-identical copies (the
 //! coordinator's dedup-by-content-key relies on that). Successful
-//! results and replicas carry real tiny-scale cache-entry records.
+//! results and replicas carry real tiny-scale cache-entry records, and
+//! assignments carry real config records that rebuild their task bit
+//! for bit.
 
+use bdb_cluster::proto::{config_record, task_from_config_record};
 use bdb_cluster::wire::{decode_frames, encode_frame, WireError};
 use bdb_cluster::{Message, PROTOCOL_VERSION};
 use bdb_engine::{Engine, Task};
@@ -12,7 +15,7 @@ use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A real tiny-scale result: its task, profile and cache-entry record.
 struct Entry {
@@ -85,6 +88,16 @@ fn task() -> impl Strategy<Value = Task> {
     })
 }
 
+/// The `Assign` the coordinator sends for `task`.
+fn assign(task_id: u64, task: &Task) -> Message {
+    Message::Assign {
+        task_id,
+        workload_id: task.workload_id.clone(),
+        fingerprint: task.fingerprint(),
+        config: Arc::from(config_record(task)),
+    }
+}
+
 fn message() -> impl Strategy<Value = Message> {
     prop_oneof![
         (ident(), proptest::collection::vec(any::<u64>(), 0..8)).prop_map(|(worker, cached)| {
@@ -94,10 +107,7 @@ fn message() -> impl Strategy<Value = Message> {
                 cached,
             }
         }),
-        (any::<u64>(), task()).prop_map(|(task_id, task)| Message::Assign {
-            task_id,
-            task: Box::new(task),
-        }),
+        (any::<u64>(), task()).prop_map(|(task_id, task)| assign(task_id, &task)),
         (any::<u64>(), any::<u64>(), ident()).prop_map(|(task_id, fingerprint, error)| {
             Message::Result {
                 task_id,
@@ -184,6 +194,24 @@ proptest! {
         // warm send form comes back as the `Result` it encodes.
         prop_assert!(!matches!(decoded[0], Message::ResultEntry { .. }));
         prop_assert_eq!(encode_frame(&decoded[0]), frame);
+    }
+
+    #[test]
+    fn config_records_rebuild_the_task_bit_for_bit(task_id in any::<u64>(), task in task()) {
+        let frame = encode_frame(&assign(task_id, &task));
+        let decoded = decode_frames(&frame).unwrap();
+        let Some(Message::Assign { workload_id, fingerprint, config, .. }) = decoded.first()
+        else {
+            panic!("decoded {decoded:?}");
+        };
+        let back = task_from_config_record(workload_id, config).unwrap();
+        prop_assert_eq!(
+            back.scale.factor().to_bits(),
+            task.scale.factor().to_bits()
+        );
+        prop_assert_eq!(&back, &task);
+        prop_assert_eq!(back.fingerprint(), *fingerprint);
+        prop_assert_eq!(config_record(&back), config.to_vec());
     }
 
     #[test]

@@ -602,11 +602,13 @@ pub fn sweep_result_from_value(v: &Value) -> Result<SweepResult, DecodeError> {
     })
 }
 
-/// Encodes a [`crate::task::Task`]. The scale factor travels as its exact
-/// `f64` bit pattern so the worker profiles with bit-identical inputs.
-pub fn task_to_value(t: &crate::task::Task) -> Value {
+/// Encodes a [`crate::task::Task`]'s configuration — everything but
+/// its workload id: `{scale_bits, machine, node}`. The scale factor
+/// travels as its exact `f64` bit pattern so the worker profiles with
+/// bit-identical inputs. Tasks that share a configuration share its
+/// encoding; the cluster sends it once per distinct configuration.
+pub fn task_config_to_value(t: &crate::task::Task) -> Value {
     Value::object(vec![
-        ("workload_id", Value::Str(t.workload_id.clone())),
         (
             "scale_bits",
             Value::Str(format!("{:016x}", t.scale.factor().to_bits())),
@@ -616,9 +618,13 @@ pub fn task_to_value(t: &crate::task::Task) -> Value {
     ])
 }
 
-/// Decodes a [`crate::task::Task`]. Rejects non-finite or non-positive
-/// scale factors rather than panicking in `Scale::custom`.
-pub fn task_from_value(v: &Value) -> Result<crate::task::Task, DecodeError> {
+/// Rebuilds the [`crate::task::Task`] of `workload_id` from its
+/// configuration ([`task_config_to_value`]). Rejects non-finite or
+/// non-positive scale factors rather than panicking in `Scale::custom`.
+pub fn task_from_config_value(
+    workload_id: &str,
+    v: &Value,
+) -> Result<crate::task::Task, DecodeError> {
     let bits = get_str(v, "scale_bits")?;
     let bits = u64::from_str_radix(bits, 16)
         .map_err(|_| DecodeError::field("scale_bits", "expected 16 hex digits"))?;
@@ -630,7 +636,7 @@ pub fn task_from_value(v: &Value) -> Result<crate::task::Task, DecodeError> {
         ));
     }
     Ok(crate::task::Task {
-        workload_id: get_str(v, "workload_id")?.to_owned(),
+        workload_id: workload_id.to_owned(),
         scale: Scale::custom(factor),
         machine: machine_config_from_value(get(v, "machine")?)?,
         node: node_config_from_value(get(v, "node")?)?,
@@ -705,18 +711,18 @@ mod tests {
                 machine,
                 node: NodeConfig::default(),
             };
-            let bytes = task_to_value(&task).encode();
-            let back = task_from_value(&crate::json::parse(&bytes).unwrap()).unwrap();
-            assert_eq!(back.workload_id, task.workload_id);
+            let bytes = task_config_to_value(&task).encode();
+            let back = task_from_config_value("H-WordCount", &crate::json::parse(&bytes).unwrap())
+                .unwrap();
             assert_eq!(
                 back.scale.factor().to_bits(),
                 task.scale.factor().to_bits(),
                 "scale bits must survive"
             );
-            assert_eq!(back.machine, task.machine);
-            assert_eq!(back.node, task.node);
-            // Byte stability: re-encoding the decoded task is the identity.
-            assert_eq!(task_to_value(&back).encode(), bytes);
+            assert_eq!(back, task);
+            assert_eq!(back.fingerprint(), task.fingerprint());
+            // Byte stability: re-encoding the decoded config is the identity.
+            assert_eq!(task_config_to_value(&back).encode(), bytes);
         }
     }
 
@@ -728,13 +734,15 @@ mod tests {
             machine: MachineConfig::xeon_e5645(),
             node: NodeConfig::default(),
         };
-        let good = task_to_value(&task).encode();
-        let zero = format!("{:016x}", 0.0f64.to_bits());
-        let nan = format!("{:016x}", f64::NAN.to_bits());
+        let good = task_config_to_value(&task).encode();
         let tiny = format!("{:016x}", Scale::tiny().factor().to_bits());
-        for bad in [zero, nan] {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = format!("{:016x}", f64::to_bits(bad));
             let v = crate::json::parse(&good.replace(&tiny, &bad)).unwrap();
-            assert!(task_from_value(&v).is_err(), "must reject factor {bad}");
+            assert!(
+                task_from_config_value("H-Grep", &v).is_err(),
+                "must reject factor {bad}"
+            );
         }
     }
 

@@ -295,6 +295,10 @@ pub struct Engine {
     invalidated: AtomicU64,
     replicas_admitted: AtomicU64,
     replicas_refused: AtomicU64,
+    /// Profile keys from the startup listing of the cache directory,
+    /// kept for the first [`Engine::cached_fingerprints`] call unless
+    /// this engine changes the directory first.
+    startup_keys: Mutex<Option<Vec<u64>>>,
 }
 
 impl Engine {
@@ -316,9 +320,9 @@ impl Engine {
         let cache_dir = config
             .cache_dir
             .filter(|dir| store.create_dir_all(dir).is_ok());
-        let tmp_reclaimed = cache_dir
+        let (tmp_reclaimed, startup_keys) = cache_dir
             .as_ref()
-            .map_or(0, |dir| reclaim_stale_tmp(store.as_ref(), dir));
+            .map_or((0, None), |dir| scan_cache_dir(store.as_ref(), dir));
         Engine {
             dispatch,
             store,
@@ -336,6 +340,7 @@ impl Engine {
             invalidated: AtomicU64::new(0),
             replicas_admitted: AtomicU64::new(0),
             replicas_refused: AtomicU64::new(0),
+            startup_keys: Mutex::new(startup_keys),
         }
     }
 
@@ -410,21 +415,21 @@ impl Engine {
     /// the coordinator can route matching tasks to warm machines. Keys
     /// are parsed from file names only; no entry bytes are read or
     /// verified here (a corrupt entry is still quarantined at read time,
-    /// and the task then recomputes).
+    /// and the task then recomputes). The first call answers from the
+    /// listing [`Engine::new`] made, unless this engine has written,
+    /// quarantined or evicted an entry since; later calls list the
+    /// directory again.
     pub fn cached_fingerprints(&self) -> Vec<u64> {
+        if let Some(keys) = lock_keys(&self.startup_keys).take() {
+            return keys;
+        }
         let Some(dir) = &self.cache_dir else {
             return Vec::new();
         };
         let Ok(files) = self.store.list(dir) else {
             return Vec::new();
         };
-        let mut keys: Vec<u64> = files
-            .iter()
-            .filter_map(|meta| profile_entry_key(&meta.path))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+        profile_keys(&files)
     }
 
     /// Drops one memoized profile by fingerprint, returning whether an
@@ -681,6 +686,7 @@ impl Engine {
     /// removed so the live cache cannot keep serving it.
     fn quarantine(&self, dir: &Path, path: &Path) {
         self.corrupt_quarantined.fetch_add(1, Ordering::Relaxed);
+        lock_keys(&self.startup_keys).take();
         let moved = path.file_name().is_some_and(|name| {
             let quarantine_dir = dir.join(QUARANTINE_DIR);
             if self.store.create_dir_all(&quarantine_dir).is_err() {
@@ -712,6 +718,7 @@ impl Engine {
         let Some(dir) = &self.cache_dir else {
             return;
         };
+        lock_keys(&self.startup_keys).take();
         // Write-to-temp + rename so concurrent engines never observe a
         // half-written entry; all writers produce identical bytes, so the
         // last rename winning is harmless. Both failure arms remove the
@@ -736,15 +743,18 @@ impl Engine {
     }
 }
 
-/// Removes stale temp files left by crashed writers. They are invisible
-/// to [`enforce_cache_cap`] (which only counts `.bin` entries), so
-/// without this startup sweep they would accumulate forever.
-fn reclaim_stale_tmp(store: &dyn CacheStore, dir: &Path) -> u64 {
+/// The startup scan, one listing of the cache directory: removes stale
+/// temp files left by crashed writers and returns how many it removed,
+/// with the profile keys of the entries listed (`None` if the listing
+/// failed). Temp files are invisible to [`enforce_cache_cap`] (which
+/// only counts `.bin` entries), so without this sweep they would
+/// accumulate forever.
+fn scan_cache_dir(store: &dyn CacheStore, dir: &Path) -> (u64, Option<Vec<u64>>) {
     let Ok(files) = store.list(dir) else {
-        return 0;
+        return (0, None);
     };
     let mut reclaimed = 0;
-    for meta in files {
+    for meta in &files {
         let name = meta
             .path
             .file_name()
@@ -754,7 +764,25 @@ fn reclaim_stale_tmp(store: &dyn CacheStore, dir: &Path) -> u64 {
             reclaimed += 1;
         }
     }
-    reclaimed
+    (reclaimed, Some(profile_keys(&files)))
+}
+
+/// The sorted, deduplicated profile keys among listed files.
+fn profile_keys(files: &[FileMeta]) -> Vec<u64> {
+    let mut keys: Vec<u64> = files
+        .iter()
+        .filter_map(|meta| profile_entry_key(&meta.path))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Locks the startup keys with poison recovery (the value is replaced
+/// or taken whole, so a poisoned guard still holds a consistent one).
+fn lock_keys(keys: &Mutex<Option<Vec<u64>>>) -> std::sync::MutexGuard<'_, Option<Vec<u64>>> {
+    keys.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Evicts least-recently-used cache entries until the directory's
@@ -817,8 +845,8 @@ pub fn profile_fingerprint(
     h.write_u64(CACHE_FORMAT_VERSION);
     h.write(workload_id.as_bytes());
     h.write_u64(scale.factor().to_bits());
-    h.write(format!("{machine:?}").as_bytes());
-    h.write(format!("{node:?}").as_bytes());
+    h.write_debug(machine);
+    h.write_debug(node);
     h.finish()
 }
 
@@ -833,7 +861,7 @@ pub fn sweep_fingerprint(workload_id: &str, scale: Scale, capacities_kib: &[u64]
     h.write(b"sweep");
     h.write(workload_id.as_bytes());
     h.write_u64(scale.factor().to_bits());
-    h.write(format!("{:?}", SweepFamily::atom()).as_bytes());
+    h.write_debug(&SweepFamily::atom());
     h.write_u64(capacities_kib.len() as u64);
     for &kib in capacities_kib {
         h.write_u64(kib);
@@ -841,31 +869,61 @@ pub fn sweep_fingerprint(workload_id: &str, scale: Scale, capacities_kib: &[u64]
     h.finish()
 }
 
-struct Fnv(u64);
+/// FNV-1a over length-terminated fields. Its [`std::fmt::Write`] impl
+/// hashes formatted text as it is produced, so a `Debug` field is hashed
+/// without first being rendered into a `String`.
+struct Fnv {
+    hash: u64,
+    /// Bytes hashed so far in the field being written through `fmt`.
+    field_len: u64,
+}
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv {
+            hash: 0xcbf2_9ce4_8422_2325,
+            field_len: 0,
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x1000_0000_01b3);
+        }
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
+        self.bytes(bytes);
         // Length terminator so concatenated fields cannot alias.
         self.write_u64(bytes.len() as u64);
     }
 
+    /// Hashes `value`'s `Debug` rendering as one field: the same bytes
+    /// and terminator as `write(format!("{value:?}").as_bytes())`.
+    fn write_debug(&mut self, value: &dyn std::fmt::Debug) {
+        use std::fmt::Write as _;
+        self.field_len = 0;
+        // Writing into the hasher cannot fail; only a `Debug` impl that
+        // reports an error could, and the hash then covers what it wrote.
+        let _ = write!(self, "{value:?}");
+        self.write_u64(self.field_len);
+    }
+
     fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
+        self.bytes(&v.to_le_bytes());
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        self.hash
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        self.field_len += s.len() as u64;
+        Ok(())
     }
 }
 
@@ -1339,6 +1397,42 @@ mod tests {
     }
 
     #[test]
+    fn first_advertisement_reuses_the_startup_listing_until_a_write() {
+        let dir = scratch_dir("startup-keys");
+        let workloads = reps(3);
+        let machine = MachineConfig::xeon_e5645();
+        let node = NodeConfig::default();
+        let primer = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+        primer.profile(&workloads[0], Scale::tiny(), &machine, &node);
+        let first = profile_fingerprint(&workloads[0].spec.id, Scale::tiny(), &machine, &node);
+        let second = profile_fingerprint(&workloads[1].spec.id, Scale::tiny(), &machine, &node);
+
+        // The startup scan's keys answer the first call: a file that
+        // appears afterwards is not seen, because nothing lists again.
+        let engine = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+        primer.profile(&workloads[1], Scale::tiny(), &machine, &node);
+        assert_eq!(engine.cached_fingerprints(), vec![first]);
+        // Later calls list the directory.
+        let mut both = vec![first, second];
+        both.sort_unstable();
+        assert_eq!(engine.cached_fingerprints(), both);
+
+        // A write by the engine itself drops the startup keys unused.
+        let writer = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+        let path = writer
+            .cache_file(&workloads[0], Scale::tiny(), &machine, &node)
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        writer.profile(&workloads[2], Scale::tiny(), &machine, &node);
+        assert_eq!(writer.counters().computed, 1);
+        let third = profile_fingerprint(&workloads[2].spec.id, Scale::tiny(), &machine, &node);
+        let mut listed = vec![second, third];
+        listed.sort_unstable();
+        assert_eq!(writer.cached_fingerprints(), listed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn failed_cache_write_counts_and_leaves_no_tmp() {
         let dir = scratch_dir("wfail");
         let workloads = reps(1);
@@ -1549,6 +1643,27 @@ mod tests {
             base,
             profile_fingerprint("H-WordCount", Scale::tiny(), &machine, &node)
         );
+    }
+
+    #[test]
+    fn debug_fields_hash_like_their_rendered_strings() {
+        // Every cache key depends on this: streaming a `Debug` rendering
+        // into the hasher must hash the bytes of the rendered string.
+        let node = NodeConfig::default();
+        let values: [&dyn std::fmt::Debug; 5] = [
+            &MachineConfig::xeon_e5645(),
+            &MachineConfig::atom_d510(),
+            &MachineConfig::atom_sweep(64),
+            &node,
+            &SweepFamily::atom(),
+        ];
+        for value in values {
+            let mut streamed = Fnv::new();
+            streamed.write_debug(value);
+            let mut rendered = Fnv::new();
+            rendered.write(format!("{value:?}").as_bytes());
+            assert_eq!(streamed.finish(), rendered.finish(), "{value:?}");
+        }
     }
 
     #[test]

@@ -7,14 +7,17 @@
 //! [`Engine::run_task_entry`] into that profile's cache-entry record;
 //! both consult the engine's caches exactly like [`Engine::profile`], so
 //! a worker with a warm local cache never re-simulates.
+//! [`Engine::cached_entry`] is the disk-cache lookup underneath, by
+//! workload id and fingerprint alone: a warm worker answers from it
+//! before it has rebuilt the task.
 //!
 //! The workload is carried *by id*, not by value: workload definitions
 //! contain closures and cannot be serialized, but every id resolves
 //! against the same checked-in catalog on every node, so sending the id
 //! is equivalent to sending the workload (the `catalog-spec` lint pins
-//! the catalog to the contract file). Machine and node configs are sent
-//! in full — they are plain data and the fingerprint depends on their
-//! exact field values.
+//! the catalog to the contract file). Scale, machine and node configs
+//! travel as one config record ([`crate::codec::task_config_to_value`])
+//! — plain data whose exact field values the fingerprint depends on.
 
 use crate::{profile_entry_record, profile_fingerprint, Engine};
 use bdb_node::NodeConfig;
@@ -150,17 +153,28 @@ impl Engine {
         let workload = resolve_workload(&task.workload_id)
             .ok_or_else(|| TaskError::UnknownWorkload(task.workload_id.clone()))?;
         let fingerprint = task.fingerprint();
-        let id = &workload.spec.id;
-        let on_disk =
-            self.read_entry::<WorkloadProfile, _>(id, fingerprint, |record, _| Ok(record.to_vec()));
-        if let Some(record) = on_disk {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(record) = self.cached_entry(&workload.spec.id, fingerprint) {
             return Ok((fingerprint, record));
         }
         let profile = self.memo(fingerprint).unwrap_or_else(|| {
             self.simulate(fingerprint, workload, task.scale, &task.machine, &task.node)
         });
         Ok((fingerprint, profile_entry_record(fingerprint, &profile)))
+    }
+
+    /// The disk cache's entry record for workload `workload_id` under
+    /// `fingerprint`, as it sits on disk: a key lookup that needs no
+    /// [`Task`]. The record gets the container, CRC-64 and fingerprint
+    /// check of every cache read; its profile is not decoded. A hit
+    /// counts as a disk hit; a miss (no disk cache, no file, or a record
+    /// that fails the check and is quarantined) is `None`.
+    pub fn cached_entry(&self, workload_id: &str, fingerprint: u64) -> Option<Vec<u8>> {
+        let record =
+            self.read_entry::<WorkloadProfile, _>(workload_id, fingerprint, |record, _| {
+                Ok(record.to_vec())
+            })?;
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        Some(record)
     }
 }
 

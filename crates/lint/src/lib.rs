@@ -218,6 +218,24 @@ pub fn run(root: &Path, rules: &[String]) -> Result<Vec<Diagnostic>, String> {
     Ok(diags)
 }
 
+/// The `--bless` flow: rewrites `contracts/knobs.txt` from the code,
+/// then runs the passes ([`run`] with `rules`) and writes what they
+/// find to `baseline` as the accepted findings. Returns how many were
+/// blessed. The inventory is rewritten first so the run is judged
+/// against it: a knob whose last read was just deleted leaves the
+/// inventory here instead of landing in the baseline as a `dead-knob`
+/// finding.
+pub fn bless(root: &Path, rules: &[String], baseline: &Path) -> Result<usize, String> {
+    let ws = graph::Workspace::load(root)?;
+    let knobs_path = root.join(knobs::KNOBS_TXT);
+    std::fs::write(&knobs_path, knobs::knobs_txt(&ws))
+        .map_err(|e| format!("write {}: {e}", knobs_path.display()))?;
+    let diags = run(root, rules)?;
+    std::fs::write(baseline, report::baseline_json(&diags))
+        .map_err(|e| format!("write {}: {e}", baseline.display()))?;
+    Ok(diags.len())
+}
+
 /// Ascends from `start` to the nearest directory whose `Cargo.toml`
 /// declares a `[workspace]`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {

@@ -10,8 +10,8 @@
 //! source→sink call chain indented below for reachability rules), or as
 //! a canonical JSON report with `--format json`. `--baseline <file>`
 //! subtracts blessed findings so CI fails on *new* findings only;
-//! `--bless` rewrites the baseline and `contracts/knobs.txt` instead of
-//! reporting. `--max-millis <n>` fails the run if the full analysis
+//! `--bless` rewrites `contracts/knobs.txt` and then the baseline
+//! instead of reporting ([`bdb_lint::bless`]). `--max-millis <n>` fails the run if the full analysis
 //! exceeds the wall-clock budget (the CI `lint-perf` guard). Exit status
 //! is 0 when clean (or findings are advisory), 1 when `--deny-warnings`
 //! is set and any non-baselined diagnostic fired (or the time budget is
@@ -99,6 +99,27 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
+    if opts.bless {
+        let baseline_path = opts
+            .baseline
+            .clone()
+            .unwrap_or_else(|| workspace.join("contracts/lint_baseline.json"));
+        return match bdb_lint::bless(&workspace, &opts.rules, &baseline_path) {
+            Ok(blessed) => {
+                println!(
+                    "bdb-lint: rewrote {} and blessed {blessed} finding(s) into {}",
+                    workspace.join(bdb_lint::knobs::KNOBS_TXT).display(),
+                    baseline_path.display()
+                );
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("bdb-lint: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
+
     // Wall-clock measurement is exactly what --max-millis is for; the
     // lint crate produces no profile bytes.
     let started = std::time::Instant::now();
@@ -110,36 +131,6 @@ fn main() -> ExitCode {
         }
     };
     let elapsed = started.elapsed().as_millis();
-
-    if opts.bless {
-        let baseline_path = opts
-            .baseline
-            .clone()
-            .unwrap_or_else(|| workspace.join("contracts/lint_baseline.json"));
-        if let Err(e) = std::fs::write(&baseline_path, bdb_lint::report::baseline_json(&diags)) {
-            eprintln!("bdb-lint: write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        let ws = match bdb_lint::graph::Workspace::load(&workspace) {
-            Ok(ws) => ws,
-            Err(e) => {
-                eprintln!("bdb-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let knobs_path = workspace.join(bdb_lint::knobs::KNOBS_TXT);
-        if let Err(e) = std::fs::write(&knobs_path, bdb_lint::knobs::knobs_txt(&ws)) {
-            eprintln!("bdb-lint: write {}: {e}", knobs_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "bdb-lint: blessed {} finding(s) into {} and rewrote {}",
-            diags.len(),
-            baseline_path.display(),
-            knobs_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
 
     let diags = match &opts.baseline {
         Some(path) => {

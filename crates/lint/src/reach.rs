@@ -125,7 +125,7 @@ const PANIC: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "engine",
-            suffix: &["reclaim_stale_tmp"],
+            suffix: &["scan_cache_dir"],
         },
         RootSpec {
             krate: "engine",
