@@ -391,11 +391,17 @@ impl Run<'_> {
                 self.fleet.heartbeat(idx, seq);
                 Ok(())
             }
+            Message::Verified {
+                task_id,
+                fingerprint,
+                profile,
+                record,
+            } => self.handle_result(idx, task_id, fingerprint, Ok((profile, record))),
             Message::Result {
                 task_id,
                 fingerprint,
-                outcome,
-            } => self.handle_result(idx, task_id, fingerprint, outcome),
+                outcome: Err(error),
+            } => self.handle_result(idx, task_id, fingerprint, Err(error)),
             Message::Bye => {
                 // A clean, voluntary departure: re-queue its work
                 // without charging an attempt.
@@ -403,8 +409,9 @@ impl Run<'_> {
                 Ok(())
             }
             other => {
-                // Workers never send Assign/Replicate; the connection
-                // is unusable but the run can continue without it.
+                // Workers never send Assign/Replicate, and a decoded
+                // success is always `Verified`; the connection is
+                // unusable but the run can continue without it.
                 let _ = other;
                 self.fleet.death(idx)?;
                 Ok(())
@@ -417,7 +424,7 @@ impl Run<'_> {
         idx: usize,
         task_id: u64,
         fingerprint: u64,
-        outcome: Result<Box<WorkloadProfile>, String>,
+        outcome: Result<(Box<WorkloadProfile>, Vec<u8>), String>,
     ) -> Result<(), ClusterError> {
         let Some(task) = usize::try_from(task_id)
             .ok()
@@ -440,8 +447,8 @@ impl Run<'_> {
                 .record_failure(task, "content fingerprint mismatch".to_owned())?);
         }
         match outcome {
-            Ok(profile) => {
-                self.replicate(idx, task, fingerprint, &profile)?;
+            Ok((profile, record)) => {
+                self.replicate(idx, task, fingerprint, record)?;
                 if let Some(slot) = self.results.get_mut(task) {
                     *slot = Some(*profile);
                 }
@@ -452,15 +459,16 @@ impl Run<'_> {
         }
     }
 
-    /// Pushes a verified result to its ring-successor replica targets.
-    /// A failed push tombstones the target (the transport is gone); the
+    /// Pushes a verified result's entry record, the computing worker's
+    /// bytes as they arrived, to its ring-successor replica targets. A
+    /// failed push tombstones the target (the transport is gone); the
     /// result itself is already safe on the coordinator.
     fn replicate(
         &mut self,
         computer: usize,
         task: usize,
         fingerprint: u64,
-        profile: &WorkloadProfile,
+        record: Vec<u8>,
     ) -> Result<(), ClusterError> {
         self.fleet.record_replica(computer, fingerprint);
         if self.config.replication == 0 {
@@ -473,12 +481,10 @@ impl Run<'_> {
         if targets.is_empty() {
             return Ok(());
         }
-        // The engine's one encoder turns the decoded result back into
-        // the computing worker's entry bytes.
         let msg = Message::Replicate {
             workload_id,
             fingerprint,
-            record: bdb_engine::profile_entry_record(fingerprint, profile),
+            record,
         };
         for target in targets {
             if self.transport_send(target, &msg) {

@@ -16,7 +16,8 @@
 //!   task's content fingerprint, and either the profile or an error
 //!   string (job completion). A worker sends a successful result in the
 //!   [`Message::ResultEntry`] form: its cache entry's bytes, which the
-//!   receiver decodes as a `Result`.
+//!   receiver decodes as a [`Message::Verified`] — the profile and the
+//!   record it came from, which a `Replicate` forwards unchanged.
 //! * [`Message::Replicate`] — coordinator → worker; a verified result's
 //!   cache-entry record pushed for admission into the worker's local
 //!   cache (the replicated result tier). No reply — a failed send
@@ -59,6 +60,7 @@
 //! and never reads it, and a worker that computes checks it with
 //! [`task_from_config_record`].
 
+use bdb_codec::bval::ValueRef;
 use bdb_engine::codec::{self, DecodeError};
 use bdb_engine::json::Value;
 use bdb_engine::{EntryError, Task};
@@ -102,7 +104,9 @@ pub enum Message {
         /// undecoded and shared by every `Assign` of the same config.
         config: Arc<[u8]>,
     },
-    /// Task completion (success or failure), as the receiver decodes it.
+    /// Task completion (success or failure). A failure is received in
+    /// this form; a success is sent in it by a worker that decoded the
+    /// profile, and is received as [`Message::Verified`].
     Result {
         /// Echo of the [`Message::Assign`] task index.
         task_id: u64,
@@ -116,12 +120,28 @@ pub enum Message {
     /// task's cache-entry record as the worker's engine holds it
     /// ([`bdb_engine::Engine::run_task_entry`]). It encodes to exactly
     /// the frame `Result { outcome: Ok(profile) }` encodes to, and
-    /// decodes as that `Result`; no decoder produces this variant.
+    /// decodes as [`Message::Verified`]; no decoder produces this
+    /// variant.
     ResultEntry {
         /// Echo of the [`Message::Assign`] task index.
         task_id: u64,
         /// The task's content fingerprint.
         fingerprint: u64,
+        /// The BDBC `CacheEntry` record, container and all.
+        record: Vec<u8>,
+    },
+    /// A successful result as the receiver decodes it: the profile,
+    /// decoded once from the entry record checked against the
+    /// fingerprint, and that record as it crossed the wire, so the
+    /// coordinator forwards the worker's bytes to replica targets. It
+    /// encodes to the frame it was decoded from.
+    Verified {
+        /// Echo of the [`Message::Assign`] task index.
+        task_id: u64,
+        /// The task's content fingerprint.
+        fingerprint: u64,
+        /// The profile decoded from `record`.
+        profile: Box<WorkloadProfile>,
         /// The BDBC `CacheEntry` record, container and all.
         record: Vec<u8>,
     },
@@ -204,6 +224,12 @@ pub fn message_to_parts(msg: &Message) -> (Value, Option<Cow<'_, [u8]>>) {
             task_id,
             fingerprint,
             record,
+        }
+        | Message::Verified {
+            task_id,
+            fingerprint,
+            record,
+            ..
         } => (
             result_header(*task_id, *fingerprint, None),
             Some(Cow::Borrowed(record.as_slice())),
@@ -248,24 +274,24 @@ fn result_header(task_id: u64, fingerprint: u64, error: Option<&String>) -> Valu
     Value::object(pairs)
 }
 
-fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DecodeError> {
+fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, DecodeError> {
     v.get(key)
         .ok_or_else(|| DecodeError(format!("{key}: missing")))
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, DecodeError> {
+fn get_u64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, DecodeError> {
     get(v, key)?
         .as_u64()
         .ok_or_else(|| DecodeError(format!("{key}: expected unsigned integer")))
 }
 
-fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, DecodeError> {
+fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, DecodeError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| DecodeError(format!("{key}: expected string")))
 }
 
-fn get_fingerprint(v: &Value, key: &str) -> Result<u64, DecodeError> {
+fn get_fingerprint<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, DecodeError> {
     u64::from_str_radix(get_str(v, key)?, 16)
         .map_err(|_| DecodeError(format!("{key}: expected 16 hex digits")))
 }
@@ -273,7 +299,10 @@ fn get_fingerprint(v: &Value, key: &str) -> Result<u64, DecodeError> {
 /// Rebuilds a message from its wire parts (strict): the decoded header
 /// and the bytes after it, if any. See the module docs for which
 /// failures are decode errors and which are failed results.
-pub fn message_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, DecodeError> {
+pub fn message_from_parts<'a, V: ValueRef<'a>>(
+    v: V,
+    entry: Option<&[u8]>,
+) -> Result<Message, DecodeError> {
     let kind = get_str(v, "type")?;
     match (kind, entry) {
         ("result", entry) => result_from_parts(v, entry),
@@ -297,10 +326,9 @@ pub fn message_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, De
             // `cached` arrived with protocol v2; tolerate its absence so
             // the version check in Hello, not a decode error, is what
             // refuses a skewed worker.
-            let cached = match v.get("cached") {
+            let cached = match v.get("cached").map(|c| c.items()) {
                 None => Vec::new(),
-                Some(Value::Array(items)) => items
-                    .iter()
+                Some(Some(items)) => items
                     .map(|item| {
                         let hex = item.as_str().ok_or_else(|| {
                             DecodeError("cached: expected hex strings".to_owned())
@@ -309,7 +337,7 @@ pub fn message_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, De
                             .map_err(|_| DecodeError("cached: expected 16 hex digits".to_owned()))
                     })
                     .collect::<Result<Vec<u64>, DecodeError>>()?,
-                Some(_) => return Err(DecodeError("cached: expected array".to_owned())),
+                Some(None) => return Err(DecodeError("cached: expected array".to_owned())),
             };
             Ok(Message::Hello {
                 worker: get_str(v, "worker")?.to_owned(),
@@ -343,20 +371,31 @@ pub fn config_record(task: &Task) -> Vec<u8> {
 pub fn task_from_config_record(workload_id: &str, record: &[u8]) -> Result<Task, DecodeError> {
     let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::WireMessage, record)
         .map_err(|e| DecodeError(format!("config record: {e}")))?;
-    let value = bdb_codec::bval::decode_value(payload)
+    let doc = bdb_codec::bval::decode_doc(payload)
         .map_err(|e| DecodeError(format!("config record: {e}")))?;
-    codec::task_from_config_value(workload_id, &value)
+    codec::task_from_config_value(workload_id, doc.root())
 }
 
 /// A `Result` from its header and entry record: exactly one of the
 /// header's `error` and the record is present. The record is decoded
-/// once, against the header's fingerprint.
-fn result_from_parts(v: &Value, entry: Option<&[u8]>) -> Result<Message, DecodeError> {
+/// once, against the header's fingerprint, and kept: a success is a
+/// [`Message::Verified`].
+fn result_from_parts<'a, V: ValueRef<'a>>(
+    v: V,
+    entry: Option<&[u8]>,
+) -> Result<Message, DecodeError> {
     let task_id = get_u64(v, "task_id")?;
     let fingerprint = get_fingerprint(v, "fingerprint")?;
     let outcome = match (entry, v.get("error")) {
         (Some(record), None) => match bdb_engine::decode_profile_entry(record, fingerprint) {
-            Ok(profile) => Ok(Box::new(profile)),
+            Ok(profile) => {
+                return Ok(Message::Verified {
+                    task_id,
+                    fingerprint,
+                    profile: Box::new(profile),
+                    record: record.to_vec(),
+                })
+            }
             Err(EntryError::Damaged(e)) => return Err(DecodeError(format!("entry record: {e}"))),
             Err(EntryError::Invalid(e)) => Err(format!("entry record refused: {e}")),
         },

@@ -129,12 +129,12 @@ impl Transport for TcpTransport {
 
     fn recv(&self) -> Result<Message, TransportError> {
         let payload = self.recv_frame_payload()?;
-        wire::decode_payload(&payload).map_err(TransportError::from)
+        wire::decode_message(&payload).map_err(TransportError::from)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
         match self.recv_frame_payload_timeout(timeout)? {
-            Some(payload) => wire::decode_payload(&payload)
+            Some(payload) => wire::decode_message(&payload)
                 .map(Some)
                 .map_err(TransportError::from),
             None => Ok(None),

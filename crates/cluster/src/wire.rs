@@ -121,7 +121,7 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
 /// promised is [`WireError::Truncated`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Message>, WireError> {
     match read_frame_payload(r)? {
-        Some(payload) => decode_payload(&payload).map(Some),
+        Some(payload) => decode_message(&payload).map(Some),
         None => Ok(None),
     }
 }
@@ -141,10 +141,11 @@ pub fn decode_frames(buf: &[u8]) -> Result<Vec<Message>, (usize, WireError)> {
 }
 
 /// Decodes one frame payload (a BDBC `WireMessage` header record and
-/// the entry or config record after it, if any) into a [`Message`]. A
-/// successful `Result` decodes its entry here, once; an `Assign`'s
-/// config record is carried undecoded.
-pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
+/// the entry or config record after it, if any) into a [`Message`], as
+/// every transport receives it. A successful `Result` decodes its entry
+/// here, once, into a [`Message::Verified`] that keeps the record; an
+/// `Assign`'s config record is carried undecoded.
+pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
     let decode = |e: bdb_codec::CodecError| WireError::Decode(e.to_string());
     let (kind, header, entry) = bdb_codec::decode_record_prefix(payload).map_err(decode)?;
     if kind != bdb_codec::RecordKind::WireMessage {
@@ -153,9 +154,28 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             actual: kind,
         }));
     }
-    let header = bdb_codec::bval::decode_value(header).map_err(decode)?;
-    message_from_parts(&header, (!entry.is_empty()).then_some(entry))
+    let header = bdb_codec::bval::decode_doc(header).map_err(decode)?;
+    message_from_parts(header.root(), (!entry.is_empty()).then_some(entry))
         .map_err(|e| WireError::Decode(e.0))
+}
+
+/// [`decode_message`] for a reader that wants the profile only: a
+/// successful result comes back as the `Result { outcome: Ok(profile) }`
+/// it encodes from, its record dropped.
+pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
+    Ok(match decode_message(payload)? {
+        Message::Verified {
+            task_id,
+            fingerprint,
+            profile,
+            ..
+        } => Message::Result {
+            task_id,
+            fingerprint,
+            outcome: Ok(profile),
+        },
+        other => other,
+    })
 }
 
 enum ReadOutcome {

@@ -276,22 +276,25 @@ mod tests {
         (coord, handle)
     }
 
-    /// The outcome of the next message, which must be `task_id`'s Result.
+    /// The outcome of the next message, which must be `task_id`'s
+    /// result: a verified success or a failure.
     fn outcome(
         coord: &crate::transport::LoopbackTransport,
         task_id: u64,
     ) -> Result<Box<bdb_wcrt::WorkloadProfile>, String> {
-        match coord.recv().unwrap() {
+        let (answered, outcome) = match coord.recv().unwrap() {
+            Message::Verified {
+                task_id, profile, ..
+            } => (task_id, Ok(profile)),
             Message::Result {
-                task_id: answered,
-                outcome,
+                task_id,
+                outcome: Err(error),
                 ..
-            } => {
-                assert_eq!(answered, task_id);
-                outcome
-            }
+            } => (task_id, Err(error)),
             other => panic!("expected result, got {other:?}"),
-        }
+        };
+        assert_eq!(answered, task_id);
+        outcome
     }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {

@@ -327,9 +327,8 @@ fn intact_but_undecodable_entry_fails_at_the_coordinator_then_recomputes() {
         .unwrap()
         .iter()
         .filter_map(|msg| match msg {
-            Message::Result {
-                task_id, outcome, ..
-            } if *task_id == victim as u64 => Some(outcome.is_ok()),
+            Message::Result { task_id, .. } if *task_id == victim as u64 => Some(false),
+            Message::Verified { task_id, .. } if *task_id == victim as u64 => Some(true),
             _ => None,
         })
         .collect();

@@ -10,13 +10,14 @@ use bdb_cluster::{
     Message, Transport, TransportError, WorkerConfig,
 };
 use bdb_engine::codec::profile_to_value;
+use bdb_engine::json::Value;
 use bdb_engine::{Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Fast ticks and extra attempts, so churn-heavy schedules converge
@@ -409,6 +410,175 @@ fn replicated_caches_restart_warm_after_killing_any_worker() {
             handle.join().expect("worker thread exits cleanly");
         }
     }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A gate one coordinator-side transport opens and another waits on.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+}
+
+/// Coordinator-side wrapper that orders two workers' messages. An
+/// `opener` opens the gate when the coordinator sends it an `Assign`,
+/// which it does only after handling that worker's `Hello`; any other
+/// end holds every message after its own `Hello` until the gate opens.
+struct Gated {
+    inner: Arc<dyn Transport>,
+    gate: Arc<Gate>,
+    opener: bool,
+}
+
+impl Gated {
+    fn hold(&self, msg: &Message) {
+        if !self.opener && !matches!(msg, Message::Hello { .. }) {
+            self.gate.wait();
+        }
+    }
+}
+
+impl Transport for Gated {
+    fn send(&self, msg: &Message) -> Result<(), TransportError> {
+        if self.opener && matches!(msg, Message::Assign { .. }) {
+            self.gate.open();
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv(&self) -> Result<Message, TransportError> {
+        let msg = self.inner.recv()?;
+        self.hold(&msg);
+        Ok(msg)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
+        let msg = self.inner.recv_timeout(timeout)?;
+        if let Some(msg) = &msg {
+            self.hold(msg);
+        }
+        Ok(msg)
+    }
+
+    fn peer(&self) -> String {
+        format!("gated({})", self.inner.peer())
+    }
+}
+
+/// A replica is the computing worker's entry record, byte for byte, not
+/// a re-encoding of the profile the coordinator decoded from it. The
+/// holder's entry here is valid but not canonical (its profile's keys
+/// in reverse order, under the same container, CRC-64 and
+/// fingerprint), so a coordinator that re-encoded would push different
+/// bytes than the ones it received. Each worker holds one of the two
+/// tasks; the holder's result is held back until the coordinator has
+/// handled the target's `Hello` (shown by its `Assign` to the target),
+/// so the target is always a ready replica target when it arrives.
+#[test]
+fn replicate_forwards_the_computing_workers_bytes() {
+    let base = std::env::temp_dir().join(format!("bdb-elastic-fwd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(2).collect();
+    let tasks = fleet_tasks(
+        &workloads,
+        Scale::tiny(),
+        &machine(),
+        &NodeConfig::default(),
+    );
+    let engine = Engine::serial();
+    let [(fingerprint, record), (other_key, other_record)] =
+        [&tasks[0], &tasks[1]].map(|t| engine.run_task_entry(t).expect("catalog task runs"));
+    let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, &record)
+        .expect("the engine's record is intact");
+    let (_, value) = bdb_codec::decode_cache_payload(payload).expect("payload decodes");
+    let Value::Object(mut pairs) = value else {
+        panic!("a profile is an object");
+    };
+    pairs.reverse();
+    let planted = bdb_codec::encode_record(
+        bdb_codec::RecordKind::CacheEntry,
+        &bdb_codec::encode_cache_payload(fingerprint, &Value::Object(pairs)),
+    );
+    assert_ne!(planted, record, "the planted entry is not canonical");
+    assert_eq!(
+        profile_to_value(&bdb_engine::decode_profile_entry(&planted, fingerprint).unwrap()),
+        profile_to_value(&bdb_engine::decode_profile_entry(&record, fingerprint).unwrap()),
+        "but holds the same profile"
+    );
+
+    let (holder_dir, target_dir) = (base.join("holder"), base.join("target"));
+    Engine::new(EngineConfig::default().cache_dir(&holder_dir))
+        .admit_entry(&tasks[0].workload_id, fingerprint, &planted)
+        .expect("the planted entry is admitted");
+    Engine::new(EngineConfig::default().cache_dir(&target_dir))
+        .admit_entry(&tasks[1].workload_id, other_key, &other_record)
+        .expect("the target's own entry is admitted");
+    let holder = Arc::new(Engine::new(EngineConfig::default().cache_dir(&holder_dir)));
+    let target = Arc::new(Engine::new(EngineConfig::default().cache_dir(&target_dir)));
+    let (holder_end, holder_thread) =
+        spawn_worker_with_engine("holder", Arc::clone(&holder), FaultPlan::default());
+    let (target_end, target_thread) =
+        spawn_worker_with_engine("target", Arc::clone(&target), FaultPlan::default());
+    let gate = Arc::new(Gate::default());
+    let workers: Vec<Arc<dyn Transport>> = vec![
+        Arc::new(Gated {
+            inner: holder_end,
+            gate: Arc::clone(&gate),
+            opener: false,
+        }),
+        Arc::new(Gated {
+            inner: target_end,
+            gate,
+            opener: true,
+        }),
+    ];
+    // The default tick gives the target a full second of quiet ticks
+    // to say `Hello` before the holder may take the target's task.
+    let replicated = ClusterConfig {
+        replication: 1,
+        ..ClusterConfig::default()
+    };
+    let profiles = Coordinator::new(replicated)
+        .run(workers, &tasks)
+        .expect("the run converges");
+    holder_thread.join().expect("holder exits cleanly");
+    target_thread.join().expect("target exits cleanly");
+    assert_eq!(
+        canonical_bytes(&profiles),
+        serial_baseline(&workloads, Scale::tiny())
+    );
+    assert_eq!(
+        (holder.counters().computed, target.counters().computed),
+        (0, 0),
+        "both workers answered warm"
+    );
+    assert_eq!(target.counters().replicas_admitted, 1);
+    let replica = target
+        .cache_file(
+            &workloads[0],
+            Scale::tiny(),
+            &machine(),
+            &NodeConfig::default(),
+        )
+        .expect("the target has a cache dir");
+    assert!(
+        std::fs::read(&replica).unwrap() == planted,
+        "the target holds the holder's bytes, not a re-encoding"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 

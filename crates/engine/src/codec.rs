@@ -5,8 +5,15 @@
 //! variant names. Decoding is strict — any missing field, unknown variant,
 //! or wrong-typed value is a [`DecodeError`], which the engine treats as a
 //! cache miss (the file is recomputed and rewritten).
+//!
+//! Each decoder is written once, generic over [`ValueRef`]: the byte
+//! paths (cache reads, cluster and serve frames) hand it a
+//! [`bdb_codec::bval::DocRef`] into a validated bval tape, so no value
+//! tree is built, while knob edits and JSON interchange hand it a
+//! `&Value`.
 
 use crate::json::Value;
+use bdb_codec::bval::ValueRef;
 use bdb_datagen::DataSetId;
 use bdb_node::{NodeConfig, SystemMetrics};
 use bdb_sim::{
@@ -36,23 +43,29 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DecodeError> {
+fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, DecodeError> {
     v.get(key).ok_or_else(|| DecodeError::field(key, "missing"))
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, DecodeError> {
+fn get_u64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, DecodeError> {
     get(v, key)?
         .as_u64()
         .ok_or_else(|| DecodeError::field(key, "expected unsigned integer"))
 }
 
-fn get_f64(v: &Value, key: &str) -> Result<f64, DecodeError> {
+/// An unsigned integer field that must fit `T`: a wider value is
+/// refused, never truncated.
+fn get_int<'a, V: ValueRef<'a>, T: TryFrom<u64>>(v: V, key: &str) -> Result<T, DecodeError> {
+    T::try_from(get_u64(v, key)?).map_err(|_| DecodeError::field(key, "out of range"))
+}
+
+fn get_f64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<f64, DecodeError> {
     get(v, key)?
         .as_f64()
         .ok_or_else(|| DecodeError::field(key, "expected number"))
 }
 
-fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, DecodeError> {
+fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, DecodeError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| DecodeError::field(key, "expected string"))
@@ -69,7 +82,7 @@ macro_rules! enum_codec {
             )
         }
 
-        fn $decode(v: &Value, field: &str) -> Result<$ty, DecodeError> {
+        fn $decode<'a, V: ValueRef<'a>>(v: V, field: &str) -> Result<$ty, DecodeError> {
             let name = v
                 .as_str()
                 .ok_or_else(|| DecodeError::field(field, "expected variant string"))?;
@@ -176,7 +189,7 @@ fn enc_spec(spec: &WorkloadSpec) -> Value {
     ])
 }
 
-fn dec_spec(v: &Value) -> Result<WorkloadSpec, DecodeError> {
+fn dec_spec<'a, V: ValueRef<'a>>(v: V) -> Result<WorkloadSpec, DecodeError> {
     Ok(WorkloadSpec {
         id: get_str(v, "id")?.to_owned(),
         stack: dec_stack(get(v, "stack")?, "stack")?,
@@ -199,7 +212,7 @@ fn enc_mix(mix: &InstructionMix) -> Value {
     ])
 }
 
-fn dec_mix(v: &Value) -> Result<InstructionMix, DecodeError> {
+fn dec_mix<'a, V: ValueRef<'a>>(v: V) -> Result<InstructionMix, DecodeError> {
     Ok(InstructionMix {
         loads: get_u64(v, "loads")?,
         stores: get_u64(v, "stores")?,
@@ -220,7 +233,7 @@ fn enc_cache_stats(c: &CacheStats) -> Value {
     ])
 }
 
-fn dec_cache_stats(v: &Value) -> Result<CacheStats, DecodeError> {
+fn dec_cache_stats<'a, V: ValueRef<'a>>(v: V) -> Result<CacheStats, DecodeError> {
     Ok(CacheStats {
         accesses: get_u64(v, "accesses")?,
         misses: get_u64(v, "misses")?,
@@ -237,7 +250,7 @@ fn enc_branch(b: &BranchStats) -> Value {
     ])
 }
 
-fn dec_branch(v: &Value) -> Result<BranchStats, DecodeError> {
+fn dec_branch<'a, V: ValueRef<'a>>(v: V) -> Result<BranchStats, DecodeError> {
     Ok(BranchStats {
         branches: get_u64(v, "branches")?,
         mispredicts: get_u64(v, "mispredicts")?,
@@ -271,7 +284,7 @@ fn enc_report(r: &PerfReport) -> Value {
     ])
 }
 
-fn dec_report(v: &Value) -> Result<PerfReport, DecodeError> {
+fn dec_report<'a, V: ValueRef<'a>>(v: V) -> Result<PerfReport, DecodeError> {
     Ok(PerfReport {
         platform: get_str(v, "platform")?.to_owned(),
         mix: dec_mix(get(v, "mix")?)?,
@@ -307,7 +320,7 @@ fn enc_system(s: &SystemMetrics) -> Value {
     ])
 }
 
-fn dec_system(v: &Value) -> Result<SystemMetrics, DecodeError> {
+fn dec_system<'a, V: ValueRef<'a>>(v: V) -> Result<SystemMetrics, DecodeError> {
     Ok(SystemMetrics {
         wall_seconds: get_f64(v, "wall_seconds")?,
         cpu_utilization: get_f64(v, "cpu_utilization")?,
@@ -331,7 +344,7 @@ fn enc_behavior(b: &DataBehavior) -> Value {
     ])
 }
 
-fn dec_behavior(v: &Value) -> Result<DataBehavior, DecodeError> {
+fn dec_behavior<'a, V: ValueRef<'a>>(v: V) -> Result<DataBehavior, DecodeError> {
     let intermediate = get(v, "intermediate")?;
     Ok(DataBehavior {
         output: dec_relation(get(v, "output")?, "output")?,
@@ -367,10 +380,10 @@ pub fn profile_to_value(p: &WorkloadProfile) -> Value {
     ])
 }
 
-/// Decodes a profile from a [`Value`] tree.
-pub fn profile_from_value(v: &Value) -> Result<WorkloadProfile, DecodeError> {
+/// Decodes a profile from a bval tape or a [`Value`] tree.
+pub fn profile_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<WorkloadProfile, DecodeError> {
     let metric_values = get(v, "metrics")?
-        .as_array()
+        .items()
         .ok_or_else(|| DecodeError::field("metrics", "expected array"))?;
     if metric_values.len() != METRIC_COUNT {
         return Err(DecodeError::field(
@@ -409,10 +422,10 @@ fn enc_cache_config(c: &CacheConfig) -> Value {
     ])
 }
 
-fn dec_cache_config(v: &Value) -> Result<CacheConfig, DecodeError> {
+fn dec_cache_config<'a, V: ValueRef<'a>>(v: V) -> Result<CacheConfig, DecodeError> {
     let config = CacheConfig {
         size_bytes: get_u64(v, "size_bytes")?,
-        assoc: get_u64(v, "assoc")? as usize,
+        assoc: get_int(v, "assoc")?,
         line_bytes: get_u64(v, "line_bytes")?,
         replacement: dec_replacement(get(v, "replacement")?, "replacement")?,
     };
@@ -428,10 +441,10 @@ fn enc_tlb_config(t: &TlbConfig) -> Value {
     ])
 }
 
-fn dec_tlb_config(v: &Value) -> Result<TlbConfig, DecodeError> {
+fn dec_tlb_config<'a, V: ValueRef<'a>>(v: V) -> Result<TlbConfig, DecodeError> {
     let config = TlbConfig {
-        entries: get_u64(v, "entries")? as usize,
-        assoc: get_u64(v, "assoc")? as usize,
+        entries: get_int(v, "entries")?,
+        assoc: get_int(v, "assoc")?,
         page_bytes: get_u64(v, "page_bytes")?,
     };
     config.validate().map_err(DecodeError)?;
@@ -453,15 +466,15 @@ fn enc_pipeline(p: &PipelineConfig) -> Value {
     ])
 }
 
-fn dec_pipeline(v: &Value) -> Result<PipelineConfig, DecodeError> {
+fn dec_pipeline<'a, V: ValueRef<'a>>(v: V) -> Result<PipelineConfig, DecodeError> {
     Ok(PipelineConfig {
         kind: dec_pipeline_kind(get(v, "kind")?, "kind")?,
         base_cpi: get_f64(v, "base_cpi")?,
-        l2_latency: get_u64(v, "l2_latency")? as u32,
-        l3_latency: get_u64(v, "l3_latency")? as u32,
-        mem_latency: get_u64(v, "mem_latency")? as u32,
-        tlb_walk_latency: get_u64(v, "tlb_walk_latency")? as u32,
-        stlb_latency: get_u64(v, "stlb_latency")? as u32,
+        l2_latency: get_int(v, "l2_latency")?,
+        l3_latency: get_int(v, "l3_latency")?,
+        mem_latency: get_int(v, "mem_latency")?,
+        tlb_walk_latency: get_int(v, "tlb_walk_latency")?,
+        stlb_latency: get_int(v, "stlb_latency")?,
     })
 }
 
@@ -489,7 +502,7 @@ pub fn machine_config_to_value(m: &MachineConfig) -> Value {
 }
 
 /// Decodes a machine configuration (strict, like the profile codec).
-pub fn machine_config_from_value(v: &Value) -> Result<MachineConfig, DecodeError> {
+pub fn machine_config_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<MachineConfig, DecodeError> {
     let l3 = get(v, "l3")?;
     Ok(MachineConfig {
         name: get_str(v, "name")?.to_owned(),
@@ -522,7 +535,7 @@ pub fn node_config_to_value(n: &NodeConfig) -> Value {
 }
 
 /// Decodes a node configuration.
-pub fn node_config_from_value(v: &Value) -> Result<NodeConfig, DecodeError> {
+pub fn node_config_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<NodeConfig, DecodeError> {
     Ok(NodeConfig {
         clock_hz: get_f64(v, "clock_hz")?,
         assumed_ipc: get_f64(v, "assumed_ipc")?,
@@ -556,21 +569,23 @@ fn enc_curve(c: &MissRatioCurve) -> Value {
     ])
 }
 
-fn dec_curve(v: &Value) -> Result<MissRatioCurve, DecodeError> {
+fn dec_curve<'a, V: ValueRef<'a>>(v: V) -> Result<MissRatioCurve, DecodeError> {
     let raw = get(v, "points")?
-        .as_array()
+        .items()
         .ok_or_else(|| DecodeError::field("points", "expected array"))?;
     let mut points = Vec::with_capacity(raw.len());
     for point in raw {
-        let pair = point
-            .as_array()
+        let mut pair = point
+            .items()
             .filter(|p| p.len() == 2)
             .ok_or_else(|| DecodeError::field("points", "expected [capacity, ratio] pairs"))?;
-        let kib = pair[0]
-            .as_u64()
+        let kib = pair
+            .next()
+            .and_then(V::as_u64)
             .ok_or_else(|| DecodeError::field("points", "expected unsigned capacity"))?;
-        let ratio = pair[1]
-            .as_f64()
+        let ratio = pair
+            .next()
+            .and_then(V::as_f64)
             .ok_or_else(|| DecodeError::field("points", "expected numeric ratio"))?;
         points.push((kib, ratio));
     }
@@ -594,7 +609,7 @@ pub fn sweep_result_to_value(s: &SweepResult) -> Value {
 }
 
 /// Decodes a sweep result (strict, like the profile codec).
-pub fn sweep_result_from_value(v: &Value) -> Result<SweepResult, DecodeError> {
+pub fn sweep_result_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<SweepResult, DecodeError> {
     Ok(SweepResult {
         instruction: dec_curve(get(v, "instruction")?)?,
         data: dec_curve(get(v, "data")?)?,
@@ -621,9 +636,9 @@ pub fn task_config_to_value(t: &crate::task::Task) -> Value {
 /// Rebuilds the [`crate::task::Task`] of `workload_id` from its
 /// configuration ([`task_config_to_value`]). Rejects non-finite or
 /// non-positive scale factors rather than panicking in `Scale::custom`.
-pub fn task_from_config_value(
+pub fn task_from_config_value<'a, V: ValueRef<'a>>(
     workload_id: &str,
-    v: &Value,
+    v: V,
 ) -> Result<crate::task::Task, DecodeError> {
     let bits = get_str(v, "scale_bits")?;
     let bits = u64::from_str_radix(bits, 16)

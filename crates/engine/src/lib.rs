@@ -65,6 +65,7 @@ pub use store::{
 };
 pub use task::{resolve_workload, Task, TaskError, TaskResult};
 
+use bdb_codec::bval::ValueRef;
 use bdb_node::NodeConfig;
 use bdb_sim::{assemble_sweep, fused_points_pipelined, MachineConfig, SweepFamily, SweepResult};
 use bdb_trace::TraceSink;
@@ -974,7 +975,7 @@ fn profile_entry_key(path: &Path) -> Option<u64> {
 trait Entry: Sized {
     fn file_name(id: &str, key: u64) -> String;
     fn to_value(&self) -> Value;
-    fn from_value(value: &Value) -> Result<Self, codec::DecodeError>;
+    fn from_value<'a, V: ValueRef<'a>>(value: V) -> Result<Self, codec::DecodeError>;
 }
 
 impl Entry for WorkloadProfile {
@@ -984,7 +985,7 @@ impl Entry for WorkloadProfile {
     fn to_value(&self) -> Value {
         codec::profile_to_value(self)
     }
-    fn from_value(value: &Value) -> Result<Self, codec::DecodeError> {
+    fn from_value<'a, V: ValueRef<'a>>(value: V) -> Result<Self, codec::DecodeError> {
         codec::profile_from_value(value)
     }
 }
@@ -996,7 +997,7 @@ impl Entry for SweepResult {
     fn to_value(&self) -> Value {
         codec::sweep_result_to_value(self)
     }
-    fn from_value(value: &Value) -> Result<Self, codec::DecodeError> {
+    fn from_value<'a, V: ValueRef<'a>>(value: V) -> Result<Self, codec::DecodeError> {
         codec::sweep_result_from_value(value)
     }
 }
@@ -1057,11 +1058,11 @@ fn check_entry(record: &[u8], expected_key: u64) -> Result<&[u8], EntryError> {
 }
 
 /// Decodes a checked entry's bval value (the `finish` step of a
-/// decoding [`Engine::read_entry`]).
+/// decoding [`Engine::read_entry`]) straight from its validated tape;
+/// no value tree is built.
 fn decode_value<T: Entry>(_record: &[u8], value: &[u8]) -> Result<T, EntryError> {
-    let value =
-        bdb_codec::bval::decode_value(value).map_err(|e| EntryError::Invalid(e.to_string()))?;
-    T::from_value(&value).map_err(|e| EntryError::Invalid(e.to_string()))
+    let doc = bdb_codec::bval::decode_doc(value).map_err(|e| EntryError::Invalid(e.to_string()))?;
+    T::from_value(doc.root()).map_err(|e| EntryError::Invalid(e.to_string()))
 }
 
 /// The container, CRC-64 and fingerprint check of every cache read,

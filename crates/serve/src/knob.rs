@@ -140,6 +140,28 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_latency_is_refused_not_truncated() {
+        let base = MachineConfig::xeon_e5645();
+        let widest = u64::from(u32::MAX);
+        let edited = apply_machine_knob(&base, "pipeline.l2_latency", &Value::UInt(widest))
+            .expect("u32::MAX is a legal latency");
+        assert_eq!(edited.pipeline.l2_latency, u32::MAX);
+        for path in [
+            "pipeline.l2_latency",
+            "pipeline.l3_latency",
+            "pipeline.mem_latency",
+            "pipeline.tlb_walk_latency",
+            "pipeline.stlb_latency",
+        ] {
+            let err = apply_machine_knob(&base, path, &Value::UInt(widest + 8));
+            let Err(ServeError::BadKnob { reason, .. }) = err else {
+                panic!("{path}: expected BadKnob, got {err:?}");
+            };
+            assert!(reason.contains("out of range"), "{path}: {reason}");
+        }
+    }
+
+    #[test]
     fn knob_listing_covers_the_leaves() {
         let knobs = machine_knobs(&MachineConfig::xeon_e5645());
         for expected in [

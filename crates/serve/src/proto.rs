@@ -8,15 +8,17 @@
 //! the reply family's namesake). BDBC is the only payload encoding: a
 //! payload that is not a record of the expected kind is a decode error.
 //!
-//! Every encoded object lists its keys **alphabetically**. `bval` sorts
-//! map keys, so a decoded payload re-encodes to the same bytes, and
+//! Every encoded object lists its keys **alphabetically**. `bval` keeps
+//! member order, so a decoded payload re-encodes to the same bytes, and
 //! [`reply_to_value`]`.encode()` is a stable canonical form for
-//! comparing profiles.
+//! comparing profiles. A payload decodes through its validated bval
+//! tape ([`bval::decode_doc`]); no value tree is built.
 
 use crate::spec::{mutation_from_value, mutation_to_value, EntryKey, Mutation};
 use crate::state::{Delta, DeltaBatch};
 use crate::ServeError;
-use bdb_codec::{bval, RecordKind};
+use bdb_codec::bval::{self, Doc, ValueRef};
+use bdb_codec::RecordKind;
 use bdb_engine::codec::{profile_from_value, profile_to_value};
 use bdb_engine::json::Value;
 use bdb_wcrt::WorkloadProfile;
@@ -228,12 +230,12 @@ pub struct ServeStats {
     pub subscribers_evicted: u64,
 }
 
-fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ServeError> {
+fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, ServeError> {
     v.get(key)
         .ok_or_else(|| ServeError::Decode(format!("missing field {key:?}")))
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, ServeError> {
+fn get_u64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, ServeError> {
     get(v, key)?
         .as_u64()
         .ok_or_else(|| ServeError::Decode(format!("field {key:?} is not a u64")))
@@ -243,7 +245,7 @@ fn get_u64(v: &Value, key: &str) -> Result<u64, ServeError> {
 /// counters added after v1, so mixed-version stats decoding degrades
 /// gracefully instead of erroring. A present-but-mistyped field still
 /// fails loudly.
-fn get_u64_or(v: &Value, key: &str, default: u64) -> Result<u64, ServeError> {
+fn get_u64_or<'a, V: ValueRef<'a>>(v: V, key: &str, default: u64) -> Result<u64, ServeError> {
     match v.get(key) {
         None => Ok(default),
         Some(field) => field
@@ -252,13 +254,13 @@ fn get_u64_or(v: &Value, key: &str, default: u64) -> Result<u64, ServeError> {
     }
 }
 
-fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, ServeError> {
+fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, ServeError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| ServeError::Decode(format!("field {key:?} is not a string")))
 }
 
-fn get_key(v: &Value, key: &str) -> Result<EntryKey, ServeError> {
+fn get_key<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<EntryKey, ServeError> {
     EntryKey::parse(get_str(v, key)?)
 }
 
@@ -295,7 +297,7 @@ pub fn request_to_value(req: &ServeRequest) -> Value {
 }
 
 /// Decodes [`request_to_value`].
-pub fn request_from_value(v: &Value) -> Result<ServeRequest, ServeError> {
+pub fn request_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<ServeRequest, ServeError> {
     match get_str(v, "type")? {
         "hello" => Ok(ServeRequest::Hello {
             client: get_str(v, "client")?.to_owned(),
@@ -357,7 +359,7 @@ fn delta_to_value(d: &Delta) -> Value {
     }
 }
 
-fn delta_from_value(v: &Value) -> Result<Delta, ServeError> {
+fn delta_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<Delta, ServeError> {
     let key = get_key(v, "key")?;
     let payload = || -> Result<(u64, WorkloadProfile), ServeError> {
         Ok((
@@ -404,7 +406,7 @@ fn stats_to_value(s: &ServeStats) -> Value {
     ])
 }
 
-fn stats_from_value(v: &Value) -> Result<ServeStats, ServeError> {
+fn stats_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<ServeStats, ServeError> {
     Ok(ServeStats {
         computed: get_u64(v, "computed")?,
         delta_batches: get_u64(v, "delta_batches")?,
@@ -528,7 +530,7 @@ pub fn reply_to_value(reply: &ServeReply) -> Value {
 }
 
 /// Decodes [`reply_to_value`].
-pub fn reply_from_value(v: &Value) -> Result<ServeReply, ServeError> {
+pub fn reply_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<ServeReply, ServeError> {
     match get_str(v, "type")? {
         "hello" => Ok(ServeReply::Hello {
             entries: get_u64(v, "entries")?,
@@ -549,7 +551,7 @@ pub fn reply_from_value(v: &Value) -> Result<ServeReply, ServeError> {
             key: get_key(v, "key")?,
         }),
         "snapshot" => {
-            let raw = get(v, "entries")?.as_array().ok_or_else(|| {
+            let raw = get(v, "entries")?.items().ok_or_else(|| {
                 ServeError::Decode("field \"entries\" is not an array".to_owned())
             })?;
             let mut entries = Vec::with_capacity(raw.len());
@@ -586,7 +588,7 @@ pub fn reply_from_value(v: &Value) -> Result<ServeReply, ServeError> {
         }),
         "delta" => {
             let raw = get(v, "deltas")?
-                .as_array()
+                .items()
                 .ok_or_else(|| ServeError::Decode("field \"deltas\" is not an array".to_owned()))?;
             let mut deltas = Vec::with_capacity(raw.len());
             for d in raw {
@@ -621,7 +623,7 @@ pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, ServeError> {
-    request_from_value(&payload_value(payload, RecordKind::ServeRequest)?)
+    request_from_value(payload_doc(payload, RecordKind::ServeRequest)?.root())
 }
 
 /// Encodes a reply payload as a BDBC `ServeDelta` record.
@@ -631,17 +633,19 @@ pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
 
 /// Decodes a reply payload.
 pub fn decode_reply(payload: &[u8]) -> Result<ServeReply, ServeError> {
-    reply_from_value(&payload_value(payload, RecordKind::ServeDelta)?)
+    reply_from_value(payload_doc(payload, RecordKind::ServeDelta)?.root())
 }
 
 fn encode_payload(kind: RecordKind, value: &Value) -> Vec<u8> {
     bdb_codec::encode_record(kind, &bval::encode_value(value))
 }
 
-fn payload_value(payload: &[u8], kind: RecordKind) -> Result<Value, ServeError> {
+/// The validated bval tape of a `kind` record's payload; the typed
+/// decoders read it without building a value tree.
+fn payload_doc(payload: &[u8], kind: RecordKind) -> Result<Doc<'_>, ServeError> {
     let decode = |e: bdb_codec::CodecError| ServeError::Decode(e.to_string());
     let inner = bdb_codec::decode_record_of(kind, payload).map_err(decode)?;
-    bval::decode_value(inner).map_err(decode)
+    bval::decode_doc(inner).map_err(decode)
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 
 use crate::knob::apply_machine_knob;
 use crate::ServeError;
+use bdb_codec::bval::ValueRef;
 use bdb_engine::codec::{machine_config_from_value, machine_config_to_value};
 use bdb_engine::codec::{node_config_from_value, node_config_to_value};
 use bdb_engine::json::Value;
@@ -238,12 +239,12 @@ pub enum Mutation {
     },
 }
 
-fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ServeError> {
+fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, ServeError> {
     v.get(key)
         .ok_or_else(|| ServeError::Decode(format!("missing field {key:?}")))
 }
 
-fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, ServeError> {
+fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, ServeError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| ServeError::Decode(format!("field {key:?} is not a string")))
@@ -312,12 +313,12 @@ pub fn mutation_to_value(m: &Mutation) -> Value {
 
 /// Decodes [`mutation_to_value`]. Structural validation only; semantic
 /// checks (does the config exist?) happen in [`ServeSpec::apply`].
-pub fn mutation_from_value(v: &Value) -> Result<Mutation, ServeError> {
+pub fn mutation_from_value<'a, V: ValueRef<'a>>(v: V) -> Result<Mutation, ServeError> {
     match get_str(v, "op")? {
         "set_knob" => Ok(Mutation::SetKnob {
             config: get_str(v, "config")?.to_owned(),
             knob: get_str(v, "knob")?.to_owned(),
-            value: get(v, "value")?.clone(),
+            value: get(v, "value")?.to_value(),
         }),
         "add_workload" => Ok(Mutation::AddWorkload {
             id: get_str(v, "id")?.to_owned(),
