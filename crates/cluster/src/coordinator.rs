@@ -4,7 +4,7 @@
 //! # Scheduling
 //!
 //! All membership and scheduling decisions live in the pure
-//! [`Fleet`](crate::fleet::Fleet) state machine; this module is the
+//! [`crate::fleet::Fleet`] state machine; this module is the
 //! transport glue around it. Tasks are first split into contiguous
 //! static chunks, one per initial worker (good locality for per-worker
 //! disk caches). When a worker drains its own chunk it *steals* from

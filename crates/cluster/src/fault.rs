@@ -40,13 +40,6 @@ pub struct FaultPlan {
     pub duplicate_results: bool,
 }
 
-impl FaultPlan {
-    /// True when every field is the no-fault default.
-    pub fn is_clean(&self) -> bool {
-        *self == FaultPlan::default()
-    }
-}
-
 /// A [`Transport`] wrapper that applies a [`FaultPlan`] at frame level.
 pub struct FaultyTransport<T: Transport> {
     inner: T,

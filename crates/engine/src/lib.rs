@@ -5,11 +5,12 @@
 //! the `sweep` harness) directly and serially. The [`Engine`] wraps those
 //! entry points with two orthogonal services:
 //!
-//! * **Parallel fan-out** — [`Engine::profile_all`] and [`Engine::sweep`]
-//!   dispatch independent simulations across a rayon thread pool. Results
-//!   are collected back into catalog order, so output is bit-identical to
-//!   a serial run (the `profile_is_deterministic` contract extends to the
-//!   parallel path: same inputs, same bytes, any thread count).
+//! * **Parallel fan-out** — [`Engine::profile_all`] runs independent
+//!   simulations on scoped worker threads, and [`Engine::sweep`] runs one
+//!   sweep as a pipeline of them. Results are collected back into catalog
+//!   order, so output is bit-identical to a serial run (the
+//!   `profile_is_deterministic` contract extends to the parallel path:
+//!   same inputs, same bytes, any thread count).
 //! * **Profile cache** — profiling the full catalog at paper scale takes
 //!   minutes; the 45-metric vector for a given (workload, scale, machine
 //!   config, node config) never changes. The engine memoizes profiles in
@@ -72,14 +73,13 @@ use bdb_trace::TraceSink;
 use bdb_wcrt::{profile_workload, WorkloadProfile};
 use bdb_workloads::{Scale, WorkloadDef};
 use json::Value;
-use rayon::prelude::*;
 // The in-memory cache below is keyed-lookup only (get/insert by
 // fingerprint, never iterated), so map order cannot reach profile bytes.
 // bdb-lint: allow(determinism): keyed-lookup-only memo, never iterated.
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bumped whenever the cache file layout changes. The version feeds
 /// [`profile_fingerprint`], so old-format files simply stop being
@@ -105,8 +105,8 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// How an [`Engine`] runs and where it remembers results.
 #[derive(Clone, Default)]
 pub struct EngineConfig {
-    /// Worker threads for `profile_all` / `sweep`. `None` uses the
-    /// machine's available parallelism; `Some(1)` is fully serial.
+    /// Worker threads for `profile_all` / `sweep`. `None` and `Some(0)`
+    /// use the machine's available parallelism; `Some(1)` is fully serial.
     pub threads: Option<usize>,
     /// Width of one sweep's pipeline (intra-workload parallelism): the
     /// extracting thread plus `point_threads - 1` replay helpers. `None`
@@ -262,24 +262,10 @@ pub struct CacheCounters {
     pub replicas_refused: u64,
 }
 
-/// How the engine dispatches independent simulations.
-///
-/// Degradation is always safe: the parallel path is bit-identical to the
-/// serial one, so falling back from `Pool` to `Serial` (when thread-pool
-/// construction fails) changes wall-clock time, never output bytes.
-enum Dispatch {
-    /// A dedicated pool capped at the configured width.
-    Pool(rayon::ThreadPool),
-    /// The ambient rayon context (machine parallelism).
-    Ambient,
-    /// Plain serial iteration on the calling thread — used for
-    /// `threads = 1` and as the fallback when pool construction fails.
-    Serial,
-}
-
 /// The parallel, cache-aware measurement engine. See the crate docs.
 pub struct Engine {
-    dispatch: Dispatch,
+    /// Worker threads `profile_all` fans out to (1 = serial).
+    threads: usize,
     store: Arc<dyn CacheStore>,
     cache_dir: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
@@ -305,17 +291,11 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine from `config`. The cache directory is created
     /// eagerly; if creation fails the disk cache is disabled (profiling
-    /// still works, nothing persists). Likewise, if the worker pool
-    /// cannot be built the engine degrades to serial execution rather
-    /// than panicking — output is identical either way.
+    /// still works, nothing persists).
     pub fn new(config: EngineConfig) -> Self {
-        let dispatch = match config.threads {
-            None => Dispatch::Ambient,
-            Some(1) => Dispatch::Serial,
-            Some(n) => rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .map_or(Dispatch::Serial, Dispatch::Pool),
+        let threads = match config.threads {
+            None | Some(0) => machine_threads(),
+            Some(n) => n,
         };
         let store: Arc<dyn CacheStore> = config.store.unwrap_or_else(|| Arc::new(RealFs));
         let cache_dir = config
@@ -325,7 +305,7 @@ impl Engine {
             .as_ref()
             .map_or((0, None), |dir| scan_cache_dir(store.as_ref(), dir));
         Engine {
-            dispatch,
+            threads,
             store,
             cache_dir,
             cache_max_bytes: config.cache_max_bytes,
@@ -358,11 +338,7 @@ impl Engine {
 
     /// Worker threads `profile_all` / `sweep` fan out to.
     pub fn worker_threads(&self) -> usize {
-        match &self.dispatch {
-            Dispatch::Pool(pool) => pool.current_num_threads(),
-            Dispatch::Ambient => rayon::current_num_threads(),
-            Dispatch::Serial => 1,
-        }
+        self.threads
     }
 
     /// Width of one sweep's pipeline: the configured
@@ -452,12 +428,6 @@ impl Engine {
         dropped
     }
 
-    /// [`Engine::invalidate`] for a [`Task`]: drops the memo entry the
-    /// task's fingerprint keys.
-    pub fn invalidate_task(&self, task: &Task) -> bool {
-        self.invalidate(task.fingerprint())
-    }
-
     /// The cache file a profile persists to, if a disk cache is
     /// configured.
     pub fn cache_file(
@@ -534,8 +504,9 @@ impl Engine {
     }
 
     /// Profiles every workload, fanning the independent simulations out
-    /// across the worker pool. The result vector is in `workloads` order
-    /// and bit-identical to calling [`Engine::profile`] in a serial loop.
+    /// across [`Engine::worker_threads`] threads. The result vector is in
+    /// `workloads` order and bit-identical to calling [`Engine::profile`]
+    /// in a serial loop.
     pub fn profile_all(
         &self,
         workloads: &[WorkloadDef],
@@ -543,17 +514,8 @@ impl Engine {
         machine: &MachineConfig,
         node: &NodeConfig,
     ) -> Vec<WorkloadProfile> {
-        if matches!(self.dispatch, Dispatch::Serial) {
-            return workloads
-                .iter()
-                .map(|w| self.profile(w, scale, machine, node))
-                .collect();
-        }
-        self.install(|| {
-            workloads
-                .par_iter()
-                .map(|w| self.profile(w, scale, machine, node))
-                .collect()
+        fan_out(workloads, self.threads, |w| {
+            self.profile(w, scale, machine, node)
         })
     }
 
@@ -626,13 +588,6 @@ impl Engine {
         self.computed.fetch_add(1, Ordering::Relaxed);
         self.write_entry(id, key, &result);
         result
-    }
-
-    fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.dispatch {
-            Dispatch::Pool(pool) => pool.install(f),
-            Dispatch::Ambient | Dispatch::Serial => f(),
-        }
     }
 
     fn remember(&self, key: u64, profile: &WorkloadProfile) {
@@ -815,6 +770,50 @@ fn enforce_cache_cap(store: &dyn CacheStore, dir: &Path, max_bytes: u64) {
             total = total.saturating_sub(meta.len);
         }
     }
+}
+
+/// The machine's available parallelism, read once per process: the read
+/// costs several system calls, and a cluster worker builds an engine for
+/// every session.
+fn machine_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Maps `f` over `items` on `threads` scoped worker threads and returns
+/// the results in input order. Each worker claims the next unclaimed
+/// index from a shared counter, so an expensive item never holds back a
+/// static share of the rest. With one thread or at most one item the map
+/// runs on the calling thread. A panicking item re-raises its own payload
+/// here.
+fn fan_out<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return out;
+                        };
+                        out.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Locks the memo with poison recovery: a panic in another profiling
@@ -1745,6 +1744,71 @@ mod tests {
         let pinned = Engine::new(EngineConfig::default().threads(4).point_threads(2));
         assert_eq!(pinned.point_threads(), 2);
         assert_eq!(Engine::serial().point_threads(), 1);
+    }
+
+    #[test]
+    fn fan_out_keeps_input_order_under_uneven_work() {
+        let input: Vec<u64> = (0..64).collect();
+        let out = fan_out(&input, 4, |&x| {
+            // Early items are much more expensive than late ones.
+            let spins = if x < 8 { 200_000 } else { 10 };
+            let mut acc = x;
+            for i in 0..spins {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+            }
+            std::hint::black_box(acc);
+            x
+        });
+        assert_eq!(out, input);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 50 failed")]
+    fn fan_out_reraises_the_items_own_panic() {
+        let input: Vec<u64> = (0..100).collect();
+        fan_out(&input, 4, |&x| {
+            assert!(x != 50, "item {x} failed");
+            x
+        });
+    }
+
+    #[test]
+    fn fan_out_runs_width_items_at_once() {
+        // Every item waits (boundedly) until the in-flight peak reaches
+        // `width`, so a serial fallback reads a peak of 1 instead of
+        // hanging.
+        use std::time::{Duration, Instant};
+        let width = 4;
+        let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let input: Vec<usize> = (0..width).collect();
+        fan_out(&input, width, |_| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while peak.load(Ordering::SeqCst) < width && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert_eq!(peak.load(Ordering::SeqCst), width);
+    }
+
+    #[test]
+    fn one_worker_thread_runs_every_item_on_the_caller() {
+        let engine = Engine::new(EngineConfig::default().threads(1));
+        let input: Vec<u64> = (0..16).collect();
+        let ids = fan_out(&input, engine.worker_threads(), |_| {
+            std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == std::thread::current().id()));
+    }
+
+    #[test]
+    fn default_and_zero_threads_mean_available_parallelism() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Engine::in_memory().worker_threads(), cores);
+        let zero = Engine::new(EngineConfig::default().threads(0));
+        assert_eq!(zero.worker_threads(), cores);
     }
 
     #[test]

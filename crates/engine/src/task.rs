@@ -107,8 +107,8 @@ fn universe() -> Vec<WorkloadDef> {
     universe
 }
 
-/// Resolves a workload id against the shipped universe (see
-/// [`universe`]). The index is built once per process and sorted by id;
+/// Resolves a workload id against the shipped universe (the catalog, the
+/// MPI controls and every comparison suite's kernels). The index is built once per process and sorted by id;
 /// the stable sort keeps equal ids in catalog order, so first match wins
 /// (ids are unique across the universe, which a test pins).
 pub fn resolve_workload(id: &str) -> Option<&'static WorkloadDef> {

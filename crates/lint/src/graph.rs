@@ -19,7 +19,7 @@
 //!   dispatch (e.g. `transport.send(..)` reaching every `Transport`
 //!   impl) gets edges at all — except for a stoplist of ubiquitous
 //!   std-shadowing names (`get`, `insert`, `next`, …) and names with
-//!   more than [`METHOD_FANOUT_CAP`] candidates, which are dropped to
+//!   more than `METHOD_FANOUT_CAP` candidates, which are dropped to
 //!   keep the graph from collapsing into noise. The trade-off is
 //!   documented in DESIGN.md §16.
 //!
@@ -304,13 +304,6 @@ impl Graph {
         }
         graph.edges = edges;
         graph
-    }
-
-    /// The node for `(file index, fn index)`, if in the graph.
-    pub fn node_of(&self, file: usize, item: usize) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|r| r.file == file && r.item == item)
     }
 
     /// Full display path of a node (`bdb_sim::fused::fused_points`).

@@ -44,18 +44,10 @@ pub struct ScannedFile {
 }
 
 impl ScannedFile {
-    /// Rules suppressed on 0-indexed line `idx` — a `bdb-lint:
-    /// allow(<rule>)` comment suppresses diagnostics on its own line and
-    /// on the line directly below it (so a standalone comment line can
-    /// annotate the statement it precedes).
-    pub fn allows(&self, idx: usize) -> Vec<String> {
-        self.directive_sites(idx)
-            .into_iter()
-            .map(|i| self.directives[i].rule.clone())
-            .collect()
-    }
-
-    /// Whether `rule` is suppressed on 0-indexed line `idx`.
+    /// Whether `rule` is suppressed on 0-indexed line `idx` — a
+    /// `bdb-lint: allow(<rule>)` comment suppresses diagnostics on its
+    /// own line and on the line directly below it (so a standalone
+    /// comment line can annotate the statement it precedes).
     pub fn allowed(&self, idx: usize, rule: &str) -> bool {
         self.directive_sites(idx)
             .into_iter()

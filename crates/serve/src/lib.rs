@@ -23,7 +23,8 @@
 //!   created/removed/changed entry sets a mutation implies.
 //! * [`state`] — [`ServeState`], the materialized catalog riding a
 //!   [`bdb_engine::Engine`]: applies mutations, recomputes the affected
-//!   slice on the rayon pool, and emits ordered [`DeltaBatch`]es.
+//!   slice across the engine's worker threads, and emits ordered
+//!   [`DeltaBatch`]es.
 //! * [`proto`] — the request/reply protocol, encoded as checksummed
 //!   BDBC records (`ServeRequest`/`ServeDelta` kinds) on the same
 //!   length-prefixed frames as the cluster wire.

@@ -1,7 +1,7 @@
 //! The blocking serve daemon: sessions, subscriptions, delta fan-out.
 //!
 //! One thread per accepted connection, a single mutex around the
-//! [`ServeState`] (mutations serialize; the rayon fan-out happens
+//! [`ServeState`] (mutations serialize; the engine's fan-out happens
 //! *inside* `apply`, so one mutation still uses every core), and a
 //! subscriber registry of bounded delta queues. Delta *enqueue* happens
 //! **under the state lock**, so every subscriber's queue holds batches

@@ -1,11 +1,11 @@
 //! The materialized catalog and its incremental-recomputation core.
 //!
 //! [`ServeState`] owns the spec, its [`DepIndex`], and one materialized
-//! [`Entry`] per catalog key (profile plus its canonical bytes).
+//! entry per catalog key (profile plus its canonical bytes).
 //! [`ServeState::apply`] is the heart of the subsystem: diff the
 //! dependency index across the mutation, recompute **only** the created
-//! and changed entries (fanned out on the engine's rayon pool via
-//! `profile_all`), and emit a [`DeltaBatch`] describing exactly what a
+//! and changed entries (fanned out across the engine's worker threads
+//! by `profile_all`), and emit a [`DeltaBatch`] describing exactly what a
 //! subscriber must do to its copy. Unchanged entries are never touched —
 //! the engine's `computed` counter proves it — and a changed entry whose
 //! recomputed profile is byte-identical to the old one (a knob that

@@ -179,18 +179,6 @@ impl HadoopStack {
     pub fn root_region(&self) -> bdb_trace::RegionId {
         self.map_runner.region
     }
-
-    /// Fraction of a Routine call that is framework-path boilerplate; used
-    /// by tests to sanity-check the stack's depth.
-    pub fn per_record_units(&self) -> u32 {
-        self.input_format.units
-            + self.record_reader.units
-            + self.deserialize.units
-            + self.map_runner.units
-            + self.collector.units
-            + self.partitioner.units
-            + self.serializer.units
-    }
 }
 
 /// Output of a MapReduce job.

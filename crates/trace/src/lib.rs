@@ -64,4 +64,4 @@ pub use mix::InstructionMix;
 pub use op::{BranchKind, IntPurpose, MicroOp};
 pub use region::{CodeLayout, CodeRegion, RegionId};
 pub use reuse::{ReuseHistogram, ReuseProfiler, ReuseSink};
-pub use sink::{CountingSink, FanoutSink, MixSink, NullSink, TeeSink, TraceSink};
+pub use sink::{CountingSink, MixSink, NullSink, TraceSink};
