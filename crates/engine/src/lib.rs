@@ -710,13 +710,12 @@ fn scan_cache_dir(store: &dyn CacheStore, dir: &Path) -> (u64, Option<Vec<u64>>)
         return (0, None);
     };
     let mut reclaimed = 0;
-    for meta in &files {
-        let name = meta
-            .path
+    for path in &files {
+        let name = path
             .file_name()
             .and_then(|n| n.to_str())
             .unwrap_or_default();
-        if name.starts_with('.') && name.contains(".tmp") && store.remove(&meta.path).is_ok() {
+        if name.starts_with('.') && name.contains(".tmp") && store.remove(path).is_ok() {
             reclaimed += 1;
         }
     }
@@ -724,10 +723,10 @@ fn scan_cache_dir(store: &dyn CacheStore, dir: &Path) -> (u64, Option<Vec<u64>>)
 }
 
 /// The sorted, deduplicated profile keys among listed files.
-fn profile_keys(files: &[FileMeta]) -> Vec<u64> {
+fn profile_keys(files: &[PathBuf]) -> Vec<u64> {
     let mut keys: Vec<u64> = files
         .iter()
-        .filter_map(|meta| profile_entry_key(&meta.path))
+        .filter_map(|path| profile_entry_key(path))
         .collect();
     keys.sort_unstable();
     keys.dedup();
@@ -748,25 +747,28 @@ fn lock_keys(keys: &Mutex<Option<Vec<u64>>>) -> std::sync::MutexGuard<'_, Option
 /// Eviction removes whole files only — surviving entries are never
 /// rewritten, so a cap can shrink the cache but never corrupt it.
 /// Quarantined entries live in a subdirectory, which [`CacheStore::list`]
-/// does not descend into, so they never count against the cap.
+/// does not descend into, so they never count against the cap. Only the
+/// `.bin` entries are stat'ed ([`CacheStore::meta`]); one that vanished
+/// or cannot be stat'ed since the listing is skipped.
 fn enforce_cache_cap(store: &dyn CacheStore, dir: &Path, max_bytes: u64) {
     let Ok(listed) = store.list(dir) else {
         return;
     };
-    let mut files: Vec<FileMeta> = listed
+    let mut files: Vec<(FileMeta, PathBuf)> = listed
         .into_iter()
-        .filter(|meta| meta.path.extension().is_some_and(|e| e == CACHE_EXTENSION))
+        .filter(|path| path.extension().is_some_and(|e| e == CACHE_EXTENSION))
+        .filter_map(|path| store.meta(&path).ok().flatten().map(|meta| (meta, path)))
         .collect();
-    let mut total: u64 = files.iter().map(|meta| meta.len).sum();
+    let mut total: u64 = files.iter().map(|(meta, _)| meta.len).sum();
     if total <= max_bytes {
         return;
     }
-    files.sort_by(|a, b| (a.modified, &a.path).cmp(&(b.modified, &b.path)));
-    for meta in files {
+    files.sort_by(|(a, a_path), (b, b_path)| (a.modified, a_path).cmp(&(b.modified, b_path)));
+    for (meta, path) in files {
         if total <= max_bytes {
             break;
         }
-        if store.remove(&meta.path).is_ok() {
+        if store.remove(&path).is_ok() {
             total = total.saturating_sub(meta.len);
         }
     }
@@ -1092,23 +1094,20 @@ pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadPro
 /// Each entry is verified by [`verify_cache_entry`] against the
 /// fingerprint in its own file name — the same decode-and-verify path
 /// the engine's cache reads use. Read-only: entries that fail
-/// verification are skipped here, not quarantined.
+/// verification are skipped here, not quarantined. Profiles come back
+/// in file-name order, the order [`CacheStore::list`] returns.
 pub fn read_cache_dir(dir: &Path) -> Vec<WorkloadProfile> {
     let Ok(files) = RealFs.list(dir) else {
         return Vec::new();
     };
-    let mut profiles: Vec<(PathBuf, WorkloadProfile)> = files
-        .into_iter()
-        .filter_map(|meta| {
-            let path = meta.path;
-            let key = profile_entry_key(&path)?;
-            let bytes = RealFs.read(&path).ok()??;
-            let profile = verify_cache_entry(&bytes, key).ok()?;
-            Some((path, profile))
+    files
+        .iter()
+        .filter_map(|path| {
+            let key = profile_entry_key(path)?;
+            let bytes = RealFs.read(path).ok()??;
+            verify_cache_entry(&bytes, key).ok()
         })
-        .collect();
-    profiles.sort_by(|(a, _), (b, _)| a.cmp(b));
-    profiles.into_iter().map(|(_, p)| p).collect()
+        .collect()
 }
 
 #[cfg(test)]
@@ -1546,6 +1545,92 @@ mod tests {
             recount.counters().computed >= 2,
             "evicted entries recompute"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A [`RealFs`] whose listing also names one file that is not there,
+    /// as when an entry vanishes between the listing and its stat, and
+    /// that records every path it is asked to stat.
+    struct PhantomListing {
+        phantom: PathBuf,
+        stated: Mutex<Vec<PathBuf>>,
+    }
+
+    impl CacheStore for PhantomListing {
+        fn create_dir_all(&self, dir: &Path) -> Result<(), StoreError> {
+            RealFs.create_dir_all(dir)
+        }
+        fn read(&self, path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+            RealFs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+            RealFs.write(path, bytes)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError> {
+            RealFs.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> Result<(), StoreError> {
+            RealFs.remove(path)
+        }
+        fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
+            let mut files = RealFs.list(dir)?;
+            files.push(self.phantom.clone());
+            Ok(files)
+        }
+        fn meta(&self, path: &Path) -> Result<Option<FileMeta>, StoreError> {
+            self.stated.lock().unwrap().push(path.to_path_buf());
+            RealFs.meta(path)
+        }
+        fn touch(&self, path: &Path) -> Result<(), StoreError> {
+            RealFs.touch(path)
+        }
+    }
+
+    #[test]
+    fn cache_cap_stats_only_entries_and_skips_a_vanished_one() {
+        let dir = scratch_dir("cap-phantom");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Four 100 B entries, oldest first by mtime, plus a large file that
+        // is not an entry and so is neither stat'ed nor counted.
+        let entries: Vec<PathBuf> = ["d", "c", "b", "a"]
+            .iter()
+            .enumerate()
+            .map(|(age, name)| {
+                let path = dir.join(format!("{name}.{CACHE_EXTENSION}"));
+                std::fs::write(&path, [0u8; 100]).unwrap();
+                let mtime =
+                    std::time::UNIX_EPOCH + std::time::Duration::from_secs(1000 + age as u64);
+                std::fs::File::options()
+                    .write(true)
+                    .open(&path)
+                    .unwrap()
+                    .set_modified(mtime)
+                    .unwrap();
+                path
+            })
+            .collect();
+        std::fs::write(dir.join("notes.txt"), [0u8; 1000]).unwrap();
+        let store = PhantomListing {
+            phantom: dir.join(format!("vanished.{CACHE_EXTENSION}")),
+            stated: Mutex::new(Vec::new()),
+        };
+
+        enforce_cache_cap(&store, &dir, 250);
+
+        // The two oldest entries went; the phantom neither counted nor
+        // stopped the pass.
+        let left = RealFs.list(&dir).unwrap();
+        assert_eq!(
+            left,
+            vec![dir.join("a.bin"), dir.join("b.bin"), dir.join("notes.txt")]
+        );
+        assert!(!entries[0].exists() && !entries[1].exists());
+        let stated = store.stated.lock().unwrap();
+        assert_eq!(stated.len(), 5, "four entries and the phantom: {stated:?}");
+        assert!(stated
+            .iter()
+            .all(|p| p.extension().is_some_and(|e| e == CACHE_EXTENSION)));
+        drop(stated);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -55,11 +55,9 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Metadata for one regular file returned by [`CacheStore::list`].
-#[derive(Debug, Clone)]
+/// Length and recency of one file, from [`CacheStore::meta`].
+#[derive(Debug, Clone, Copy)]
 pub struct FileMeta {
-    /// Full path of the file.
-    pub path: PathBuf,
     /// File length in bytes.
     pub len: u64,
     /// Last-modified time — recency metadata for LRU eviction only.
@@ -70,11 +68,15 @@ pub struct FileMeta {
 /// Filesystem operations the engine needs, behind one seam so a fault
 /// injector can sit underneath everything the engine persists.
 ///
-/// Conventions: `read` distinguishes "not found" (`Ok(None)`) from real
-/// I/O errors; `remove` of a missing file and `list` of a missing
-/// directory succeed (idempotent cleanup); `list` is non-recursive and
-/// returns regular files only, so subdirectories such as `quarantine/`
-/// are invisible to cache-cap accounting.
+/// Conventions: `read` and `meta` distinguish "not found" (`Ok(None)`)
+/// from real I/O errors; `remove` of a missing file and `list` of a
+/// missing directory succeed (idempotent cleanup). `list` is
+/// non-recursive and returns the sorted paths of regular files only, so
+/// subdirectories such as `quarantine/` are invisible to cache-cap
+/// accounting. It returns names, not sizes: the startup scan and the
+/// key listing need nothing else, and a warm engine start lists the
+/// directory on every session. `meta` is the one per-file stat, and only
+/// cache-cap eviction calls it.
 pub trait CacheStore: Send + Sync {
     /// Creates `dir` and any missing parents.
     fn create_dir_all(&self, dir: &Path) -> Result<(), StoreError>;
@@ -86,8 +88,11 @@ pub trait CacheStore: Send + Sync {
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError>;
     /// Removes a file; missing files are not an error.
     fn remove(&self, path: &Path) -> Result<(), StoreError>;
-    /// Lists the regular files directly under `dir` (missing dir = empty).
-    fn list(&self, dir: &Path) -> Result<Vec<FileMeta>, StoreError>;
+    /// Lists the regular files directly under `dir`, sorted (missing
+    /// dir = empty).
+    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, StoreError>;
+    /// Length and mtime of a file; `Ok(None)` when it does not exist.
+    fn meta(&self, path: &Path) -> Result<Option<FileMeta>, StoreError>;
     /// Best-effort mtime refresh marking `path` as recently used.
     fn touch(&self, path: &Path) -> Result<(), StoreError>;
 }
@@ -125,29 +130,35 @@ impl CacheStore for RealFs {
         }
     }
 
-    fn list(&self, dir: &Path) -> Result<Vec<FileMeta>, StoreError> {
+    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
         let entries = match std::fs::read_dir(dir) {
             Ok(entries) => entries,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(StoreError::new("list", dir, e)),
         };
-        let mut files = Vec::new();
-        for entry in entries.flatten() {
-            let Ok(meta) = entry.metadata() else {
-                continue; // racing deletion; skip
-            };
-            if !meta.is_file() {
-                continue;
-            }
-            files.push(FileMeta {
-                path: entry.path(),
+        // `file_type` comes from the directory entry itself (`d_type`),
+        // so the scan costs no syscall per file; std falls back to
+        // `lstat` where the filesystem leaves the type unknown. Either
+        // way a symlink is not a regular file.
+        let mut files: Vec<PathBuf> = entries
+            .flatten()
+            .filter(|entry| entry.file_type().is_ok_and(|t| t.is_file()))
+            .map(|entry| entry.path())
+            .collect();
+        files.sort();
+        Ok(files)
+    }
+
+    fn meta(&self, path: &Path) -> Result<Option<FileMeta>, StoreError> {
+        match std::fs::metadata(path) {
+            Ok(meta) => Ok(Some(FileMeta {
                 len: meta.len(),
                 // bdb-lint: allow(determinism): recency metadata for cache eviction only.
                 modified: meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH),
-            });
+            })),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(StoreError::new("meta", path, e)),
         }
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        Ok(files)
     }
 
     fn touch(&self, path: &Path) -> Result<(), StoreError> {
@@ -242,7 +253,7 @@ impl ChaosCounters {
 
 /// A [`CacheStore`] that wraps [`RealFs`] and injects faults per a
 /// seeded [`ChaosPlan`]. Only the data path is fault-eligible (`read`,
-/// `write`, `rename`); `list`/`remove`/`touch`/`create_dir_all`
+/// `write`, `rename`); `list`/`meta`/`remove`/`touch`/`create_dir_all`
 /// pass through untouched so fault accounting stays exact. Bit
 /// corruption targets `.bin` cache entries (BDBC records, whose
 /// checksum covers every byte) and flips exactly one bit — so every
@@ -355,8 +366,12 @@ impl CacheStore for ChaosFs {
         self.inner.remove(path)
     }
 
-    fn list(&self, dir: &Path) -> Result<Vec<FileMeta>, StoreError> {
+    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
         self.inner.list(dir)
+    }
+
+    fn meta(&self, path: &Path) -> Result<Option<FileMeta>, StoreError> {
+        self.inner.meta(path)
     }
 
     fn touch(&self, path: &Path) -> Result<(), StoreError> {
@@ -396,6 +411,37 @@ mod tests {
         RealFs.remove(&to).unwrap(); // idempotent
         assert!(RealFs.list(&dir).unwrap().is_empty());
         assert!(RealFs.list(&dir.join("missing")).unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn real_fs_list_returns_regular_files_only() {
+        let dir = scratch("list-files");
+        RealFs.write(&dir.join("b.bin"), b"b").unwrap();
+        RealFs.write(&dir.join("a.bin"), b"a").unwrap();
+        // A crashed writer's temp file: the startup sweep finds it here.
+        RealFs.write(&dir.join(".x.tmp"), b"torn").unwrap();
+        let quarantine = dir.join("quarantine");
+        RealFs.create_dir_all(&quarantine).unwrap();
+        RealFs.write(&quarantine.join("q.bin"), b"q").unwrap();
+        #[cfg(unix)]
+        std::os::unix::fs::symlink(dir.join("a.bin"), dir.join("link.bin")).unwrap();
+        assert_eq!(
+            RealFs.list(&dir).unwrap(),
+            vec![dir.join(".x.tmp"), dir.join("a.bin"), dir.join("b.bin")],
+            "sorted, no subdirectory, nothing inside it, no symlink"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn real_fs_meta_reads_length_and_misses_removed_files() {
+        let dir = scratch("meta");
+        let path = dir.join("m.bin");
+        RealFs.write(&path, b"12345").unwrap();
+        assert_eq!(RealFs.meta(&path).unwrap().map(|m| m.len), Some(5));
+        RealFs.remove(&path).unwrap();
+        assert!(RealFs.meta(&path).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
