@@ -25,14 +25,19 @@
 //!
 //! # Admission control
 //!
-//! The fleet defers assignment to any worker at its in-flight depth cap
-//! ([`ClusterConfig::max_inflight`]) or with an unanswered heartbeat
-//! probe outstanding — backpressure against slow or suspect machines,
-//! denominated in ticks, never wall clock. The default depth of 2 keeps
-//! each worker's next `Assign` queued behind the task it is answering,
-//! so a worker does not idle while the coordinator merges its last
-//! result; each result restarts the deadline of the task queued behind
-//! it (see [`crate::fleet`]).
+//! The fleet defers assignment to any worker with an unanswered
+//! heartbeat probe outstanding, and unheld work to any worker at its
+//! in-flight depth cap ([`ClusterConfig::max_inflight`]) — backpressure
+//! against slow or suspect machines, denominated in ticks, never wall
+//! clock. The default depth of 2 keeps each worker's next `Assign`
+//! queued behind the task it is answering, so a worker does not idle
+//! while the coordinator merges its last result; each result restarts
+//! the deadline of the tasks queued behind it (see [`crate::fleet`]).
+//! Tasks a worker holds in its cache skip the cap, so a warm round is a
+//! burst: each dispatch gathers a worker's assignments and sends them
+//! with one [`Transport::send_all`], one write on TCP. If that send
+//! fails, the whole batch rolls back without a charged attempt and the
+//! worker is declared dead.
 //!
 //! # Assignments
 //!
@@ -100,9 +105,11 @@ pub struct ClusterConfig {
     pub backoff_base_ticks: u64,
     /// Upper bound on the retry backoff, in ticks.
     pub backoff_cap_ticks: u64,
-    /// Admission control: per-worker in-flight depth cap (values below
-    /// 1 behave as 1). The default of 2 queues each worker's next task
-    /// behind the one it is computing.
+    /// Admission control: per-worker in-flight depth cap on the tasks a
+    /// worker does not hold in its cache (values below 1 behave as 1).
+    /// The default of 2 queues each worker's next task behind the one it
+    /// is computing. Held tasks from its own plan or the retry queue
+    /// skip the cap.
     pub max_inflight: usize,
     /// Peer workers each verified result is replicated to (`0` disables
     /// the replicated result tier). Env knob: `BDB_REPLICATION`.
@@ -237,7 +244,7 @@ impl Coordinator {
         if workers.is_empty() {
             return Err(ClusterError::NoWorkers);
         }
-        self.run_elastic(workers, closed_joins(), tasks)
+        self.run_with(workers, None, tasks)
     }
 
     /// The elastic entry point: starts with `workers` (possibly empty)
@@ -256,6 +263,17 @@ impl Coordinator {
         joins: Receiver<Arc<dyn Transport>>,
         tasks: &[Task],
     ) -> Result<Vec<WorkloadProfile>, ClusterError> {
+        self.run_with(workers, Some(joins), tasks)
+    }
+
+    /// One event loop for both entry points; `joins: None` is fixed
+    /// membership, with no join channel to watch.
+    fn run_with(
+        &self,
+        workers: Vec<Arc<dyn Transport>>,
+        joins: Option<Receiver<Arc<dyn Transport>>>,
+        tasks: &[Task],
+    ) -> Result<Vec<WorkloadProfile>, ClusterError> {
         if tasks.is_empty() {
             return Ok(Vec::new());
         }
@@ -263,7 +281,10 @@ impl Coordinator {
         for (idx, transport) in workers.iter().enumerate() {
             spawn_reader(idx, Arc::clone(transport), tx.clone());
         }
-        spawn_join_feeder(joins, tx.clone());
+        let joins_open = joins.is_some();
+        if let Some(joins) = joins {
+            spawn_join_feeder(joins, tx.clone());
+        }
         let fingerprints: Vec<u64> = tasks.iter().map(Task::fingerprint).collect();
         let mut run = Run {
             config: &self.config,
@@ -273,7 +294,7 @@ impl Coordinator {
             configs: config_records(tasks),
             results: tasks.iter().map(|_| None).collect(),
             tx,
-            joins_open: true,
+            joins_open,
         };
         let outcome = run.event_loop(&rx);
         run.farewell();
@@ -323,47 +344,52 @@ impl Run<'_> {
         }
     }
 
-    /// Hands work to every worker that passes admission control.
+    /// Hands work to every worker that passes admission control: each
+    /// worker's assignments go out together, in one send.
     fn dispatch(&mut self) -> Result<(), ClusterError> {
         for idx in 0..self.fleet.slot_count() {
+            let mut batch = Vec::new();
+            let mut msgs = Vec::new();
             while let Some(task) = self.fleet.next_assignment(idx) {
-                if !self.assign(idx, task)? {
+                let Some(msg) = self.assign_message(task) else {
+                    // Unreachable while the fleet is built from these
+                    // tasks' fingerprints, but if that invariant ever
+                    // drifts the task must not be stranded in the slot's
+                    // in-flight set.
+                    debug_assert!(false, "fleet assigned out-of-range task {task}");
+                    self.fleet.unassign(idx, task);
                     break;
+                };
+                batch.push(task);
+                msgs.push(msg);
+            }
+            if msgs.is_empty() {
+                continue;
+            }
+            let sent = self
+                .workers
+                .get(idx)
+                .is_some_and(|t| t.send_all(&msgs).is_ok());
+            if !sent {
+                // Treat the whole batch as unseen: roll it back without
+                // charging an attempt, then tombstone the slot.
+                for task in batch {
+                    self.fleet.unassign(idx, task);
                 }
+                self.fleet.death(idx)?;
             }
         }
         Ok(())
     }
 
-    /// Sends one assignment; `Ok(true)` if the worker may receive more.
-    fn assign(&mut self, idx: usize, task: usize) -> Result<bool, ClusterError> {
-        let (Some(def), Some(config), Some(fingerprint)) = (
-            self.tasks.get(task),
-            self.configs.get(task),
-            self.fleet.fingerprint(task),
-        ) else {
-            // Unreachable while the fleet is built from these tasks'
-            // fingerprints, but if that invariant ever drifts the task
-            // must not be stranded in the slot's in-flight set.
-            debug_assert!(false, "fleet assigned out-of-range task {task}");
-            self.fleet.unassign(idx, task);
-            return Ok(false);
-        };
-        let msg = Message::Assign {
+    /// The `Assign` for `task`, or `None` if it is out of range.
+    fn assign_message(&self, task: usize) -> Option<Message> {
+        Some(Message::Assign {
             task_id: task as u64,
-            workload_id: def.workload_id.clone(),
-            fingerprint,
-            config: Arc::clone(config),
-        };
-        if self.transport_send(idx, &msg) {
-            Ok(true)
-        } else {
-            // The worker never saw the task: roll back without charging
-            // an attempt, then tombstone the slot.
-            self.fleet.unassign(idx, task);
-            self.fleet.death(idx)?;
-            Ok(false)
-        }
+            workload_id: self.tasks.get(task)?.workload_id.clone(),
+            fingerprint: self.fleet.fingerprint(task)?,
+            config: Arc::clone(self.configs.get(task)?),
+        })
     }
 
     fn transport_send(&self, idx: usize, msg: &Message) -> bool {
@@ -541,12 +567,6 @@ fn config_records(tasks: &[Task]) -> Vec<Arc<[u8]>> {
             record
         })
         .collect()
-}
-
-/// A join channel that is already closed: membership fixed at startup.
-fn closed_joins() -> Receiver<Arc<dyn Transport>> {
-    let (_, rx) = channel();
-    rx
 }
 
 /// Bridges the join channel into the event loop, signalling when no

@@ -22,12 +22,17 @@
 //!
 //! # Admission control
 //!
-//! A worker is assignable only while its in-flight depth is below
-//! [`crate::ClusterConfig::max_inflight`] (2 by default: the task being
-//! computed and the next, already on the wire) and it has no unanswered
-//! heartbeat probe (a *suspect* — shedding load away from a machine
-//! that may already be gone costs one tick of idleness if it answers,
-//! and saves a full task deadline if it does not). Retry dispatch is
+//! A worker takes work only while it has no unanswered heartbeat probe
+//! (a *suspect* — shedding load away from a machine that may already be
+//! gone costs one tick of idleness if it answers, and saves a full task
+//! deadline if it does not). [`crate::ClusterConfig::max_inflight`]
+//! caps the tasks it does not hold (2 by default: the task being
+//! computed and the next, already on the wire). A task it holds, from
+//! its own plan or the retry queue, skips the cap: a warm worker is
+//! handed its whole held plan in one dispatch and answers it as one
+//! burst. Held *steals* from another plan stay under the cap, or the
+//! first worker to say `Hello` would take every task it shares with the
+//! others; a cold run keeps the depth-2 balance. Retry dispatch is
 //! queue-age ordered: among eligible entries the oldest-queued goes
 //! first, so no task starves behind younger failures. A task's deadline
 //! runs from its assignment and restarts whenever a result arrives from
@@ -89,6 +94,11 @@ pub enum FleetError {
 struct Busy {
     task: usize,
     deadline: u64,
+    /// The worker held the task, which came from its own plan or the
+    /// retry queue, so it was dispatched past the depth cap. Every other
+    /// assignment, a held steal included, counts against
+    /// [`ClusterConfig::max_inflight`].
+    held: bool,
 }
 
 /// One queued re-dispatch.
@@ -119,6 +129,11 @@ struct Slot {
 }
 
 impl Slot {
+    /// In-flight tasks that count against the depth cap.
+    fn capped_depth(&self) -> usize {
+        self.inflight.iter().filter(|b| !b.held).count()
+    }
+
     fn empty() -> Slot {
         Slot {
             ready: false,
@@ -449,16 +464,24 @@ impl Fleet {
         });
     }
 
-    /// Whether `slot` passes admission control right now: alive, ready,
-    /// in-flight depth below the cap, and not a suspect (no unanswered
-    /// heartbeat probe).
+    /// Whether `slot` may take work right now: alive, ready, and not a
+    /// suspect (no unanswered heartbeat probe).
+    fn open(&self, slot: usize) -> bool {
+        self.slots
+            .get(slot)
+            .is_some_and(|s| s.alive && s.ready && s.probe.is_none())
+    }
+
+    /// Whether `slot` passes admission control for a task it does not
+    /// hold right now: open, and its capped in-flight depth below
+    /// [`ClusterConfig::max_inflight`]. A task it holds from its own
+    /// plan or the retry queue needs only the first.
     pub fn assignable(&self, slot: usize) -> bool {
-        self.slots.get(slot).is_some_and(|s| {
-            s.alive
-                && s.ready
-                && s.inflight.len() < self.config.max_inflight.max(1)
-                && s.probe.is_none()
-        })
+        self.open(slot)
+            && self
+                .slots
+                .get(slot)
+                .is_some_and(|s| s.capped_depth() < self.config.max_inflight.max(1))
     }
 
     /// Picks the next task for `slot` and marks it in-flight with a
@@ -468,35 +491,58 @@ impl Fleet {
     /// once every initial worker has said `Hello` or the deadline has
     /// passed — unheld work, skipping tasks held by *another* alive,
     /// ready worker, which will claim them through its own affinity.
+    /// Held tasks from the retry queue or the worker's own plan skip the
+    /// depth cap, so a warm worker gets its whole held plan at once.
     pub fn next_assignment(&mut self, slot: usize) -> Option<usize> {
         loop {
-            if !self.assignable(slot) {
+            if !self.open(slot) {
                 return None;
             }
-            let task = self.pick_candidate(slot)?;
+            let (task, held) = self.pick_candidate(slot, self.assignable(slot))?;
             if self.is_completed(task) {
                 // A stale retry copy of an already-merged task.
                 continue;
             }
             let deadline = self.now + self.config.task_deadline_ticks;
             if let Some(s) = self.slots.get_mut(slot) {
-                s.inflight.push(Busy { task, deadline });
+                s.inflight.push(Busy {
+                    task,
+                    deadline,
+                    held,
+                });
             }
             return Some(task);
         }
     }
 
-    /// Removes and returns the best candidate task for `slot`.
-    fn pick_candidate(&mut self, slot: usize) -> Option<usize> {
+    /// Removes and returns the best candidate task for `slot`, and
+    /// whether it skips the depth cap. Below the cap (`under_cap`) every
+    /// step is open; at the cap only the held retry and own-plan steps.
+    fn pick_candidate(&mut self, slot: usize, under_cap: bool) -> Option<(usize, bool)> {
         // 1. Oldest eligible retry entry this worker already holds.
         if let Some(pos) = self.best_retry(slot, true) {
-            return self.retry.remove(pos).map(|r| r.task);
+            return self.retry.remove(pos).map(|r| (r.task, true));
         }
         // 2. First own-plan task this worker already holds.
         if let Some(pos) = self.plan_position(slot, |fp, held| held.contains(&fp)) {
-            return self.slots.get_mut(slot).and_then(|s| s.plan.remove(pos));
+            return self
+                .slots
+                .get_mut(slot)
+                .and_then(|s| s.plan.remove(pos))
+                .map(|task| (task, true));
         }
-        // 3. Steal a held task from any other surviving plan.
+        if !under_cap {
+            return None;
+        }
+        self.pick_capped(slot).map(|task| (task, false))
+    }
+
+    /// Removes and returns the best candidate for `slot` that counts
+    /// against the depth cap.
+    fn pick_capped(&mut self, slot: usize) -> Option<usize> {
+        // 3. Steal a held task from any other surviving plan; capped, or
+        // the first worker to say `Hello` would take every task it
+        // shares with the others.
         if let Some((victim, pos)) = self.steal_position(slot, true) {
             return self.slots.get_mut(victim).and_then(|s| s.plan.remove(pos));
         }
@@ -846,6 +892,55 @@ mod tests {
         assert!(!fleet.assignable(0), "suspect sheds load");
         fleet.heartbeat(0, out.probes[0].1);
         assert!(fleet.assignable(0));
+    }
+
+    /// Takes assignments for `slot` until admission control says no.
+    fn burst(fleet: &mut Fleet, slot: usize) -> Vec<usize> {
+        std::iter::from_fn(|| fleet.next_assignment(slot)).collect()
+    }
+
+    #[test]
+    fn a_held_plan_skips_the_depth_cap_and_nothing_else_does() {
+        // Worker 0 plans tasks 0-4 and holds all five; worker 1 plans
+        // 5-9 and holds none of them.
+        let fps: Vec<u64> = (100..110).collect();
+        let mut fleet = Fleet::new(2, fps.clone(), config());
+        fleet.hello(0, &fps[..5]);
+        fleet.hello(1, &[]);
+        // The whole held plan goes out in one dispatch; unheld steals
+        // from worker 1's plan then stop at the default depth of 2.
+        assert_eq!(burst(&mut fleet, 0), vec![0, 1, 2, 3, 4, 9, 8]);
+        assert!(!fleet.assignable(0));
+        // Worker 1's own unheld plan stops at the cap too.
+        assert_eq!(burst(&mut fleet, 1), vec![5, 6]);
+        fleet.clear_inflight(1, 5);
+        fleet.complete(5);
+        assert_eq!(burst(&mut fleet, 1), vec![7]);
+        fleet.check_conservation().unwrap();
+
+        // Held steals stay under the cap: a worker holding every task
+        // takes its own plan and then only two of the other plan's,
+        // which is left to its own holder.
+        let fps: Vec<u64> = (100..108).collect();
+        let mut fleet = Fleet::new(2, fps.clone(), config());
+        fleet.hello(0, &fps);
+        assert_eq!(burst(&mut fleet, 0), vec![0, 1, 2, 3, 4, 5]);
+        fleet.hello(1, &fps);
+        assert_eq!(burst(&mut fleet, 1), vec![6, 7]);
+        fleet.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_held_retry_skips_the_depth_cap() {
+        let fps: Vec<u64> = (100..106).collect();
+        let mut fleet = Fleet::new(2, fps.clone(), config());
+        fleet.hello(0, &[]);
+        fleet.hello(1, &fps);
+        // Worker 0 dies with its unheld plan untouched; the holder takes
+        // the re-queued tasks past the cap, beside its own plan.
+        fleet.death(0).unwrap();
+        assert_eq!(burst(&mut fleet, 1), vec![0, 1, 2, 3, 4, 5]);
+        fleet.check_conservation().unwrap();
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //!   by key with their entry bytes undecoded (no config decode), and
 //!   admits `Replicate` pushes into its cache.
 //! * [`fleet`] — the pure membership + scheduling state machine: live
-//!   join/leave, admission control (in-flight depth, suspect deferral),
+//!   join/leave, admission control (in-flight depth of unheld work,
+//!   suspect deferral),
 //!   replica affinity, capped-exponential-backoff retry.
 //! * [`coordinator`] — the transport glue around [`fleet`]: static
-//!   chunking + work stealing, two-deep dispatch with one config record
-//!   encoded per distinct config, tick-based deadlines and heartbeats,
+//!   chunking + work stealing, two-deep dispatch of unheld work and
+//!   whole held plans in one send, with one config record encoded per
+//!   distinct config, tick-based deadlines and heartbeats,
 //!   fingerprint-verified deduplicating merge, elastic membership via
 //!   [`Coordinator::run_elastic`], and replica pushes.
 //!

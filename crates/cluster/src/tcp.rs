@@ -4,7 +4,11 @@
 //! worker connection and sends from the scheduler thread, so plain
 //! blocking sockets with a writer/reader mutex pair are all that is
 //! needed. `TCP_NODELAY` is set because the protocol is small
-//! request/response frames, the worst case for Nagle batching.
+//! request/response frames, the worst case for Nagle batching; a sender
+//! that has several frames ready batches them itself with
+//! [`Transport::send_all`], which writes them as one buffer. The read
+//! timeout is a socket option, so the reader remembers the one it set
+//! and a run of blocking reads makes no `setsockopt` call.
 
 use crate::proto::Message;
 use crate::transport::{lock, FrameTransport, Transport, TransportError};
@@ -18,7 +22,27 @@ use std::time::Duration;
 pub struct TcpTransport {
     peer: String,
     writer: Mutex<TcpStream>,
-    reader: Mutex<BufReader<TcpStream>>,
+    reader: Mutex<Reader>,
+}
+
+/// The read half, with the read timeout the socket currently has, so a
+/// run of blocking reads sets no socket option.
+struct Reader {
+    stream: BufReader<TcpStream>,
+    timeout: Option<Duration>,
+}
+
+impl Reader {
+    fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        if self.timeout != timeout {
+            self.stream
+                .get_ref()
+                .set_read_timeout(timeout)
+                .map_err(|e| TransportError::Io(e.to_string()))?;
+            self.timeout = timeout;
+        }
+        Ok(())
+    }
 }
 
 impl TcpTransport {
@@ -45,18 +69,11 @@ impl TcpTransport {
         Ok(TcpTransport {
             peer: peer.to_owned(),
             writer: Mutex::new(stream),
-            reader: Mutex::new(BufReader::new(reader)),
+            reader: Mutex::new(Reader {
+                stream: BufReader::new(reader),
+                timeout: None,
+            }),
         })
-    }
-
-    fn set_read_timeout(
-        reader: &BufReader<TcpStream>,
-        timeout: Option<Duration>,
-    ) -> Result<(), TransportError> {
-        reader
-            .get_ref()
-            .set_read_timeout(timeout)
-            .map_err(|e| TransportError::Io(e.to_string()))
     }
 
     fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
@@ -75,8 +92,8 @@ impl TcpTransport {
 
     fn recv_frame_payload(&self) -> Result<Vec<u8>, TransportError> {
         let mut reader = lock(&self.reader);
-        Self::set_read_timeout(&reader, None)?;
-        match wire::read_frame_payload(&mut *reader) {
+        reader.set_timeout(None)?;
+        match wire::read_frame_payload(&mut reader.stream) {
             Ok(Some(payload)) => Ok(payload),
             Ok(None) => Err(TransportError::Closed),
             Err(wire::WireError::Io(e)) => Err(classify_io(&e)),
@@ -92,10 +109,10 @@ impl TcpTransport {
         timeout: Duration,
     ) -> Result<Option<Vec<u8>>, TransportError> {
         let mut reader = lock(&self.reader);
-        Self::set_read_timeout(&reader, Some(timeout))?;
+        reader.set_timeout(Some(timeout))?;
         let mut first = [0u8; 1];
         let n = loop {
-            match std::io::Read::read(&mut *reader, &mut first) {
+            match std::io::Read::read(&mut reader.stream, &mut first) {
                 Ok(n) => break n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -107,16 +124,16 @@ impl TcpTransport {
         if n == 0 {
             return Err(TransportError::Closed);
         }
-        Self::set_read_timeout(&reader, None)?;
+        reader.set_timeout(None)?;
         let mut rest = [0u8; 3];
-        std::io::Read::read_exact(&mut *reader, &mut rest)
+        std::io::Read::read_exact(&mut reader.stream, &mut rest)
             .map_err(|e| classify_io(&e.to_string()))?;
         let len = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]);
         if len > wire::MAX_FRAME_BYTES {
             return Err(wire::WireError::TooLarge(len).into());
         }
         let mut payload = vec![0u8; len as usize];
-        std::io::Read::read_exact(&mut *reader, &mut payload)
+        std::io::Read::read_exact(&mut reader.stream, &mut payload)
             .map_err(|e| classify_io(&e.to_string()))?;
         Ok(Some(payload))
     }
@@ -127,9 +144,28 @@ impl Transport for TcpTransport {
         self.send_frame(&wire::encode_frame(msg))
     }
 
+    /// The frames of `msgs`, back to back, in one write.
+    fn send_all(&self, msgs: &[Message]) -> Result<(), TransportError> {
+        let frames: Vec<Vec<u8>> = msgs.iter().map(wire::encode_frame).collect();
+        self.send_frame(&frames.concat())
+    }
+
     fn recv(&self) -> Result<Message, TransportError> {
         let payload = self.recv_frame_payload()?;
         wire::decode_message(&payload).map_err(TransportError::from)
+    }
+
+    fn has_buffered_frame(&self) -> bool {
+        let reader = lock(&self.reader);
+        let buffered = reader.stream.buffer();
+        let Some(len) = buffered
+            .get(..4)
+            .and_then(|prefix| prefix.try_into().ok())
+            .map(u32::from_be_bytes)
+        else {
+            return false;
+        };
+        buffered.len() - 4 >= len as usize
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
@@ -202,6 +238,81 @@ mod tests {
         server.join().unwrap();
         // Server thread dropped its end: next recv reports Closed.
         assert!(matches!(t.recv(), Err(TransportError::Closed)));
+    }
+
+    /// A connected `(client, server)` pair over a loopback listener.
+    fn pair() -> (TcpTransport, TcpTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = TcpTransport::connect(&addr, Duration::from_secs(5)).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (client, TcpTransport::from_stream(stream, "client").unwrap())
+    }
+
+    fn some_messages() -> Vec<Message> {
+        vec![
+            Message::Hello {
+                worker: "w".to_owned(),
+                protocol: PROTOCOL_VERSION,
+                cached: vec![7, 9],
+            },
+            Message::Heartbeat { seq: 3 },
+            Message::Assign {
+                task_id: 5,
+                workload_id: "wl".to_owned(),
+                fingerprint: 0xabc,
+                config: std::sync::Arc::from(&b"config record"[..]),
+            },
+            Message::Bye,
+        ]
+    }
+
+    #[test]
+    fn send_all_puts_the_bytes_of_sequential_sends_on_the_wire() {
+        let (client, server) = pair();
+        let msgs = some_messages();
+        client.send_all(&msgs).unwrap();
+        for msg in &msgs {
+            client.send(msg).unwrap();
+        }
+        drop(client);
+        let mut wire_bytes = Vec::new();
+        std::io::Read::read_to_end(&mut lock(&server.reader).stream, &mut wire_bytes).unwrap();
+        let sequential: Vec<u8> = msgs.iter().flat_map(wire::encode_frame).collect();
+        assert_eq!(wire_bytes.len(), 2 * sequential.len());
+        assert_eq!(wire_bytes[..sequential.len()], sequential[..]);
+        assert_eq!(wire_bytes[sequential.len()..], sequential[..]);
+    }
+
+    #[test]
+    fn has_buffered_frame_sees_only_whole_frames_already_read() {
+        let (client, server) = pair();
+        assert!(!server.has_buffered_frame());
+        client.send_all(&some_messages()).unwrap();
+        // Let the one write land whole, so the first read buffers it all.
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(matches!(server.recv(), Ok(Message::Hello { .. })));
+        for _ in 0..3 {
+            assert!(server.has_buffered_frame());
+            server.recv().unwrap();
+        }
+        assert!(!server.has_buffered_frame());
+    }
+
+    #[test]
+    fn blocking_recv_waits_after_a_timed_out_recv() {
+        let (client, server) = pair();
+        assert!(matches!(
+            server.recv_timeout(Duration::from_millis(10)),
+            Ok(None)
+        ));
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            client.send(&Message::Heartbeat { seq: 1 }).unwrap();
+            client
+        });
+        assert!(matches!(server.recv(), Ok(Message::Heartbeat { seq: 1 })));
+        drop(sender.join().unwrap());
     }
 
     #[test]

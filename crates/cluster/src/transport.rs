@@ -54,9 +54,25 @@ pub trait Transport: Send + Sync {
     /// Sends one message. `Err(Closed)` once the peer is gone.
     fn send(&self, msg: &Message) -> Result<(), TransportError>;
 
+    /// Sends `msgs` in order, exactly as one [`Transport::send`] each
+    /// would, and stops at the first failure. The default does just that,
+    /// so wrappers keep per-frame accounting; a stream transport
+    /// overrides it to put the frames on the wire in one write.
+    fn send_all(&self, msgs: &[Message]) -> Result<(), TransportError> {
+        msgs.iter().try_for_each(|msg| self.send(msg))
+    }
+
     /// Receives the next message, blocking until one arrives or the peer
     /// closes (`Err(Closed)`).
     fn recv(&self) -> Result<Message, TransportError>;
+
+    /// Whether a whole frame is already buffered on this side, so the
+    /// next [`Transport::recv`] returns without waiting on the peer. The
+    /// default, `false`, is always safe: it only stops a worker from
+    /// holding its replies back to send them together.
+    fn has_buffered_frame(&self) -> bool {
+        false
+    }
 
     /// Receives with a timeout: `Ok(None)` if nothing arrived in time.
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError>;

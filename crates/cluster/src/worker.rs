@@ -2,8 +2,15 @@
 //!
 //! A worker is single-threaded and blocking: it introduces itself with
 //! `Hello`, then serves `Assign` / `Heartbeat` until `Bye` or the
-//! coordinator disconnects. The coordinator keeps up to two `Assign`s
-//! queued per worker, so the next task is waiting when one is answered.
+//! coordinator disconnects. The coordinator keeps up to two unheld
+//! `Assign`s queued per worker, and every task the worker holds in its
+//! cache, so the next task is waiting when one is answered. While the
+//! next `Assign` is already buffered ([`Transport::has_buffered_frame`])
+//! and the cache answers by key, the worker holds its replies back; it
+//! sends them in order with one [`Transport::send_all`] before it would
+//! wait on the coordinator, before a cache miss starts computing, and
+//! before any other reply. A warm round is then a burst each way, not a
+//! ping-pong of one frame per write.
 //! Each task runs through the local engine's caches, so repeated fleet
 //! runs hit the worker's own `results/cache/` exactly as local runs do.
 //! While a task is computing the worker cannot echo heartbeats — the
@@ -112,7 +119,14 @@ pub fn run_worker(
     // one fingerprint, so this is the set of fingerprints answered,
     // without fingerprinting each task twice.
     let mut answered = BTreeSet::new();
+    // Replies held back while the next `Assign` is already buffered; they
+    // go out together, in order, before the worker would wait on the
+    // coordinator.
+    let mut held = Vec::new();
     loop {
+        if !transport.has_buffered_frame() {
+            flush(transport, &mut held)?;
+        }
         let msg = match transport.recv() {
             Ok(msg) => msg,
             // Coordinator gone between tasks: treat as session end.
@@ -126,18 +140,29 @@ pub fn run_worker(
                 fingerprint,
                 config: record,
             } => {
-                if config.faults.crash_on_task == Some(accepted) {
+                let faults = &config.faults;
+                let fault_tasks = [
+                    faults.crash_on_task,
+                    faults.bye_on_task,
+                    faults.stall_on_task,
+                ];
+                if fault_tasks.contains(&Some(accepted)) {
+                    // The fault ends this worker's answers: the ones it
+                    // has go out first.
+                    flush(transport, &mut held)?;
+                }
+                if faults.crash_on_task == Some(accepted) {
                     return Err(WorkerError::InjectedCrash {
                         task_number: accepted,
                     });
                 }
-                if config.faults.bye_on_task == Some(accepted) {
+                if faults.bye_on_task == Some(accepted) {
                     // Voluntary departure: the orphaned Assign re-queues
                     // on the coordinator without a charged attempt.
                     transport.send(&Message::Bye)?;
                     return Ok(served);
                 }
-                if config.faults.stall_on_task == Some(accepted) {
+                if faults.stall_on_task == Some(accepted) {
                     // Hang without Bye or a reply; only the
                     // coordinator's per-task deadline recovers the task.
                     loop {
@@ -146,17 +171,37 @@ pub fn run_worker(
                 }
                 accepted += 1;
                 let first = answered.insert(task_id);
-                match answer(engine, first, task_id, &workload_id, fingerprint, &record) {
+                // A first answer tries the cache by key before anything
+                // else and ships the entry's bytes.
+                let hit = first
+                    .then(|| engine.cached_entry(&workload_id, fingerprint))
+                    .flatten();
+                let outcome = match hit {
+                    Some(entry) => Ok(Message::ResultEntry {
+                        task_id,
+                        fingerprint,
+                        record: entry,
+                    }),
+                    None => {
+                        // A miss may compute for a long time: the replies
+                        // held so far go out first, so the coordinator
+                        // merges them and restarts the deadlines of the
+                        // tasks still queued here.
+                        flush(transport, &mut held)?;
+                        answer(engine, first, task_id, &workload_id, fingerprint, &record)
+                    }
+                };
+                held.push(match outcome {
                     Ok(reply) => {
                         served += 1;
-                        transport.send(&reply)?;
+                        reply
                     }
-                    Err(error) => transport.send(&Message::Result {
+                    Err(error) => Message::Result {
                         task_id,
                         fingerprint,
                         outcome: Err(error),
-                    })?,
-                }
+                    },
+                });
             }
             Message::Replicate {
                 workload_id,
@@ -169,7 +214,12 @@ pub fn run_worker(
                 // failed send, not a missing ack, as target death.
                 let _ = engine.admit_entry(&workload_id, fingerprint, &record);
             }
-            Message::Heartbeat { seq } => transport.send(&Message::Heartbeat { seq })?,
+            Message::Heartbeat { seq } => {
+                held.push(Message::Heartbeat { seq });
+                flush(transport, &mut held)?;
+            }
+            // A coordinator says `Bye` only once its run is over, so
+            // replies still held answer nothing it waits for.
             Message::Bye => return Ok(served),
             // A coordinator never sends Hello/Result; strict protocol.
             other => {
@@ -181,10 +231,18 @@ pub fn run_worker(
     }
 }
 
-/// Answers one `Assign`, or says why it cannot (a failed `Result`).
-/// A `first` answer tries the cache by key before anything else and
-/// ships the entry's bytes; a repeat means the coordinator refused or
-/// lost the first, so it verifies in full this time.
+/// Sends the held replies, if any, in one [`Transport::send_all`].
+fn flush(transport: &dyn Transport, held: &mut Vec<Message>) -> Result<(), TransportError> {
+    if !held.is_empty() {
+        transport.send_all(held)?;
+        held.clear();
+    }
+    Ok(())
+}
+
+/// Answers one `Assign` the cache did not answer by key, or says why it
+/// cannot (a failed `Result`). A repeat (`!first`) means the coordinator
+/// refused or lost the first answer, so it verifies in full this time.
 fn answer(
     engine: &Engine,
     first: bool,
@@ -193,15 +251,6 @@ fn answer(
     fingerprint: u64,
     config: &[u8],
 ) -> Result<Message, String> {
-    if first {
-        if let Some(record) = engine.cached_entry(workload_id, fingerprint) {
-            return Ok(Message::ResultEntry {
-                task_id,
-                fingerprint,
-                record,
-            });
-        }
-    }
     let task = task_from_config_record(workload_id, config).map_err(|e| e.to_string())?;
     let rebuilt = task.fingerprint();
     if rebuilt != fingerprint {
@@ -367,6 +416,130 @@ mod tests {
         assert!(error.contains("not the assigned key"), "{error}");
         coord.send(&Message::Bye).unwrap();
         assert_eq!(handle.join().unwrap().unwrap(), 0);
+    }
+
+    /// Assigns pipelined in one write are answered in order, one reply
+    /// each, and a heartbeat behind them is answered after them.
+    #[test]
+    fn pipelined_assigns_get_one_reply_each_in_order() {
+        use crate::tcp::TcpTransport;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let transport = TcpTransport::from_stream(stream, "coordinator").unwrap();
+            run_worker(&transport, &Engine::in_memory(), &WorkerConfig::named("w"))
+        });
+        let coord = TcpTransport::connect(&addr, std::time::Duration::from_secs(5)).unwrap();
+        assert!(matches!(coord.recv(), Ok(Message::Hello { .. })));
+        let task = sample_task();
+        let mut msgs: Vec<Message> = (0..6).map(|id| assign(id, &task)).collect();
+        msgs.push(Message::Heartbeat { seq: 4 });
+        coord.send_all(&msgs).unwrap();
+        for id in 0..6 {
+            match coord.recv().unwrap() {
+                Message::Verified { task_id, .. } => assert_eq!(task_id, id),
+                other => panic!("expected task {id}'s result, got {other:?}"),
+            }
+        }
+        assert!(matches!(coord.recv(), Ok(Message::Heartbeat { seq: 4 })));
+        coord.send(&Message::Bye).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap(), 6);
+    }
+
+    /// A worker end whose whole inbox is buffered from the start, and
+    /// which logs each send as one write.
+    struct Scripted {
+        inbox: std::sync::Mutex<std::collections::VecDeque<Message>>,
+        writes: std::sync::Mutex<Vec<Vec<Message>>>,
+    }
+
+    impl Transport for Scripted {
+        fn send(&self, msg: &Message) -> Result<(), TransportError> {
+            self.send_all(std::slice::from_ref(msg))
+        }
+
+        fn send_all(&self, msgs: &[Message]) -> Result<(), TransportError> {
+            self.writes.lock().unwrap().push(msgs.to_vec());
+            Ok(())
+        }
+
+        fn recv(&self) -> Result<Message, TransportError> {
+            let next = self.inbox.lock().unwrap().pop_front();
+            next.ok_or(TransportError::Closed)
+        }
+
+        fn recv_timeout(&self, _: std::time::Duration) -> Result<Option<Message>, TransportError> {
+            self.recv().map(Some)
+        }
+
+        fn has_buffered_frame(&self) -> bool {
+            !self.inbox.lock().unwrap().is_empty()
+        }
+
+        fn peer(&self) -> String {
+            "scripted".to_owned()
+        }
+    }
+
+    /// Cache hits are held while more is buffered; a miss sends what is
+    /// held before it computes, and a heartbeat goes out behind the
+    /// replies held before it, in the same write.
+    #[test]
+    fn held_replies_go_out_before_a_miss_computes_and_with_a_heartbeat() {
+        let dir = scratch_dir("held");
+        let hit = sample_task();
+        let miss = Task::new(
+            &catalog::full_catalog()[1],
+            Scale::tiny(),
+            &MachineConfig::xeon_e5645(),
+            &NodeConfig::default(),
+        );
+        let engine = Engine::new(EngineConfig::default().threads(1).cache_dir(&dir));
+        engine.run_task_entry(&hit).unwrap();
+        let scripted = Scripted {
+            inbox: std::sync::Mutex::new(
+                [
+                    assign(0, &hit),
+                    assign(1, &hit),
+                    assign(2, &miss),
+                    assign(3, &hit),
+                    Message::Heartbeat { seq: 8 },
+                ]
+                .into(),
+            ),
+            writes: std::sync::Mutex::new(Vec::new()),
+        };
+        assert_eq!(
+            run_worker(&scripted, &engine, &WorkerConfig::named("w")).unwrap(),
+            4
+        );
+        let writes: Vec<Vec<&'static str>> = scripted
+            .writes
+            .into_inner()
+            .unwrap()
+            .iter()
+            .map(|write| {
+                write
+                    .iter()
+                    .map(|msg| match msg {
+                        Message::Hello { .. } => "hello",
+                        Message::ResultEntry { .. } => "result",
+                        Message::Heartbeat { .. } => "heartbeat",
+                        other => panic!("unexpected reply {other:?}"),
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            writes,
+            [
+                vec!["hello"],
+                vec!["result", "result"],
+                vec!["result", "result", "heartbeat"],
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

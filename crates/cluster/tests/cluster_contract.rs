@@ -8,7 +8,8 @@
 
 use bdb_cluster::{
     fleet_tasks, loopback_pair, run_worker, ClusterConfig, ClusterError, Coordinator, FaultPlan,
-    FaultyTransport, Message, Transport, TransportError, WorkerConfig, PROTOCOL_VERSION,
+    FaultyTransport, Message, TcpTransport, Transport, TransportError, WorkerConfig,
+    PROTOCOL_VERSION,
 };
 use bdb_engine::codec::profile_to_value;
 use bdb_engine::json::Value;
@@ -171,6 +172,73 @@ fn spawn_cached_worker(
         engine.counters()
     });
     (Arc::new(coord_end), handle)
+}
+
+/// [`spawn_cached_worker`] over TCP, where a worker holds its replies
+/// while further `Assign`s are buffered and sends them together.
+fn spawn_tcp_cached_worker(
+    name: &str,
+    dir: &std::path::Path,
+) -> (Arc<dyn Transport>, std::thread::JoinHandle<CacheCounters>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let config = WorkerConfig::named(name);
+    let engine = Engine::new(EngineConfig::default().threads(1).cache_dir(dir));
+    let handle = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let transport = TcpTransport::from_stream(stream, "coordinator").unwrap();
+        let _ = run_worker(&transport, &engine, &config);
+        engine.counters()
+    });
+    let coord_end = TcpTransport::connect(&addr, Duration::from_secs(5)).unwrap();
+    (Arc::new(coord_end), handle)
+}
+
+/// A warm worker whose advertised entries are all damaged. It holds its
+/// whole plan, so it is handed every task of it at once; each entry
+/// fails its check at the worker, which quarantines and recomputes it
+/// exactly once. The other worker holds only its own plan's entries, so
+/// it never takes the damaged worker's tasks, and it computes nothing.
+#[test]
+fn warm_worker_with_every_entry_damaged_recomputes_each_once() {
+    let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(6).collect();
+    let scale = Scale::tiny();
+    let machine = MachineConfig::xeon_e5645();
+    let node = NodeConfig::default();
+    let serial = serial_baseline(&workloads, scale);
+    let tasks = fleet_tasks(&workloads, scale, &machine, &node);
+    let root = std::env::temp_dir().join(format!("bdb-cluster-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    // Worker 0 plans tasks 0-2 and worker 1 tasks 3-5; each cache holds
+    // its own plan's entries.
+    let dirs = [root.join("w0"), root.join("w1")];
+    for (dir, plan) in dirs.iter().zip(workloads.chunks(3)) {
+        Engine::new(EngineConfig::default().threads(1).cache_dir(dir))
+            .profile_all(plan, scale, &machine, &node);
+    }
+    let mut damaged = 0;
+    for entry in std::fs::read_dir(&dirs[0]).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_file() {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&path, bytes).unwrap();
+            damaged += 1;
+        }
+    }
+    assert_eq!(damaged, 3);
+
+    let (w0, s0) = spawn_tcp_cached_worker("damaged", &dirs[0]);
+    let (w1, s1) = spawn_tcp_cached_worker("intact", &dirs[1]);
+    let merged = Coordinator::new(test_config())
+        .run(vec![w0, w1], &tasks)
+        .expect("the run recovers");
+    let (c0, c1) = (s0.join().unwrap(), s1.join().unwrap());
+    assert_eq!(canonical_bytes(&merged), serial);
+    assert_eq!((c0.corrupt_quarantined, c0.computed), (3, 3));
+    assert_eq!((c1.corrupt_quarantined, c1.computed), (0, 0));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -17,8 +17,9 @@ use std::time::Duration;
 enum Op {
     /// Add an empty slot (a transport appeared on the join channel).
     Join,
-    /// Worker `seed % slots` sends (or re-sends) its Hello.
-    Hello(usize),
+    /// Worker `seed % slots` sends (or re-sends) its Hello, advertising
+    /// the task fingerprints whose bits are set in the mask.
+    Hello(usize, u64),
     /// Worker `seed % slots` leaves cleanly with Bye.
     Bye(usize),
     /// Worker `seed % slots` dies (EOF / heartbeat miss / deadline).
@@ -41,8 +42,8 @@ enum Op {
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Join),
-        any::<usize>().prop_map(Op::Hello),
-        any::<usize>().prop_map(Op::Hello),
+        (any::<usize>(), any::<u64>()).prop_map(|(seed, mask)| Op::Hello(seed, mask)),
+        (any::<usize>(), any::<u64>()).prop_map(|(seed, mask)| Op::Hello(seed, mask)),
         any::<usize>().prop_map(Op::Bye),
         any::<usize>().prop_map(Op::Death),
         Just(Op::Tick),
@@ -71,6 +72,18 @@ fn config(max_inflight: usize) -> ClusterConfig {
     }
 }
 
+/// The fingerprints a `Hello` with `mask` advertises: task `t`'s when
+/// bit `t` is set, so affinity, deferral and the held bypass of the
+/// depth cap all see random holders.
+fn advertised(fingerprints: &[u64], mask: u64) -> Vec<u64> {
+    fingerprints
+        .iter()
+        .enumerate()
+        .filter(|&(t, _)| mask >> (t % 64) & 1 == 1)
+        .map(|(_, &fp)| fp)
+        .collect()
+}
+
 fn conserve(fleet: &Fleet, context: &str) {
     if let Err(e) = fleet.check_conservation() {
         panic!("conservation broken {context}: {e}");
@@ -83,13 +96,16 @@ fn conserve(fleet: &Fleet, context: &str) {
 /// (a legal terminal state: `record_failure` surfaces `TaskExhausted`,
 /// the coordinator stops the run, and conservation no longer binds —
 /// the exhausted task has left every queue by design).
-fn run_ops(fleet: &mut Fleet, ops: &[Op]) -> Option<Vec<(usize, usize)>> {
+fn run_ops(fleet: &mut Fleet, fingerprints: &[u64], ops: &[Op]) -> Option<Vec<(usize, usize)>> {
     let mut outstanding: Vec<(usize, usize)> = Vec::new();
     let mut probes: Vec<(usize, u64)> = Vec::new();
     for (step, op) in ops.iter().enumerate() {
         // A join-only start has no slot to address until the first Join.
         if fleet.slot_count() == 0
-            && matches!(op, Op::Hello(_) | Op::Bye(_) | Op::Death(_) | Op::Assign(_))
+            && matches!(
+                op,
+                Op::Hello(..) | Op::Bye(_) | Op::Death(_) | Op::Assign(_)
+            )
         {
             continue;
         }
@@ -97,9 +113,9 @@ fn run_ops(fleet: &mut Fleet, ops: &[Op]) -> Option<Vec<(usize, usize)>> {
             Op::Join => {
                 fleet.join();
             }
-            Op::Hello(seed) => {
+            Op::Hello(seed, mask) => {
                 let slot = seed % fleet.slot_count();
-                fleet.hello(slot, &[]);
+                fleet.hello(slot, &advertised(fingerprints, *mask));
             }
             Op::Bye(seed) => {
                 let slot = seed % fleet.slot_count();
@@ -224,21 +240,21 @@ proptest! {
         workers in 0usize..4,
         depth in 1usize..3,
         tasks in 1usize..12,
-        hellos in proptest::collection::vec(any::<usize>(), 0..4),
+        hellos in proptest::collection::vec((any::<usize>(), any::<u64>()), 0..4),
         ops in proptest::collection::vec(op(), 0..60),
     ) {
         // Distinct fingerprints so affinity bookkeeping is exercised.
         let fingerprints: Vec<u64> =
             (0..tasks as u64).map(|t| t.wrapping_mul(0x9e37_79b9)).collect();
-        let mut fleet = Fleet::new(workers, fingerprints, config(depth));
+        let mut fleet = Fleet::new(workers, fingerprints.clone(), config(depth));
         conserve(&fleet, "on the fresh fleet");
-        for seed in hellos {
+        for (seed, mask) in hellos {
             if fleet.slot_count() > 0 {
-                fleet.hello(seed % fleet.slot_count(), &[]);
+                fleet.hello(seed % fleet.slot_count(), &advertised(&fingerprints, mask));
             }
         }
         conserve(&fleet, "after the initial hellos");
-        if let Some(outstanding) = run_ops(&mut fleet, &ops) {
+        if let Some(outstanding) = run_ops(&mut fleet, &fingerprints, &ops) {
             drain(&mut fleet, outstanding);
         }
         // `None` = the run aborted on TaskExhausted, a legal terminal.
