@@ -6,9 +6,7 @@
 //! needed. `TCP_NODELAY` is set because the protocol is small
 //! request/response frames, the worst case for Nagle batching; a sender
 //! that has several frames ready batches them itself with
-//! [`Transport::send_all`], which writes them as one buffer. The read
-//! timeout is a socket option, so the reader remembers the one it set
-//! and a run of blocking reads makes no `setsockopt` call.
+//! [`Transport::send_all`], which writes them as one buffer.
 
 use crate::proto::Message;
 use crate::transport::{lock, FrameTransport, Transport, TransportError};
@@ -25,8 +23,9 @@ pub struct TcpTransport {
     reader: Mutex<Reader>,
 }
 
-/// The read half, with the read timeout the socket currently has, so a
-/// run of blocking reads sets no socket option.
+/// The read half, with the read timeout the socket currently has: the
+/// timeout is a socket option, so a run of blocking reads makes no
+/// `setsockopt` call.
 struct Reader {
     stream: BufReader<TcpStream>,
     timeout: Option<Duration>,
