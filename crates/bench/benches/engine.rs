@@ -126,7 +126,7 @@ fn run_distributed(
 ) -> (f64, Vec<WorkloadProfile>) {
     let mut ends = Vec::new();
     for i in 0..3 {
-        let (coord_end, worker_end) = loopback_pair(&format!("bench-w{i}"));
+        let (coord_end, worker_end) = loopback_pair();
         std::thread::spawn(move || {
             let engine = Engine::in_memory();
             run_worker(
@@ -321,7 +321,7 @@ fn measure_and_report() {
     let serve_entries = serve_state.len() as u64;
     let server = Server::new(serve_state, ServerConfig::named("bench-served"));
     let session = |label: &str| {
-        let (client_end, server_end) = loopback_pair(label);
+        let (client_end, server_end) = loopback_pair();
         let srv = server.clone();
         std::thread::spawn(move || srv.serve_session(Arc::new(server_end)));
         let mut client = ServeClient::over(Arc::new(client_end));

@@ -19,11 +19,15 @@
 //!   record, then a successful result's entry record or an assignment's
 //!   config record verbatim) with a size cap and a strict
 //!   truncated-stream error.
-//! * [`transport`] — the [`Transport`] trait plus the in-process
-//!   loopback implementation; [`tcp`] adds the std-only blocking TCP
-//!   implementation (no async runtime).
+//! * [`transport`] — the frame-level [`Transport`] trait (send whole
+//!   frames, receive one payload with an optional timeout, say whether a
+//!   frame is already buffered), with the message calls provided on top
+//!   through [`wire`], plus the in-process loopback implementation;
+//!   [`tcp`] adds the std-only blocking TCP implementation (no async
+//!   runtime). `bdb-serve` runs its own payloads over the same trait.
 //! * [`fault`] — [`FaultPlan`] injection (connection drops, delays,
-//!   worker crashes, duplicated results) for exercising recovery paths.
+//!   worker crashes, duplicated results) applied per frame, for
+//!   exercising recovery paths.
 //! * [`worker`] — the blocking serve loop around a local cache-aware
 //!   engine; advertises its warm cache in `Hello`, answers warm tasks
 //!   by key with their entry bytes undecoded (no config decode), and
@@ -52,7 +56,7 @@
 //!
 //! let mut ends = Vec::new();
 //! for i in 0..3 {
-//!     let (coord_end, worker_end) = loopback_pair(&format!("w{i}"));
+//!     let (coord_end, worker_end) = loopback_pair();
 //!     std::thread::spawn(move || {
 //!         let engine = Engine::in_memory();
 //!         run_worker(&worker_end, &engine, &WorkerConfig::named(&format!("w{i}")))
@@ -86,7 +90,7 @@ pub use help::help_text as daemon_help_text;
 pub use help::DAEMON_ENGINE_ENV;
 pub use proto::{Message, PROTOCOL_VERSION};
 pub use tcp::TcpTransport;
-pub use transport::{loopback_pair, FrameTransport, LoopbackTransport, Transport, TransportError};
+pub use transport::{loopback_pair, LoopbackTransport, Transport, TransportError};
 pub use wire::{WireError, MAX_FRAME_BYTES};
 pub use worker::{run_worker, WorkerConfig, WorkerError};
 

@@ -61,7 +61,7 @@
 //! [`task_from_config_record`].
 
 use bdb_codec::bval::ValueRef;
-use bdb_engine::codec::{self, DecodeError};
+use bdb_engine::codec::{self, get_str, get_u64, DecodeError};
 use bdb_engine::json::Value;
 use bdb_engine::{EntryError, Task};
 use bdb_wcrt::WorkloadProfile;
@@ -272,23 +272,6 @@ fn result_header(task_id: u64, fingerprint: u64, error: Option<&String>) -> Valu
         pairs.push(("error", Value::Str(error.clone())));
     }
     Value::object(pairs)
-}
-
-fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, DecodeError> {
-    v.get(key)
-        .ok_or_else(|| DecodeError(format!("{key}: missing")))
-}
-
-fn get_u64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, DecodeError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| DecodeError(format!("{key}: expected unsigned integer")))
-}
-
-fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, DecodeError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| DecodeError(format!("{key}: expected string")))
 }
 
 fn get_fingerprint<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, DecodeError> {

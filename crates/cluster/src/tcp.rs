@@ -5,20 +5,19 @@
 //! blocking sockets with a writer/reader mutex pair are all that is
 //! needed. `TCP_NODELAY` is set because the protocol is small
 //! request/response frames, the worst case for Nagle batching; a sender
-//! that has several frames ready batches them itself with
-//! [`Transport::send_all`], which writes them as one buffer.
+//! that has several frames ready batches them itself, since
+//! [`Transport::send_frames`] writes them as one buffer. Every receive,
+//! timed or not, reads its frame through [`wire::read_frame_payload`].
 
-use crate::proto::Message;
-use crate::transport::{lock, FrameTransport, Transport, TransportError};
+use crate::transport::{lock, Transport, TransportError};
 use crate::wire;
-use std::io::{BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// One TCP connection speaking the cluster frame protocol.
+/// One TCP connection carrying length-prefixed frames.
 pub struct TcpTransport {
-    peer: String,
     writer: Mutex<TcpStream>,
     reader: Mutex<Reader>,
 }
@@ -57,8 +56,10 @@ impl TcpTransport {
         Self::from_stream(stream, addr)
     }
 
-    /// Wraps an accepted connection (worker side).
-    pub fn from_stream(stream: TcpStream, peer: &str) -> Result<Self, TransportError> {
+    /// Wraps an accepted connection (worker side). `_peer` names the
+    /// connection in the caller's own diagnostics; the transport does not
+    /// keep it.
+    pub fn from_stream(stream: TcpStream, _peer: &str) -> Result<Self, TransportError> {
         stream
             .set_nodelay(true)
             .map_err(|e| TransportError::Io(e.to_string()))?;
@@ -66,7 +67,6 @@ impl TcpTransport {
             .try_clone()
             .map_err(|e| TransportError::Io(e.to_string()))?;
         Ok(TcpTransport {
-            peer: peer.to_owned(),
             writer: Mutex::new(stream),
             reader: Mutex::new(Reader {
                 stream: BufReader::new(reader),
@@ -74,11 +74,14 @@ impl TcpTransport {
             }),
         })
     }
+}
 
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
+impl Transport for TcpTransport {
+    /// The frames, back to back, in one write.
+    fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
         let mut writer = lock(&self.writer);
         writer
-            .write_all(frame)
+            .write_all(&frames.concat())
             .map_err(|e| TransportError::Io(e.to_string()))?;
         writer.flush().map_err(|e| {
             if e.kind() == ErrorKind::BrokenPipe || e.kind() == ErrorKind::ConnectionReset {
@@ -89,69 +92,31 @@ impl TcpTransport {
         })
     }
 
-    fn recv_frame_payload(&self) -> Result<Vec<u8>, TransportError> {
+    /// A timed receive waits up to `timeout` for a frame to *start*
+    /// (unless bytes are already buffered); the frame itself is then read
+    /// blocking, so a slow sender cannot leave a partial frame behind.
+    fn recv_frame(&self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, TransportError> {
         let mut reader = lock(&self.reader);
+        if timeout.is_some() && reader.stream.buffer().is_empty() {
+            reader.set_timeout(timeout)?;
+            loop {
+                match reader.stream.fill_buf() {
+                    Ok(_) => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        return Ok(None)
+                    }
+                    Err(e) => return Err(classify_io(&e.to_string())),
+                }
+            }
+        }
         reader.set_timeout(None)?;
         match wire::read_frame_payload(&mut reader.stream) {
-            Ok(Some(payload)) => Ok(payload),
+            Ok(Some(payload)) => Ok(Some(payload)),
             Ok(None) => Err(TransportError::Closed),
             Err(wire::WireError::Io(e)) => Err(classify_io(&e)),
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Waits up to `timeout` for a frame to *start*; once the first
-    /// header byte arrives the rest is read blocking, so a slow sender
-    /// cannot leave a partial frame behind.
-    fn recv_frame_payload_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut reader = lock(&self.reader);
-        reader.set_timeout(Some(timeout))?;
-        let mut first = [0u8; 1];
-        let n = loop {
-            match std::io::Read::read(&mut reader.stream, &mut first) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Ok(None)
-                }
-                Err(e) => return Err(classify_io(&e.to_string())),
-            }
-        };
-        if n == 0 {
-            return Err(TransportError::Closed);
-        }
-        reader.set_timeout(None)?;
-        let mut rest = [0u8; 3];
-        std::io::Read::read_exact(&mut reader.stream, &mut rest)
-            .map_err(|e| classify_io(&e.to_string()))?;
-        let len = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]);
-        if len > wire::MAX_FRAME_BYTES {
-            return Err(wire::WireError::TooLarge(len).into());
-        }
-        let mut payload = vec![0u8; len as usize];
-        std::io::Read::read_exact(&mut reader.stream, &mut payload)
-            .map_err(|e| classify_io(&e.to_string()))?;
-        Ok(Some(payload))
-    }
-}
-
-impl Transport for TcpTransport {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        self.send_frame(&wire::encode_frame(msg))
-    }
-
-    /// The frames of `msgs`, back to back, in one write.
-    fn send_all(&self, msgs: &[Message]) -> Result<(), TransportError> {
-        let frames: Vec<Vec<u8>> = msgs.iter().map(wire::encode_frame).collect();
-        self.send_frame(&frames.concat())
-    }
-
-    fn recv(&self) -> Result<Message, TransportError> {
-        let payload = self.recv_frame_payload()?;
-        wire::decode_message(&payload).map_err(TransportError::from)
     }
 
     fn has_buffered_frame(&self) -> bool {
@@ -166,43 +131,12 @@ impl Transport for TcpTransport {
         };
         buffered.len() - 4 >= len as usize
     }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        match self.recv_frame_payload_timeout(timeout)? {
-            Some(payload) => wire::decode_message(&payload)
-                .map(Some)
-                .map_err(TransportError::from),
-            None => Ok(None),
-        }
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-}
-
-impl FrameTransport for TcpTransport {
-    fn send_payload(&self, payload: &[u8]) -> Result<(), TransportError> {
-        self.send_frame(&wire::encode_payload_frame(payload))
-    }
-
-    fn recv_payload(&self) -> Result<Vec<u8>, TransportError> {
-        self.recv_frame_payload()
-    }
-
-    fn recv_payload_timeout(&self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        self.recv_frame_payload_timeout(timeout)
-    }
-
-    fn peer_label(&self) -> String {
-        self.peer.clone()
-    }
 }
 
 fn classify_io(detail: &str) -> TransportError {
-    // EOF surfaced as read_exact's UnexpectedEof and peer resets both mean
-    // the connection is gone; everything else stays an I/O error.
-    let gone = ["unexpected end of file", "Connection reset", "Broken pipe"];
+    // Peer resets mean the connection is gone; everything else stays an
+    // I/O error.
+    let gone = ["Connection reset", "Broken pipe"];
     if gone.iter().any(|g| detail.contains(g)) {
         TransportError::Closed
     } else {
@@ -213,7 +147,7 @@ fn classify_io(detail: &str) -> TransportError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::PROTOCOL_VERSION;
+    use crate::proto::{Message, PROTOCOL_VERSION};
     use std::net::TcpListener;
 
     #[test]
@@ -302,7 +236,7 @@ mod tests {
     fn blocking_recv_waits_after_a_timed_out_recv() {
         let (client, server) = pair();
         assert!(matches!(
-            server.recv_timeout(Duration::from_millis(10)),
+            server.recv_frame(Some(Duration::from_millis(10))),
             Ok(None)
         ));
         let sender = std::thread::spawn(move || {
@@ -315,14 +249,38 @@ mod tests {
     }
 
     #[test]
-    fn tcp_recv_timeout_is_none_when_idle() {
+    fn tcp_timed_recv_is_none_when_idle() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let _keepalive = std::thread::spawn(move || listener.accept());
         let t = TcpTransport::connect(&addr, Duration::from_secs(5)).unwrap();
         assert!(matches!(
-            t.recv_timeout(Duration::from_millis(10)),
+            t.recv_frame(Some(Duration::from_millis(10))),
             Ok(None)
         ));
+    }
+
+    /// A peer that writes a length prefix and half a payload, then
+    /// closes, gets one answer from a blocking and a timed receive.
+    #[test]
+    fn mid_frame_eof_is_one_error_blocking_or_timed() {
+        let frame = wire::encode_frame(&Message::Heartbeat { seq: 1 });
+        let errors: Vec<TransportError> = [None, Some(Duration::from_secs(5))]
+            .into_iter()
+            .map(|timeout| {
+                let (client, server) = pair();
+                lock(&client.writer)
+                    .write_all(&frame[..4 + (frame.len() - 4) / 2])
+                    .unwrap();
+                drop(client);
+                server.recv_frame(timeout).unwrap_err()
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1]);
+        assert!(
+            matches!(errors[0], TransportError::Protocol(_)),
+            "{:?}",
+            errors[0]
+        );
     }
 }

@@ -1,14 +1,21 @@
-//! The [`Transport`] abstraction and the in-process loopback
-//! implementation.
+//! The [`Transport`] trait and the in-process loopback implementation.
 //!
-//! A transport is one bidirectional message channel between the
-//! coordinator and a single worker. Implementations are shared across
-//! threads (`&self` methods, `Send + Sync`), because the coordinator
-//! reads each worker's stream from a dedicated thread while the
-//! scheduler thread writes assignments.
+//! A transport is one bidirectional channel of length-prefixed frames
+//! ([`crate::wire`]) between two ends: a coordinator and one worker, or
+//! a serve client and the server. It moves whole frames and nothing
+//! else. A backend implements three methods: [`Transport::send_frames`],
+//! [`Transport::recv_frame`] and [`Transport::has_buffered_frame`]. The
+//! cluster's message calls ([`Transport::send`],
+//! [`Transport::send_all`] and [`Transport::recv`]) are provided on top
+//! of them through [`wire`], so every backend and every wrapper shares
+//! one codec path; `bdb-serve` runs its own payload codec over the same
+//! frames. Implementations are shared across threads (`&self` methods,
+//! `Send + Sync`), because the coordinator reads each worker's stream
+//! from a dedicated thread while the scheduler thread writes
+//! assignments.
 //!
 //! The loopback transport carries *encoded frames* through in-memory
-//! channels — not `Message` values — so tests over loopback exercise the
+//! channels, not `Message` values, so tests over loopback exercise the
 //! exact same codec bytes as TCP; only the socket is skipped.
 
 use crate::proto::Message;
@@ -49,58 +56,41 @@ impl From<WireError> for TransportError {
     }
 }
 
-/// One coordinator↔worker message channel. See the module docs.
+/// One bidirectional channel of length-prefixed frames. See the module
+/// docs.
 pub trait Transport: Send + Sync {
-    /// Sends one message. `Err(Closed)` once the peer is gone.
-    fn send(&self, msg: &Message) -> Result<(), TransportError>;
+    /// Sends whole frames ([`wire::encode_frame`] or
+    /// [`wire::encode_payload_frame`] output), in order, as one write
+    /// where the backend can. `Err(Closed)` once the peer is gone.
+    fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError>;
 
-    /// Sends `msgs` in order, exactly as one [`Transport::send`] each
-    /// would, and stops at the first failure. The default does just that,
-    /// so wrappers keep per-frame accounting; a stream transport
-    /// overrides it to put the frames on the wire in one write.
+    /// Receives the next frame's payload. With `None` it blocks until a
+    /// frame arrives or the peer closes (`Err(Closed)`); with
+    /// `Some(timeout)` it returns `Ok(None)` if no frame started in time.
+    fn recv_frame(&self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, TransportError>;
+
+    /// Whether a whole frame is already buffered on this side, so the
+    /// next receive returns without waiting on the peer. `false` is
+    /// always safe: it only stops a worker from holding its replies back
+    /// to send them together.
+    fn has_buffered_frame(&self) -> bool;
+
+    /// Sends one message.
+    fn send(&self, msg: &Message) -> Result<(), TransportError> {
+        self.send_all(std::slice::from_ref(msg))
+    }
+
+    /// Sends `msgs` in order with one [`Transport::send_frames`].
     fn send_all(&self, msgs: &[Message]) -> Result<(), TransportError> {
-        msgs.iter().try_for_each(|msg| self.send(msg))
+        self.send_frames(msgs.iter().map(wire::encode_frame).collect())
     }
 
     /// Receives the next message, blocking until one arrives or the peer
     /// closes (`Err(Closed)`).
-    fn recv(&self) -> Result<Message, TransportError>;
-
-    /// Whether a whole frame is already buffered on this side, so the
-    /// next [`Transport::recv`] returns without waiting on the peer. The
-    /// default, `false`, is always safe: it only stops a worker from
-    /// holding its replies back to send them together.
-    fn has_buffered_frame(&self) -> bool {
-        false
+    fn recv(&self) -> Result<Message, TransportError> {
+        let payload = self.recv_frame(None)?.ok_or(TransportError::Closed)?;
+        wire::decode_message(&payload).map_err(TransportError::from)
     }
-
-    /// Receives with a timeout: `Ok(None)` if nothing arrived in time.
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError>;
-
-    /// Human-readable peer description for diagnostics.
-    fn peer(&self) -> String;
-}
-
-/// The payload-level half of a transport: one bidirectional channel of
-/// length-prefixed raw frames, with the message codec left to the
-/// caller. `bdb-serve` runs its own protocol over this, so the loopback
-/// and TCP implementations (and their framing, size cap, and
-/// close/timeout semantics) are shared between the cluster and serve
-/// protocols instead of duplicated.
-pub trait FrameTransport: Send + Sync {
-    /// Sends one raw payload as a frame. `Err(Closed)` once the peer is
-    /// gone.
-    fn send_payload(&self, payload: &[u8]) -> Result<(), TransportError>;
-
-    /// Receives the next frame's payload, blocking until one arrives or
-    /// the peer closes (`Err(Closed)`).
-    fn recv_payload(&self) -> Result<Vec<u8>, TransportError>;
-
-    /// Receives with a timeout: `Ok(None)` if nothing arrived in time.
-    fn recv_payload_timeout(&self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError>;
-
-    /// Human-readable peer description for diagnostics.
-    fn peer_label(&self) -> String;
 }
 
 /// Locks with poison recovery: a panicked peer thread must not cascade
@@ -112,94 +102,54 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// In-process transport end carrying encoded frames over channels.
 pub struct LoopbackTransport {
-    label: String,
     tx: Sender<Vec<u8>>,
     rx: Mutex<Receiver<Vec<u8>>>,
 }
 
 /// A connected pair of loopback ends: `(coordinator_end, worker_end)`.
-pub fn loopback_pair(label: &str) -> (LoopbackTransport, LoopbackTransport) {
+pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
     let (a_tx, a_rx) = channel();
     let (b_tx, b_rx) = channel();
     (
         LoopbackTransport {
-            label: format!("loopback:{label}:coordinator"),
             tx: a_tx,
             rx: Mutex::new(b_rx),
         },
         LoopbackTransport {
-            label: format!("loopback:{label}:worker"),
             tx: b_tx,
             rx: Mutex::new(a_rx),
         },
     )
 }
 
-impl LoopbackTransport {
-    fn decode(frame: &[u8]) -> Result<Message, TransportError> {
-        match wire::read_frame(&mut &frame[..]) {
-            Ok(Some(msg)) => Ok(msg),
-            Ok(None) => Err(TransportError::Protocol("empty frame".to_owned())),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn unframe(frame: &[u8]) -> Result<Vec<u8>, TransportError> {
-        match wire::read_frame_payload(&mut &frame[..]) {
-            Ok(Some(payload)) => Ok(payload),
-            Ok(None) => Err(TransportError::Protocol("empty frame".to_owned())),
-            Err(e) => Err(e.into()),
-        }
-    }
-}
-
-impl FrameTransport for LoopbackTransport {
-    fn send_payload(&self, payload: &[u8]) -> Result<(), TransportError> {
-        self.tx
-            .send(wire::encode_payload_frame(payload))
-            .map_err(|_| TransportError::Closed)
-    }
-
-    fn recv_payload(&self) -> Result<Vec<u8>, TransportError> {
-        let frame = lock(&self.rx).recv().map_err(|_| TransportError::Closed)?;
-        Self::unframe(&frame)
-    }
-
-    fn recv_payload_timeout(&self, timeout: Duration) -> Result<Option<Vec<u8>>, TransportError> {
-        match lock(&self.rx).recv_timeout(timeout) {
-            Ok(frame) => Self::unframe(&frame).map(Some),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
-        }
-    }
-
-    fn peer_label(&self) -> String {
-        self.label.clone()
-    }
-}
-
 impl Transport for LoopbackTransport {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        self.tx
-            .send(wire::encode_frame(msg))
+    fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
+        frames
+            .into_iter()
+            .try_for_each(|frame| self.tx.send(frame))
             .map_err(|_| TransportError::Closed)
     }
 
-    fn recv(&self) -> Result<Message, TransportError> {
-        let frame = lock(&self.rx).recv().map_err(|_| TransportError::Closed)?;
-        Self::decode(&frame)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        match lock(&self.rx).recv_timeout(timeout) {
-            Ok(frame) => Self::decode(&frame).map(Some),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
+    fn recv_frame(&self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, TransportError> {
+        let rx = lock(&self.rx);
+        let frame = match timeout {
+            None => rx.recv().map_err(|_| TransportError::Closed)?,
+            Some(timeout) => match rx.recv_timeout(timeout) {
+                Ok(frame) => frame,
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
+            },
+        };
+        match wire::read_frame_payload(&mut &frame[..])? {
+            Some(payload) => Ok(Some(payload)),
+            None => Err(TransportError::Protocol("empty frame".to_owned())),
         }
     }
 
-    fn peer(&self) -> String {
-        self.label.clone()
+    /// A channel cannot be looked into without taking the frame, so a
+    /// loopback worker never holds its replies.
+    fn has_buffered_frame(&self) -> bool {
+        false
     }
 }
 
@@ -210,7 +160,7 @@ mod tests {
 
     #[test]
     fn loopback_delivers_in_order_and_closes() {
-        let (coord, worker) = loopback_pair("t");
+        let (coord, worker) = loopback_pair();
         coord
             .send(&Message::Heartbeat { seq: 1 })
             .and_then(|()| coord.send(&Message::Bye))
@@ -230,10 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_returns_none_when_idle() {
-        let (coord, _worker) = loopback_pair("idle");
+    fn timed_recv_returns_none_when_idle() {
+        let (coord, _worker) = loopback_pair();
         assert!(matches!(
-            coord.recv_timeout(Duration::from_millis(5)),
+            coord.recv_frame(Some(Duration::from_millis(5))),
             Ok(None)
         ));
     }

@@ -24,7 +24,7 @@
 //! (`Ok(None)`) at a frame boundary.
 
 use crate::proto::{message_from_parts, message_to_parts, Message};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 
 /// Upper bound on one frame's payload. The largest real frames — a
 /// profile's `Result` or `Replicate` (about 1.5 KiB at tiny scale) and
@@ -110,32 +110,16 @@ pub fn read_frame_payload(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireErro
     Ok(Some(payload))
 }
 
-/// Writes one frame to `w` (no flush; the caller flushes per batch).
-pub fn write_frame(w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
-    w.write_all(&encode_frame(msg))
-        .map_err(|e| WireError::Io(e.to_string()))
-}
-
-/// Reads one frame from `r`. `Ok(None)` is a clean end-of-stream at a
-/// frame boundary; an end-of-stream after at least one payload byte was
-/// promised is [`WireError::Truncated`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Message>, WireError> {
-    match read_frame_payload(r)? {
-        Some(payload) => decode_message(&payload).map(Some),
-        None => Ok(None),
-    }
-}
-
 /// Decodes every frame in `buf` (testing / offline inspection). Errors
 /// carry the index of the first bad frame.
 pub fn decode_frames(buf: &[u8]) -> Result<Vec<Message>, (usize, WireError)> {
     let mut r = buf;
     let mut messages = Vec::new();
     loop {
-        match read_frame(&mut r) {
-            Ok(Some(msg)) => messages.push(msg),
-            Ok(None) => return Ok(messages),
-            Err(e) => return Err((messages.len(), e)),
+        let at = messages.len();
+        match read_frame_payload(&mut r).map_err(|e| (at, e))? {
+            Some(payload) => messages.push(decode_message(&payload).map_err(|e| (at, e))?),
+            None => return Ok(messages),
         }
     }
 }
@@ -222,9 +206,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrips_through_a_stream() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &hello()).unwrap();
-        write_frame(&mut buf, &Message::Bye).unwrap();
+        let buf = [encode_frame(&hello()), encode_frame(&Message::Bye)].concat();
         let msgs = decode_frames(&buf).unwrap();
         assert_eq!(msgs.len(), 2);
         assert_eq!(encode_frame(&msgs[0]), encode_frame(&hello()));

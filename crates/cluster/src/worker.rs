@@ -318,7 +318,7 @@ mod tests {
         crate::transport::LoopbackTransport,
         std::thread::JoinHandle<Result<u64, WorkerError>>,
     ) {
-        let (coord, worker_end) = loopback_pair("worker-test");
+        let (coord, worker_end) = loopback_pair();
         let handle =
             std::thread::spawn(move || run_worker(&worker_end, &engine, &WorkerConfig::named("w")));
         assert!(matches!(coord.recv(), Ok(Message::Hello { .. })));
@@ -455,30 +455,26 @@ mod tests {
     }
 
     impl Transport for Scripted {
-        fn send(&self, msg: &Message) -> Result<(), TransportError> {
-            self.send_all(std::slice::from_ref(msg))
-        }
-
-        fn send_all(&self, msgs: &[Message]) -> Result<(), TransportError> {
-            self.writes.lock().unwrap().push(msgs.to_vec());
+        fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
+            let msgs = frames
+                .iter()
+                .map(|frame| crate::wire::decode_message(&frame[4..]).unwrap())
+                .collect();
+            self.writes.lock().unwrap().push(msgs);
             Ok(())
         }
 
-        fn recv(&self) -> Result<Message, TransportError> {
+        fn recv_frame(
+            &self,
+            _: Option<std::time::Duration>,
+        ) -> Result<Option<Vec<u8>>, TransportError> {
             let next = self.inbox.lock().unwrap().pop_front();
-            next.ok_or(TransportError::Closed)
-        }
-
-        fn recv_timeout(&self, _: std::time::Duration) -> Result<Option<Message>, TransportError> {
-            self.recv().map(Some)
+            let msg = next.ok_or(TransportError::Closed)?;
+            Ok(Some(crate::wire::encode_frame(&msg).split_off(4)))
         }
 
         fn has_buffered_frame(&self) -> bool {
             !self.inbox.lock().unwrap().is_empty()
-        }
-
-        fn peer(&self) -> String {
-            "scripted".to_owned()
         }
     }
 
@@ -524,7 +520,7 @@ mod tests {
                     .iter()
                     .map(|msg| match msg {
                         Message::Hello { .. } => "hello",
-                        Message::ResultEntry { .. } => "result",
+                        Message::Verified { .. } => "result",
                         Message::Heartbeat { .. } => "heartbeat",
                         other => panic!("unexpected reply {other:?}"),
                     })
@@ -544,7 +540,7 @@ mod tests {
 
     #[test]
     fn injected_crash_fires_on_requested_task() {
-        let (coord, worker_end) = loopback_pair("crash");
+        let (coord, worker_end) = loopback_pair();
         let handle = std::thread::spawn(move || {
             let engine = Engine::in_memory();
             let config = WorkerConfig {

@@ -6,6 +6,7 @@
 //! catalog sharded over three loopback workers, one of which crashes
 //! mid-run, must still converge to exactly the serial profile bytes.
 
+use bdb_cluster::wire::decode_message;
 use bdb_cluster::{
     fleet_tasks, loopback_pair, run_worker, ClusterConfig, ClusterError, Coordinator, FaultPlan,
     FaultyTransport, Message, TcpTransport, Transport, TransportError, WorkerConfig,
@@ -32,7 +33,7 @@ fn test_config() -> ClusterConfig {
 /// Spawns a loopback worker thread with the given fault plan and returns
 /// the coordinator-side transport end.
 fn spawn_worker(name: &str, faults: FaultPlan) -> Arc<dyn Transport> {
-    let (coord_end, worker_end) = loopback_pair(name);
+    let (coord_end, worker_end) = loopback_pair();
     let config = WorkerConfig {
         name: name.to_owned(),
         faults: faults.clone(),
@@ -161,7 +162,7 @@ fn spawn_cached_worker(
     name: &str,
     dir: &std::path::Path,
 ) -> (Arc<dyn Transport>, std::thread::JoinHandle<CacheCounters>) {
-    let (coord_end, worker_end) = loopback_pair(name);
+    let (coord_end, worker_end) = loopback_pair();
     let config = WorkerConfig {
         name: name.to_owned(),
         faults: FaultPlan::default(),
@@ -326,26 +327,20 @@ impl Recording {
 }
 
 impl Transport for Recording {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        self.inner.send(msg)
+    fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
+        self.inner.send_frames(frames)
     }
 
-    fn recv(&self) -> Result<Message, TransportError> {
-        let msg = self.inner.recv()?;
-        self.record(&msg);
-        Ok(msg)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        let msg = self.inner.recv_timeout(timeout)?;
-        if let Some(msg) = &msg {
-            self.record(msg);
+    fn recv_frame(&self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, TransportError> {
+        let payload = self.inner.recv_frame(timeout)?;
+        if let Some(payload) = &payload {
+            self.record(&decode_message(payload)?);
         }
-        Ok(msg)
+        Ok(payload)
     }
 
-    fn peer(&self) -> String {
-        self.inner.peer()
+    fn has_buffered_frame(&self) -> bool {
+        self.inner.has_buffered_frame()
     }
 }
 
@@ -421,7 +416,7 @@ fn previous_protocol_hello_is_refused() {
         &NodeConfig::default(),
     );
     assert_eq!(PROTOCOL_VERSION, 4);
-    let (coord_end, old_worker) = loopback_pair("v3");
+    let (coord_end, old_worker) = loopback_pair();
     old_worker
         .send(&Message::Hello {
             worker: "v3".to_owned(),
@@ -431,11 +426,12 @@ fn previous_protocol_hello_is_refused() {
         .unwrap();
     let alone = Coordinator::new(test_config()).run(vec![Arc::new(coord_end)], &tasks);
     assert!(matches!(alone, Err(ClusterError::AllWorkersDead { .. })));
-    while let Ok(Some(msg)) = old_worker.recv_timeout(Duration::ZERO) {
+    while let Ok(Some(payload)) = old_worker.recv_frame(Some(Duration::ZERO)) {
+        let msg = decode_message(&payload).unwrap();
         assert!(!matches!(msg, Message::Assign { .. }), "v3 worker got work");
     }
 
-    let (coord_end, old_worker) = loopback_pair("v3-mixed");
+    let (coord_end, old_worker) = loopback_pair();
     old_worker
         .send(&Message::Hello {
             worker: "v3".to_owned(),
@@ -451,7 +447,8 @@ fn previous_protocol_hello_is_refused() {
         .run(workers, &tasks)
         .expect("the current worker finishes the run");
     assert_eq!(canonical_bytes(&merged), serial_baseline(&workloads, scale));
-    while let Ok(Some(msg)) = old_worker.recv_timeout(Duration::ZERO) {
+    while let Ok(Some(payload)) = old_worker.recv_frame(Some(Duration::ZERO)) {
+        let msg = decode_message(&payload).unwrap();
         assert!(!matches!(msg, Message::Assign { .. }), "v3 worker got work");
     }
 }

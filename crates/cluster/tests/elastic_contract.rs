@@ -5,6 +5,7 @@
 //! restarted after losing any single machine answers entirely from the
 //! replicated result tier (zero recomputes).
 
+use bdb_cluster::wire::decode_message;
 use bdb_cluster::{
     fleet_tasks, loopback_pair, run_worker, ClusterConfig, Coordinator, FaultPlan, FaultyTransport,
     Message, Transport, TransportError, WorkerConfig,
@@ -37,7 +38,7 @@ fn machine() -> MachineConfig {
 }
 
 fn spawn_worker(name: &str, faults: FaultPlan) -> Arc<dyn Transport> {
-    let (coord_end, worker_end) = loopback_pair(name);
+    let (coord_end, worker_end) = loopback_pair();
     let config = WorkerConfig {
         name: name.to_owned(),
         faults: faults.clone(),
@@ -58,7 +59,7 @@ fn spawn_worker_with_engine(
     engine: Arc<Engine>,
     faults: FaultPlan,
 ) -> (Arc<dyn Transport>, std::thread::JoinHandle<()>) {
-    let (coord_end, worker_end) = loopback_pair(name);
+    let (coord_end, worker_end) = loopback_pair();
     let config = WorkerConfig {
         name: name.to_owned(),
         faults: faults.clone(),
@@ -190,26 +191,24 @@ struct CountingTransport {
 }
 
 impl Transport for CountingTransport {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        if let Message::Assign { task_id, .. } = msg {
-            self.assigns
-                .lock()
-                .expect("assign log lock")
-                .push((self.worker, *task_id));
+    fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
+        for frame in &frames {
+            if let Ok(Message::Assign { task_id, .. }) = decode_message(&frame[4..]) {
+                self.assigns
+                    .lock()
+                    .expect("assign log lock")
+                    .push((self.worker, task_id));
+            }
         }
-        self.inner.send(msg)
+        self.inner.send_frames(frames)
     }
 
-    fn recv(&self) -> Result<Message, TransportError> {
-        self.inner.recv()
+    fn recv_frame(&self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, TransportError> {
+        self.inner.recv_frame(timeout)
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    fn peer(&self) -> String {
-        format!("counted({})", self.inner.peer())
+    fn has_buffered_frame(&self) -> bool {
+        self.inner.has_buffered_frame()
     }
 }
 
@@ -445,37 +444,34 @@ struct Gated {
 }
 
 impl Gated {
-    fn hold(&self, msg: &Message) {
-        if !self.opener && !matches!(msg, Message::Hello { .. }) {
+    fn hold(&self, payload: &[u8]) {
+        if !self.opener && !matches!(decode_message(payload), Ok(Message::Hello { .. })) {
             self.gate.wait();
         }
     }
 }
 
 impl Transport for Gated {
-    fn send(&self, msg: &Message) -> Result<(), TransportError> {
-        if self.opener && matches!(msg, Message::Assign { .. }) {
+    fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
+        let assigns = frames
+            .iter()
+            .any(|frame| matches!(decode_message(&frame[4..]), Ok(Message::Assign { .. })));
+        if self.opener && assigns {
             self.gate.open();
         }
-        self.inner.send(msg)
+        self.inner.send_frames(frames)
     }
 
-    fn recv(&self) -> Result<Message, TransportError> {
-        let msg = self.inner.recv()?;
-        self.hold(&msg);
-        Ok(msg)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        let msg = self.inner.recv_timeout(timeout)?;
-        if let Some(msg) = &msg {
-            self.hold(msg);
+    fn recv_frame(&self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, TransportError> {
+        let payload = self.inner.recv_frame(timeout)?;
+        if let Some(payload) = &payload {
+            self.hold(payload);
         }
-        Ok(msg)
+        Ok(payload)
     }
 
-    fn peer(&self) -> String {
-        format!("gated({})", self.inner.peer())
+    fn has_buffered_frame(&self) -> bool {
+        self.inner.has_buffered_frame()
     }
 }
 

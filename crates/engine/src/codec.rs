@@ -47,7 +47,8 @@ fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, DecodeError> {
     v.get(key).ok_or_else(|| DecodeError::field(key, "missing"))
 }
 
-fn get_u64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, DecodeError> {
+/// The unsigned integer field `key` of the object `v`.
+pub fn get_u64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<u64, DecodeError> {
     get(v, key)?
         .as_u64()
         .ok_or_else(|| DecodeError::field(key, "expected unsigned integer"))
@@ -65,7 +66,8 @@ fn get_f64<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<f64, DecodeError> {
         .ok_or_else(|| DecodeError::field(key, "expected number"))
 }
 
-fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, DecodeError> {
+/// The string field `key` of the object `v`.
+pub fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, DecodeError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| DecodeError::field(key, "expected string"))

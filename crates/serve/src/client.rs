@@ -15,7 +15,8 @@ use crate::proto::{
 use crate::spec::{EntryKey, Mutation};
 use crate::state::{Delta, DeltaBatch};
 use crate::ServeError;
-use bdb_cluster::{FrameTransport, TcpTransport};
+use bdb_cluster::wire::encode_payload_frame;
+use bdb_cluster::{TcpTransport, Transport, TransportError};
 use bdb_wcrt::WorkloadProfile;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -45,7 +46,7 @@ pub struct SessionInfo {
 
 /// A blocking client for one serve session.
 pub struct ServeClient {
-    transport: Arc<dyn FrameTransport>,
+    transport: Arc<dyn Transport>,
     next_id: u64,
     pending: VecDeque<DeltaBatch>,
 }
@@ -58,7 +59,7 @@ impl ServeClient {
     }
 
     /// Wraps an existing transport (loopback in tests).
-    pub fn over(transport: Arc<dyn FrameTransport>) -> ServeClient {
+    pub fn over(transport: Arc<dyn Transport>) -> ServeClient {
         ServeClient {
             transport,
             next_id: 0,
@@ -72,14 +73,11 @@ impl ServeClient {
             client: client.to_owned(),
             protocol: SERVE_PROTOCOL_VERSION,
         };
-        if let Err(e) = self.transport.send_payload(&encode_request(&request)) {
+        if let Err(e) = self.send(&request) {
             // A refused session hangs up before reading anything, but
             // its parting `Busy`/`Error` frame may already be queued;
             // surface the refusal instead of the bare transport failure.
-            if let Ok(Some(payload)) = self
-                .transport
-                .recv_payload_timeout(Duration::from_millis(50))
-            {
+            if let Ok(Some(payload)) = self.transport.recv_frame(Some(Duration::from_millis(50))) {
                 match decode_reply(&payload) {
                     Ok(ServeReply::Error { message, .. }) => {
                         return Err(ServeError::Remote(message));
@@ -207,9 +205,7 @@ impl ServeClient {
 
     /// Closes the session cleanly.
     pub fn bye(self) -> Result<(), ServeError> {
-        self.transport
-            .send_payload(&encode_request(&ServeRequest::Bye))
-            .map_err(ServeError::from)
+        self.send(&ServeRequest::Bye).map_err(ServeError::from)
     }
 
     /// The next pushed delta batch: queued batches first, then up to
@@ -218,7 +214,7 @@ impl ServeClient {
         if let Some(batch) = self.pending.pop_front() {
             return Ok(Some(batch));
         }
-        match self.transport.recv_payload_timeout(timeout)? {
+        match self.transport.recv_frame(Some(timeout))? {
             None => Ok(None),
             Some(payload) => match decode_reply(&payload)? {
                 ServeReply::Delta(batch) => Ok(Some(batch)),
@@ -235,7 +231,7 @@ impl ServeClient {
     /// Sends one request and waits for its id-matched reply, queueing
     /// any delta pushes that arrive in between.
     fn roundtrip(&mut self, id: u64, request: &ServeRequest) -> Result<ServeReply, ServeError> {
-        self.transport.send_payload(&encode_request(request))?;
+        self.send(request)?;
         loop {
             match self.recv_reply()? {
                 ServeReply::Delta(batch) => self.pending.push_back(batch),
@@ -265,8 +261,14 @@ impl ServeClient {
         }
     }
 
+    fn send(&self, request: &ServeRequest) -> Result<(), TransportError> {
+        let frame = encode_payload_frame(&encode_request(request));
+        self.transport.send_frames(vec![frame])
+    }
+
     fn recv_reply(&mut self) -> Result<ServeReply, ServeError> {
-        decode_reply(&self.transport.recv_payload()?)
+        let payload = self.transport.recv_frame(None)?;
+        decode_reply(&payload.ok_or(TransportError::Closed)?)
     }
 }
 

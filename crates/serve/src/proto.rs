@@ -230,7 +230,7 @@ pub struct ServeStats {
     pub subscribers_evicted: u64,
 }
 
-fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, ServeError> {
+pub(crate) fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, ServeError> {
     v.get(key)
         .ok_or_else(|| ServeError::Decode(format!("missing field {key:?}")))
 }
@@ -254,7 +254,7 @@ fn get_u64_or<'a, V: ValueRef<'a>>(v: V, key: &str, default: u64) -> Result<u64,
     }
 }
 
-fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, ServeError> {
+pub(crate) fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, ServeError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| ServeError::Decode(format!("field {key:?} is not a string")))

@@ -29,7 +29,8 @@ use crate::proto::{
 };
 use crate::state::{DeltaBatch, ServeState};
 use crate::{Delta, ServeError};
-use bdb_cluster::{FrameTransport, TcpTransport, TransportError};
+use bdb_cluster::wire::encode_payload_frame;
+use bdb_cluster::{TcpTransport, Transport, TransportError};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,7 +91,7 @@ impl ServerConfig {
 /// eviction-notice `Error` frame) — the flusher credits
 /// `deltas_streamed` only once the frame actually reaches the socket.
 struct Frame {
-    payload: Vec<u8>,
+    bytes: Vec<u8>,
     deltas: u64,
 }
 
@@ -109,7 +110,7 @@ struct SubQueue {
 /// flusher thread drains. Broadcast enqueues (cheap, under the state
 /// lock); the flusher owns the potentially-slow socket writes.
 struct Subscriber {
-    transport: Arc<dyn FrameTransport>,
+    transport: Arc<dyn Transport>,
     queue: Mutex<SubQueue>,
     cv: Condvar,
     /// The server's shared `deltas_streamed` counter; bumped per frame
@@ -143,7 +144,7 @@ fn flush_subscriber(sub: &Subscriber) {
                 queue = sub.cv.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        if sub.transport.send_payload(&frame.payload).is_err() {
+        if sub.transport.send_frames(vec![frame.bytes]).is_err() {
             sub.close();
             return;
         }
@@ -252,9 +253,11 @@ impl Server {
         Ok(())
     }
 
-    /// Runs one session to completion on the calling thread. Public so
-    /// tests and benches can serve loopback transports without sockets.
-    pub fn serve_session(&self, transport: Arc<dyn FrameTransport>) -> Result<(), ServeError> {
+    /// Runs one session to completion on the calling thread, over any
+    /// frame [`Transport`]: the serve payloads ride its frames, and the
+    /// cluster's message calls go unused. Public so tests and benches can
+    /// serve loopback transports without sockets.
+    pub fn serve_session(&self, transport: Arc<dyn Transport>) -> Result<(), ServeError> {
         let session_id = self.shared.sessions_total.fetch_add(1, Ordering::SeqCst) + 1;
         let active = self.shared.sessions_active.fetch_add(1, Ordering::SeqCst) + 1;
         let max_clients = self.shared.config.max_clients;
@@ -290,12 +293,12 @@ impl Server {
     fn session_loop(
         &self,
         session_id: u64,
-        transport: &Arc<dyn FrameTransport>,
+        transport: &Arc<dyn Transport>,
     ) -> Result<(), ServeError> {
         loop {
-            let payload = match transport.recv_payload() {
-                Ok(p) => p,
-                Err(TransportError::Closed) => return Ok(()),
+            let payload = match transport.recv_frame(None) {
+                Ok(Some(p)) => p,
+                Ok(None) | Err(TransportError::Closed) => return Ok(()),
                 Err(e) => return Err(e.into()),
             };
             let request = match decode_request(&payload) {
@@ -444,13 +447,9 @@ impl Server {
         }
     }
 
-    fn send(
-        &self,
-        transport: &Arc<dyn FrameTransport>,
-        reply: &ServeReply,
-    ) -> Result<(), ServeError> {
-        let payload = encode_reply(reply);
-        transport.send_payload(&payload).map_err(ServeError::from)
+    fn send(&self, transport: &Arc<dyn Transport>, reply: &ServeReply) -> Result<(), ServeError> {
+        let frame = encode_payload_frame(&encode_reply(reply));
+        transport.send_frames(vec![frame]).map_err(ServeError::from)
     }
 
     /// Enqueues one batch onto every subscriber's bounded queue; the
@@ -469,7 +468,7 @@ impl Server {
             return;
         }
         self.shared.delta_batches.fetch_add(1, Ordering::SeqCst);
-        let payload = encode_reply(&ServeReply::Delta(batch.clone()));
+        let frame = encode_payload_frame(&encode_reply(&ServeReply::Delta(batch.clone())));
         let mut subscribers = lock(&self.shared.subscribers);
         let mut gone = Vec::new();
         for (&session_id, subscriber) in subscribers.iter() {
@@ -482,7 +481,7 @@ impl Server {
             if queue.frames.len() as u64 >= self.shared.config.sub_queue {
                 // Slow consumer: shed it rather than grow its queue,
                 // with a best-effort farewell frame.
-                let notice = encode_reply(&ServeReply::Error {
+                let notice = encode_payload_frame(&encode_reply(&ServeReply::Error {
                     id: 0,
                     message: format!(
                         "subscription evicted: {} undelivered delta batches exceeded \
@@ -490,9 +489,9 @@ impl Server {
                         queue.frames.len(),
                         self.shared.config.sub_queue
                     ),
-                });
+                }));
                 queue.frames.push_back(Frame {
-                    payload: notice,
+                    bytes: notice,
                     deltas: 0,
                 });
                 queue.closed = true;
@@ -505,7 +504,7 @@ impl Server {
                 continue;
             }
             queue.frames.push_back(Frame {
-                payload: payload.clone(),
+                bytes: frame.clone(),
                 deltas: batch.deltas.len() as u64,
             });
             drop(queue);

@@ -9,6 +9,7 @@
 //! entries the edit invalidates.
 
 use crate::knob::apply_machine_knob;
+use crate::proto::{get, get_str};
 use crate::ServeError;
 use bdb_codec::bval::ValueRef;
 use bdb_engine::codec::{machine_config_from_value, machine_config_to_value};
@@ -237,17 +238,6 @@ pub enum Mutation {
         /// The new scale factor (finite and positive).
         factor: f64,
     },
-}
-
-fn get<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<V, ServeError> {
-    v.get(key)
-        .ok_or_else(|| ServeError::Decode(format!("missing field {key:?}")))
-}
-
-fn get_str<'a, V: ValueRef<'a>>(v: V, key: &str) -> Result<&'a str, ServeError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| ServeError::Decode(format!("field {key:?} is not a string")))
 }
 
 /// Encodes a scale factor as its exact `f64` bit pattern (16 hex

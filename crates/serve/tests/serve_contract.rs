@@ -7,6 +7,7 @@
 //! the server's own catalog bytes.
 
 use bdb_cluster::loopback_pair;
+use bdb_cluster::wire::encode_payload_frame;
 use bdb_engine::codec::profile_to_value;
 use bdb_engine::json::Value;
 use bdb_engine::{Engine, EngineConfig};
@@ -34,7 +35,7 @@ fn small_spec() -> ServeSpec {
 /// connected client. The session thread exits when the client says
 /// `Bye` (or drops its transport).
 fn session(server: &Server) -> ServeClient {
-    let (client_end, server_end) = loopback_pair("test-session");
+    let (client_end, server_end) = loopback_pair();
     let server = server.clone();
     std::thread::spawn(move || server.serve_session(Arc::new(server_end)));
     ServeClient::over(Arc::new(client_end))
@@ -237,12 +238,12 @@ fn json_request_is_an_error_and_the_session_survives() {
         ServeState::materialize(Arc::new(Engine::in_memory()), small_spec()).expect("materialize");
     let key = state.keys()[0].clone();
     let server = Server::new(state, ServerConfig::named("bdbc-only"));
-    let (client_end, server_end) = loopback_pair("json-client");
+    let (client_end, server_end) = loopback_pair();
     {
         let server = server.clone();
         std::thread::spawn(move || server.serve_session(Arc::new(server_end)));
     }
-    let transport: Arc<dyn bdb_cluster::FrameTransport> = Arc::new(client_end);
+    let transport: Arc<dyn bdb_cluster::Transport> = Arc::new(client_end);
 
     let json_hello = bdb_serve::proto::request_to_value(&bdb_serve::ServeRequest::Hello {
         client: "json-era".to_owned(),
@@ -250,9 +251,12 @@ fn json_request_is_an_error_and_the_session_survives() {
     })
     .encode();
     transport
-        .send_payload(json_hello.as_bytes())
+        .send_frames(vec![encode_payload_frame(json_hello.as_bytes())])
         .expect("send JSON hello");
-    let reply = transport.recv_payload().expect("the server answers");
+    let reply = transport
+        .recv_frame(None)
+        .expect("the server answers")
+        .expect("a blocking receive returns a frame");
     match bdb_serve::decode_reply(&reply).expect("the reply is a BDBC record") {
         bdb_serve::ServeReply::Error { id: 0, .. } => {}
         other => panic!("expected Error {{ id: 0 }}, got {other:?}"),
@@ -388,8 +392,8 @@ struct StuckSubscriber {
     free_sends: u64,
 }
 
-impl bdb_cluster::FrameTransport for StuckSubscriber {
-    fn send_payload(&self, _payload: &[u8]) -> Result<(), bdb_cluster::TransportError> {
+impl bdb_cluster::Transport for StuckSubscriber {
+    fn send_frames(&self, _frames: Vec<Vec<u8>>) -> Result<(), bdb_cluster::TransportError> {
         let n = self.sends.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         if n >= self.free_sends {
             loop {
@@ -399,34 +403,37 @@ impl bdb_cluster::FrameTransport for StuckSubscriber {
         Ok(())
     }
 
-    fn recv_payload(&self) -> Result<Vec<u8>, bdb_cluster::TransportError> {
-        self.requests
-            .lock()
-            .expect("script lock")
-            .recv()
-            .map_err(|_| bdb_cluster::TransportError::Closed)
-    }
-
-    fn recv_payload_timeout(
+    fn recv_frame(
         &self,
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> Result<Option<Vec<u8>>, bdb_cluster::TransportError> {
-        match self
-            .requests
-            .lock()
-            .expect("script lock")
-            .recv_timeout(timeout)
-        {
-            Ok(p) => Ok(Some(p)),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                Err(bdb_cluster::TransportError::Closed)
-            }
-        }
+        recv_scripted(&self.requests, timeout)
     }
 
-    fn peer_label(&self) -> String {
-        "stuck-subscriber".to_owned()
+    fn has_buffered_frame(&self) -> bool {
+        false
+    }
+}
+
+/// The next scripted request payload: blocking for `None`, `Ok(None)`
+/// once `timeout` passes without one.
+fn recv_scripted(
+    requests: &std::sync::Mutex<std::sync::mpsc::Receiver<Vec<u8>>>,
+    timeout: Option<Duration>,
+) -> Result<Option<Vec<u8>>, bdb_cluster::TransportError> {
+    let requests = requests.lock().expect("script lock");
+    let Some(timeout) = timeout else {
+        return requests
+            .recv()
+            .map(Some)
+            .map_err(|_| bdb_cluster::TransportError::Closed);
+    };
+    match requests.recv_timeout(timeout) {
+        Ok(p) => Ok(Some(p)),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Ok(None),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            Err(bdb_cluster::TransportError::Closed)
+        }
     }
 }
 
@@ -458,7 +465,7 @@ fn slow_subscriber_is_evicted_not_buffered_without_bound() {
     });
     {
         let server = server.clone();
-        let stuck: Arc<dyn bdb_cluster::FrameTransport> = stuck;
+        let stuck: Arc<dyn bdb_cluster::Transport> = stuck;
         std::thread::spawn(move || server.serve_session(stuck));
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -503,8 +510,8 @@ struct GatedSubscriber {
     free_sends: u64,
 }
 
-impl bdb_cluster::FrameTransport for GatedSubscriber {
-    fn send_payload(&self, payload: &[u8]) -> Result<(), bdb_cluster::TransportError> {
+impl bdb_cluster::Transport for GatedSubscriber {
+    fn send_frames(&self, frames: Vec<Vec<u8>>) -> Result<(), bdb_cluster::TransportError> {
         let n = self.sends.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         if n >= self.free_sends {
             let mut open = self.gate_open.lock().expect("gate lock");
@@ -512,38 +519,20 @@ impl bdb_cluster::FrameTransport for GatedSubscriber {
                 open = self.gate_cv.wait(open).expect("gate wait");
             }
         }
-        self.sent.lock().expect("sent lock").push(payload.to_vec());
+        let mut sent = self.sent.lock().expect("sent lock");
+        sent.extend(frames.iter().map(|frame| frame[4..].to_vec()));
         Ok(())
     }
 
-    fn recv_payload(&self) -> Result<Vec<u8>, bdb_cluster::TransportError> {
-        self.requests
-            .lock()
-            .expect("script lock")
-            .recv()
-            .map_err(|_| bdb_cluster::TransportError::Closed)
-    }
-
-    fn recv_payload_timeout(
+    fn recv_frame(
         &self,
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> Result<Option<Vec<u8>>, bdb_cluster::TransportError> {
-        match self
-            .requests
-            .lock()
-            .expect("script lock")
-            .recv_timeout(timeout)
-        {
-            Ok(p) => Ok(Some(p)),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                Err(bdb_cluster::TransportError::Closed)
-            }
-        }
+        recv_scripted(&self.requests, timeout)
     }
 
-    fn peer_label(&self) -> String {
-        "gated-subscriber".to_owned()
+    fn has_buffered_frame(&self) -> bool {
+        false
     }
 }
 
@@ -582,7 +571,7 @@ fn evicted_subscriber_gets_a_farewell_error_frame() {
     {
         let server = server.clone();
         let clone: Arc<GatedSubscriber> = Arc::clone(&gated);
-        let transport: Arc<dyn bdb_cluster::FrameTransport> = clone;
+        let transport: Arc<dyn bdb_cluster::Transport> = clone;
         std::thread::spawn(move || server.serve_session(transport));
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
