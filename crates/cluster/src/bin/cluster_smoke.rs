@@ -141,12 +141,11 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|_| addr.clone());
             // To stderr: stdout is reserved for the profile bytes.
             eprintln!("cluster-smoke: join listening on {bound}");
-            // With no idle limit the accept thread holds the join
-            // sender forever, so the coordinator WAITS for new joiners
-            // whenever the whole fleet dies — an idle limit turns that
-            // indefinite wait into a diagnosable AllWorkersDead error
-            // by dropping the sender (delivering JoinsClosed) once no
-            // joiner has arrived for the given stretch.
+            // With no idle limit the accept thread holds the join sender
+            // forever, so the coordinator WAITS for joiners whenever the
+            // whole fleet dies; an idle limit drops the sender once no
+            // joiner has arrived for the given stretch, which closes the
+            // channel and turns that wait into an AllWorkersDead error.
             std::thread::spawn(move || {
                 let poll = Duration::from_millis(100);
                 if join_idle_secs > 0 && listener.set_nonblocking(true).is_err() {
@@ -180,7 +179,7 @@ fn main() -> ExitCode {
                                     "cluster-smoke: no joiner for {join_idle_secs}s; \
                                      closing the join channel"
                                 );
-                                return; // drops join_tx -> JoinsClosed
+                                return; // drops join_tx: the channel closes
                             }
                         }
                     }

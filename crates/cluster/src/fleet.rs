@@ -219,11 +219,6 @@ impl Fleet {
         }
     }
 
-    /// Current tick.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Tasks merged so far.
     pub fn done(&self) -> usize {
         self.done
@@ -387,18 +382,22 @@ impl Fleet {
     /// there restarts at `now + task_deadline_ticks`. A worker answers
     /// its queue in order, so a queued task's clock starts when the
     /// worker can begin it; a worker busy with a long task ahead of it
-    /// is not slow. No-op if `task` is not in flight there.
-    pub fn clear_inflight(&mut self, slot: usize, task: usize) {
+    /// is not slow. Returns whether `task` was in flight there; if not,
+    /// this is a no-op.
+    pub fn clear_inflight(&mut self, slot: usize, task: usize) -> bool {
         let deadline = self.now + self.config.task_deadline_ticks;
-        if let Some(s) = self.slots.get_mut(slot) {
-            let before = s.inflight.len();
-            s.inflight.retain(|b| b.task != task);
-            if s.inflight.len() < before {
-                for busy in &mut s.inflight {
-                    busy.deadline = deadline;
-                }
+        let Some(s) = self.slots.get_mut(slot) else {
+            return false;
+        };
+        let before = s.inflight.len();
+        s.inflight.retain(|b| b.task != task);
+        let cleared = s.inflight.len() < before;
+        if cleared {
+            for busy in &mut s.inflight {
+                busy.deadline = deadline;
             }
         }
+        cleared
     }
 
     /// Rolls back an assignment whose send failed before the worker saw

@@ -36,12 +36,12 @@
 //!   join/leave, admission control (in-flight depth of unheld work,
 //!   suspect deferral),
 //!   replica affinity, capped-exponential-backoff retry.
-//! * [`coordinator`] — the transport glue around [`fleet`]: static
-//!   chunking + work stealing, two-deep dispatch of unheld work and
-//!   whole held plans in one send, with one config record encoded per
-//!   distinct config, tick-based deadlines and heartbeats,
-//!   fingerprint-verified deduplicating merge, elastic membership via
-//!   [`Coordinator::run_elastic`], and replica pushes.
+//! * [`coordinator`] — a sans-IO core over [`fleet`]: static chunking +
+//!   work stealing, two-deep dispatch of unheld work and whole held
+//!   plans in one send, one config record per distinct config, tick
+//!   deadlines and heartbeats, fingerprint-verified deduplicating merge
+//!   and replica pushes; [`Coordinator::run_elastic`], the one entry
+//!   point, drives it from transports.
 //!
 //! # Example (three in-process workers)
 //!
@@ -69,8 +69,9 @@
 //!     .take(6)
 //!     .map(|w| Task::new(w, Scale::tiny(), &MachineConfig::xeon_e5645(), &NodeConfig::default()))
 //!     .collect();
-//! let profiles = Coordinator::new(ClusterConfig::default()).run(ends, &tasks).unwrap();
-//! assert_eq!(profiles.len(), 6);
+//! let (_, joins) = std::sync::mpsc::channel(); // sender dropped: fixed membership
+//! let profiles = Coordinator::new(ClusterConfig::default()).run_elastic(ends, joins, &tasks);
+//! assert_eq!(profiles.unwrap().len(), 6);
 //! ```
 
 pub mod coordinator;
@@ -127,5 +128,6 @@ pub fn profile_all_distributed(
     node: &NodeConfig,
 ) -> Result<Vec<WorkloadProfile>, ClusterError> {
     let tasks = fleet_tasks(workloads, scale, machine, node);
-    Coordinator::new(ClusterConfig::default()).run(workers, &tasks)
+    let (_, joins) = std::sync::mpsc::channel();
+    Coordinator::new(ClusterConfig::default()).run_elastic(workers, joins, &tasks)
 }

@@ -19,8 +19,15 @@ use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// A join channel whose sender is gone: fixed membership.
+fn closed_joins() -> Receiver<Arc<dyn Transport>> {
+    let (_, joins) = channel();
+    joins
+}
 
 /// Fast tick so deadline/backoff recovery converges quickly in tests.
 fn test_config() -> ClusterConfig {
@@ -75,7 +82,7 @@ fn run_cluster(
         &NodeConfig::default(),
     );
     let profiles = Coordinator::new(test_config())
-        .run(workers, &tasks)
+        .run_elastic(workers, closed_joins(), &tasks)
         .expect("distributed run must converge");
     canonical_bytes(&profiles)
 }
@@ -233,7 +240,7 @@ fn warm_worker_with_every_entry_damaged_recomputes_each_once() {
     let (w0, s0) = spawn_tcp_cached_worker("damaged", &dirs[0]);
     let (w1, s1) = spawn_tcp_cached_worker("intact", &dirs[1]);
     let merged = Coordinator::new(test_config())
-        .run(vec![w0, w1], &tasks)
+        .run_elastic(vec![w0, w1], closed_joins(), &tasks)
         .expect("the run recovers");
     let (c0, c1) = (s0.join().unwrap(), s1.join().unwrap());
     assert_eq!(canonical_bytes(&merged), serial);
@@ -262,7 +269,7 @@ fn killed_coordinator_reruns_over_a_warm_cache_without_recomputing() {
     let completed = 5usize;
     let (worker, first_life) = spawn_cached_worker("first-life", &dir);
     let partial = Coordinator::new(test_config())
-        .run(vec![worker], &tasks[..completed])
+        .run_elastic(vec![worker], closed_joins(), &tasks[..completed])
         .expect("partial run must converge");
     assert_eq!(partial.len(), completed);
     assert_eq!(first_life.join().unwrap().computed, completed as u64);
@@ -272,7 +279,7 @@ fn killed_coordinator_reruns_over_a_warm_cache_without_recomputing() {
     // three unfinished ones are simulated.
     let (worker, second_life) = spawn_cached_worker("second-life", &dir);
     let resumed = Coordinator::new(test_config())
-        .run(vec![worker], &tasks)
+        .run_elastic(vec![worker], closed_joins(), &tasks)
         .expect("rerun must converge");
     let counters = second_life.join().unwrap();
     assert_eq!(counters.computed, (tasks.len() - completed) as u64);
@@ -310,7 +317,7 @@ fn all_workers_crashing_is_a_clean_error() {
             },
         ),
     ];
-    let outcome = Coordinator::new(test_config()).run(workers, &tasks);
+    let outcome = Coordinator::new(test_config()).run_elastic(workers, closed_joins(), &tasks);
     assert!(outcome.is_err(), "no workers left must surface an error");
 }
 
@@ -379,7 +386,7 @@ fn intact_but_undecodable_entry_fails_at_the_coordinator_then_recomputes() {
         log: Arc::clone(&log),
     });
     let merged = Coordinator::new(test_config())
-        .run(vec![recording], &tasks)
+        .run_elastic(vec![recording], closed_joins(), &tasks)
         .expect("the run recovers");
     let counters = session.join().unwrap();
     assert_eq!(canonical_bytes(&merged), serial);
@@ -424,7 +431,11 @@ fn previous_protocol_hello_is_refused() {
             cached: Vec::new(),
         })
         .unwrap();
-    let alone = Coordinator::new(test_config()).run(vec![Arc::new(coord_end)], &tasks);
+    let alone = Coordinator::new(test_config()).run_elastic(
+        vec![Arc::new(coord_end)],
+        closed_joins(),
+        &tasks,
+    );
     assert!(matches!(alone, Err(ClusterError::AllWorkersDead { .. })));
     while let Ok(Some(payload)) = old_worker.recv_frame(Some(Duration::ZERO)) {
         let msg = decode_message(&payload).unwrap();
@@ -444,7 +455,7 @@ fn previous_protocol_hello_is_refused() {
         spawn_worker("v4", FaultPlan::default()),
     ];
     let merged = Coordinator::new(test_config())
-        .run(workers, &tasks)
+        .run_elastic(workers, closed_joins(), &tasks)
         .expect("the current worker finishes the run");
     assert_eq!(canonical_bytes(&merged), serial_baseline(&workloads, scale));
     while let Ok(Some(payload)) = old_worker.recv_frame(Some(Duration::ZERO)) {

@@ -17,9 +17,15 @@ use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// A join channel whose sender is gone: fixed membership.
+fn closed_joins() -> Receiver<Arc<dyn Transport>> {
+    let (_, joins) = channel();
+    joins
+}
 
 /// Fast ticks and extra attempts, so churn-heavy schedules converge
 /// quickly but never exhaust a task. The task deadline stays at its
@@ -245,7 +251,7 @@ fn run_with_a_worker_dying_mid_task(max_inflight: usize) -> Vec<(usize, u64)> {
         ..elastic_config()
     };
     let profiles = Coordinator::new(config)
-        .run(workers, &tasks)
+        .run_elastic(workers, closed_joins(), &tasks)
         .expect("run must converge past the EOF");
     assert_eq!(canonical_bytes(&profiles), serial);
     let log = assigns.lock().expect("assign log lock").clone();
@@ -336,7 +342,7 @@ fn replicated_caches_restart_warm_after_killing_any_worker() {
             handles.push(handle);
         }
         let profiles = Coordinator::new(replicated.clone())
-            .run(workers, &tasks)
+            .run_elastic(workers, closed_joins(), &tasks)
             .expect("replicated run converges");
         assert_eq!(canonical_bytes(&profiles), serial);
         // Join the worker threads so every Replicate admission has hit
@@ -393,7 +399,7 @@ fn replicated_caches_restart_warm_after_killing_any_worker() {
             handles.push(handle);
         }
         let profiles = Coordinator::new(replicated.clone())
-            .run(workers, &tasks)
+            .run_elastic(workers, closed_joins(), &tasks)
             .expect("warm restart converges");
         assert_eq!(
             canonical_bytes(&profiles),
@@ -549,7 +555,7 @@ fn replicate_forwards_the_computing_workers_bytes() {
         ..ClusterConfig::default()
     };
     let profiles = Coordinator::new(replicated)
-        .run(workers, &tasks)
+        .run_elastic(workers, closed_joins(), &tasks)
         .expect("the run converges");
     holder_thread.join().expect("holder exits cleanly");
     target_thread.join().expect("target exits cleanly");

@@ -11,8 +11,15 @@ use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
 use std::net::TcpListener;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A join channel whose sender is gone: fixed membership.
+fn closed_joins() -> Receiver<Arc<dyn Transport>> {
+    let (_, joins) = channel();
+    joins
+}
 
 /// Binds an ephemeral port, serves exactly one worker session on it in a
 /// background thread, and returns the address to dial.
@@ -73,7 +80,7 @@ fn tcp_fleet_with_one_crash_matches_serial_bytes() {
         ..ClusterConfig::default()
     };
     let profiles = Coordinator::new(config)
-        .run(workers, &tasks)
+        .run_elastic(workers, closed_joins(), &tasks)
         .expect("TCP fleet must converge despite the crash");
     let distributed: Vec<String> = profiles
         .iter()

@@ -111,7 +111,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "panic-reachability",
-        "no unwrap()/expect()/panic!/slice-indexing reachable from the cluster worker loop, bdb_clusterd main, or store recovery",
+        "no unwrap()/expect()/panic!/slice-indexing reachable from the cluster worker loop, the coordinator, bdb_clusterd main, or store recovery",
     ),
     (
         "hot-loop-allocation",

@@ -113,6 +113,10 @@ const PANIC: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "cluster",
+            suffix: &["Coordinator", "run_elastic"],
+        },
+        RootSpec {
+            krate: "cluster",
             suffix: &["bdb_clusterd", "main"],
         },
         RootSpec {
