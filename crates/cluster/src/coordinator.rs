@@ -67,7 +67,10 @@
 //! tick elapses each time its `recv_timeout` expires with no traffic,
 //! so ticks advance only while the fleet is quiet — exactly when
 //! deadlines and heartbeats matter. The core counts ticks: per-task
-//! deadlines, heartbeat probing of idle workers, and retry backoff.
+//! deadlines, heartbeat probing of idle workers, the `Hello` deadline of
+//! a worker that connected but has not said `Hello` (past it, the worker
+//! misses a probe each period and dies like a silent idle one), and
+//! retry backoff.
 //!
 //! # Bit-identity
 //!

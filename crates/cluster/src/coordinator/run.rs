@@ -6,8 +6,9 @@
 use super::{ClusterConfig, ClusterError};
 use crate::fleet::Fleet;
 use crate::proto::{config_record, Message, PROTOCOL_VERSION};
-use bdb_engine::Task;
+use bdb_engine::{ConfigKey, Task};
 use bdb_wcrt::WorkloadProfile;
+use bdb_workloads::Scale;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -53,10 +54,10 @@ pub(crate) struct Run<'a> {
 impl<'a> Run<'a> {
     /// A run of `tasks` over `workers` initial slots, joins open.
     pub(crate) fn new(workers: usize, tasks: &'a [Task], config: ClusterConfig) -> Self {
-        let fingerprints = tasks.iter().map(Task::fingerprint).collect();
+        let (configs, fingerprints) = config_table(tasks);
         Run {
             tasks,
-            configs: config_records(tasks),
+            configs,
             fleet: Fleet::new(workers, fingerprints, config),
             results: tasks.iter().map(|_| None).collect(),
             joins_open: true,
@@ -292,26 +293,58 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Each task's config record, encoded once per distinct config: tasks
-/// with the same scale bits, machine and node share one buffer.
-fn config_records(tasks: &[Task]) -> Vec<Arc<[u8]>> {
-    let mut distinct: Vec<(&Task, Arc<[u8]>)> = Vec::new();
-    tasks
+/// One distinct config of a batch: a task on it, its record, and the
+/// indices of every task on it.
+struct DistinctConfig<'t> {
+    task: &'t Task,
+    record: Arc<[u8]>,
+    members: Vec<usize>,
+}
+
+/// Each task's config record and content fingerprint. Tasks with the
+/// same scale bits, machine and node share one record, and their keys
+/// hash one rendering of that config: each distinct config is encoded
+/// and rendered once per run, not once per task.
+fn config_table(tasks: &[Task]) -> (Vec<Arc<[u8]>>, Vec<u64>) {
+    let mut distinct: Vec<DistinctConfig> = Vec::new();
+    let records = tasks
         .iter()
-        .map(|task| {
-            let shared = distinct.iter().find(|(seen, _)| {
-                seen.scale.factor().to_bits() == task.scale.factor().to_bits()
-                    && seen.machine == task.machine
-                    && seen.node == task.node
+        .enumerate()
+        .map(|(idx, task)| {
+            let shared = distinct.iter_mut().find(|config| {
+                config.task.scale.factor().to_bits() == task.scale.factor().to_bits()
+                    && config.task.machine == task.machine
+                    && config.task.node == task.node
             });
-            if let Some((_, record)) = shared {
-                return Arc::clone(record);
+            if let Some(config) = shared {
+                config.members.push(idx);
+                return Arc::clone(&config.record);
             }
             let record: Arc<[u8]> = config_record(task).into();
-            distinct.push((task, Arc::clone(&record)));
+            distinct.push(DistinctConfig {
+                task,
+                record: Arc::clone(&record),
+                members: vec![idx],
+            });
             record
         })
-        .collect()
+        .collect();
+    let mut fingerprints = vec![0; tasks.len()];
+    for config in &distinct {
+        let ids: Vec<(&str, Scale)> = config
+            .members
+            .iter()
+            .filter_map(|&idx| tasks.get(idx))
+            .map(|task| (task.workload_id.as_str(), task.scale))
+            .collect();
+        let keys = ConfigKey::new(&config.task.machine, &config.task.node).fingerprints(&ids);
+        for (&idx, key) in config.members.iter().zip(keys) {
+            if let Some(slot) = fingerprints.get_mut(idx) {
+                *slot = key;
+            }
+        }
+    }
+    (records, fingerprints)
 }
 
 #[cfg(test)]
@@ -351,12 +384,43 @@ mod tests {
             &MachineConfig::atom_d510(),
             &node,
         ));
-        let records = config_records(&tasks);
+        let (records, _) = config_table(&tasks);
         assert!(Arc::ptr_eq(&records[0], &records[2]));
         assert!(Arc::ptr_eq(&records[3], &records[4]));
         assert!(!Arc::ptr_eq(&records[0], &records[3]));
         for (task, record) in tasks.iter().zip(&records) {
             assert_eq!(record[..], config_record(task)[..]);
+        }
+    }
+
+    #[test]
+    fn a_runs_fingerprints_equal_each_tasks_own() {
+        // The whole catalog on both platforms at two scales: four
+        // distinct configs, interleaved so a shared key is found again
+        // after another config was seen.
+        let defs = catalog::full_catalog();
+        let node = NodeConfig::default();
+        let mut tasks = Vec::new();
+        for scale in [Scale::tiny(), Scale::small()] {
+            for machine in [MachineConfig::xeon_e5645(), MachineConfig::atom_d510()] {
+                tasks.extend(crate::fleet_tasks(&defs, scale, &machine, &node));
+            }
+        }
+        tasks.extend(crate::fleet_tasks(
+            &defs[..3],
+            Scale::tiny(),
+            &MachineConfig::xeon_e5645(),
+            &node,
+        ));
+        let run = Run::new(2, &tasks, ClusterConfig::default());
+        for (idx, task) in tasks.iter().enumerate() {
+            assert_eq!(
+                run.fleet.fingerprint(idx),
+                Some(task.fingerprint()),
+                "{} at {:?}",
+                task.workload_id,
+                task.scale
+            );
         }
     }
 
@@ -400,6 +464,97 @@ mod tests {
             }),
         ));
         assert_eq!(run.fleet.check_conservation(), Ok(()));
+    }
+
+    /// The tick bound a silent worker must be gone by.
+    fn silent_bound(config: &ClusterConfig) -> u64 {
+        HELLO_DEADLINE_TICKS
+            + (u64::from(config.heartbeat_miss_limit) + 2) * config.heartbeat_every_ticks
+    }
+
+    /// Ticks `run` until it is done; returns the ticks that took, or
+    /// `None` past `bound`.
+    fn ticks_to_done(run: &mut Run, bound: u64) -> Option<u64> {
+        (1..=bound).find(|_| {
+            run.on_event(Event::Tick)
+                .iter()
+                .any(|command| matches!(command, Command::Done))
+        })
+    }
+
+    #[test]
+    fn a_worker_silent_from_connect_does_not_hang_the_run() {
+        // Two initial workers and joins closed: worker 1 closes, worker 0
+        // never says `Hello` and never closes.
+        let batch = batch();
+        for config in [ClusterConfig::default(), sim_config(2, 0)] {
+            let bound = silent_bound(&config);
+            let mut run = Run::new(2, &batch.tasks, config);
+            assert!(run.close_joins().is_empty());
+            assert!(run.on_event(Event::Closed(1)).is_empty());
+            assert!(
+                ticks_to_done(&mut run, bound).is_some(),
+                "no end by tick {bound}"
+            );
+            assert!(matches!(
+                run.finish(),
+                Err(ClusterError::AllWorkersDead { remaining }) if remaining == batch.tasks.len()
+            ));
+        }
+    }
+
+    #[test]
+    fn a_late_hello_before_the_silent_bound_is_unaffected() {
+        // The same schedule, but worker 0's `Hello` lands on the last
+        // tick before it would be declared dead: it does the whole batch.
+        let batch = batch();
+        for config in [ClusterConfig::default(), sim_config(2, 0)] {
+            let every = config.heartbeat_every_ticks;
+            let first_miss = HELLO_DEADLINE_TICKS.div_ceil(every) * every;
+            let dies_at = first_miss + u64::from(config.heartbeat_miss_limit) * every;
+            assert!(dies_at <= silent_bound(&config));
+            let mut run = Run::new(2, &batch.tasks, config);
+            assert!(run.close_joins().is_empty());
+            assert!(run.on_event(Event::Closed(1)).is_empty());
+            assert_eq!(ticks_to_done(&mut run, dies_at - 1), None);
+            let mut inbox: VecDeque<Message> = run
+                .on_event(Event::Msg(
+                    0,
+                    Box::new(Message::Hello {
+                        worker: String::new(),
+                        protocol: PROTOCOL_VERSION,
+                        cached: Vec::new(),
+                    }),
+                ))
+                .into_iter()
+                .flat_map(|command| match command {
+                    Command::Send(0, msgs) => msgs,
+                    _ => panic!("only worker 0 is alive"),
+                })
+                .collect();
+            let mut done = false;
+            while let Some(msg) = inbox.pop_front() {
+                let Message::Assign { task_id, .. } = msg else {
+                    continue;
+                };
+                let reply = batch.replies[task_id as usize].clone();
+                for command in run.on_event(Event::Msg(0, Box::new(reply))) {
+                    match command {
+                        Command::Send(0, msgs) => inbox.extend(msgs),
+                        Command::Done => done = true,
+                        Command::Send(..) => panic!("only worker 0 is alive"),
+                    }
+                }
+            }
+            assert!(done);
+            let merged: Vec<String> = run
+                .finish()
+                .unwrap()
+                .iter()
+                .map(|p| profile_to_value(p).encode())
+                .collect();
+            assert_eq!(merged, batch.serial);
+        }
     }
 
     /// The simulated batch: its tasks, each task's reply as a transport

@@ -18,7 +18,13 @@
 //! backoff without charging an attempt — the worker did nothing wrong.
 //! A death ([`Fleet::death`] — EOF, deadline expiry, heartbeat silence)
 //! charges each orphaned in-flight task one failed attempt, entering the
-//! same capped-exponential backoff as a reported failure.
+//! same capped-exponential backoff as a reported failure. A worker that
+//! connects but never says `Hello` is silent too: once
+//! [`HELLO_DEADLINE_TICKS`] have passed since its slot was created, each
+//! probe period counts as a missed probe, and it dies after the same
+//! number of misses as an idle worker that stopped answering. Without
+//! that, one such worker would keep a run whose other workers are all
+//! gone from ever ending.
 //!
 //! # Admission control
 //!
@@ -126,6 +132,9 @@ struct Slot {
     /// Outstanding heartbeat probe sequence number.
     probe: Option<u64>,
     missed: u32,
+    /// Fleet tick the slot was created at: 0 for an initial worker, the
+    /// join tick for a joiner. Its `Hello` deadline runs from here.
+    created: u64,
 }
 
 impl Slot {
@@ -143,6 +152,7 @@ impl Slot {
             cached: BTreeSet::new(),
             probe: None,
             missed: 0,
+            created: 0,
         }
     }
 }
@@ -150,8 +160,9 @@ impl Slot {
 /// What one quiet tick asks the coordinator to do.
 #[derive(Debug, Default)]
 pub struct TickOutcome {
-    /// Slots to declare dead: a task deadline expired or the heartbeat
-    /// miss limit was crossed. Pass each to [`Fleet::death`].
+    /// Slots to declare dead: a task deadline expired, or the heartbeat
+    /// miss limit was crossed by an idle worker or by one still silent
+    /// past its `Hello` deadline. Pass each to [`Fleet::death`].
     pub deaths: Vec<usize>,
     /// Heartbeat probes to send, `(slot, seq)`. The fleet already
     /// recorded the outstanding probe; a failed send is a death.
@@ -254,7 +265,10 @@ impl Fleet {
     /// It becomes eligible for retries and stealing once [`Fleet::hello`]
     /// marks it ready.
     pub fn join(&mut self) -> usize {
-        self.slots.push(Slot::empty());
+        self.slots.push(Slot {
+            created: self.now,
+            ..Slot::empty()
+        });
         self.slots.len() - 1
     }
 
@@ -264,6 +278,8 @@ impl Fleet {
         if let Some(s) = self.slots.get_mut(slot) {
             if s.alive {
                 s.ready = true;
+                // Misses counted while it was silent are forgiven.
+                s.missed = 0;
                 s.cached.extend(cached.iter().copied());
             }
         }
@@ -666,9 +682,10 @@ impl Fleet {
             .is_some_and(|&fp| self.held_elsewhere(slot, fp))
     }
 
-    /// A quiet tick elapsed: advance time, expire deadlines, and decide
-    /// which idle workers to probe. The caller performs the sends and
-    /// passes each listed death to [`Fleet::death`].
+    /// A quiet tick elapsed: advance time, expire deadlines, decide
+    /// which idle workers to probe, and count a missed probe for each
+    /// worker still silent past its `Hello` deadline. The caller performs
+    /// the sends and passes each listed death to [`Fleet::death`].
     pub fn tick(&mut self) -> TickOutcome {
         self.now += 1;
         let mut out = TickOutcome::default();
@@ -687,7 +704,21 @@ impl Fleet {
                 let Some(s) = self.slots.get_mut(idx) else {
                     continue;
                 };
-                if !(s.alive && s.ready && s.inflight.is_empty()) {
+                if !s.alive {
+                    continue;
+                }
+                if !s.ready {
+                    // Connected but silent past its `Hello` deadline:
+                    // each period is a missed probe, none is sent.
+                    if self.now >= s.created + HELLO_DEADLINE_TICKS {
+                        s.missed += 1;
+                        if s.missed > self.config.heartbeat_miss_limit {
+                            out.deaths.push(idx);
+                        }
+                    }
+                    continue;
+                }
+                if !s.inflight.is_empty() {
                     continue;
                 }
                 if s.probe.is_some() {
@@ -1038,6 +1069,68 @@ mod tests {
         tick(&mut fleet);
         assert_eq!(drain_slot(&mut fleet, 0), vec![3, 2]);
         fleet.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_silent_joiner_dies_on_its_own_hello_deadline() {
+        // The deadline runs from the join tick, not from the run's start.
+        let config = config();
+        let mut fleet = ready_fleet(1, 2);
+        let tick = |fleet: &mut Fleet| {
+            let out = fleet.tick();
+            for &(slot, seq) in &out.probes {
+                fleet.heartbeat(slot, seq);
+            }
+            out.deaths
+        };
+        for _ in 0..3 * HELLO_DEADLINE_TICKS {
+            assert!(tick(&mut fleet).is_empty());
+        }
+        let joiner = fleet.join();
+        let every = config.heartbeat_every_ticks;
+        let first_miss = (fleet.now + HELLO_DEADLINE_TICKS).div_ceil(every) * every;
+        let dies_at = first_miss + u64::from(config.heartbeat_miss_limit) * every;
+        while fleet.now + 1 < dies_at {
+            assert!(tick(&mut fleet).is_empty(), "tick {}", fleet.now);
+        }
+        assert_eq!(tick(&mut fleet), vec![joiner]);
+    }
+
+    #[test]
+    fn a_late_hello_forgives_the_silent_misses() {
+        // Slot 1 says `Hello` one tick before it would die, then stops
+        // answering probes: it gets the full miss limit of an idle worker.
+        let config = config();
+        let every = config.heartbeat_every_ticks;
+        let limit = u64::from(config.heartbeat_miss_limit);
+        let mut fleet = Fleet::new(2, vec![100, 200], config);
+        fleet.hello(0, &[]);
+        let dies_at = HELLO_DEADLINE_TICKS.div_ceil(every) * every + limit * every;
+        let tick = |fleet: &mut Fleet| {
+            let out = fleet.tick();
+            for &(slot, seq) in out.probes.iter().filter(|&&(slot, _)| slot == 0) {
+                fleet.heartbeat(slot, seq);
+            }
+            out.deaths
+        };
+        while fleet.now + 1 < dies_at {
+            assert!(tick(&mut fleet).is_empty(), "tick {}", fleet.now);
+        }
+        fleet.hello(1, &[]);
+        let hello_at = fleet.now;
+        let deaths = loop {
+            let deaths = tick(&mut fleet);
+            if !deaths.is_empty() {
+                break deaths;
+            }
+        };
+        assert_eq!(deaths, vec![1]);
+        // One period to the first probe, then `limit + 1` unanswered.
+        assert!(
+            fleet.now - hello_at > (limit + 1) * every,
+            "tick {}",
+            fleet.now
+        );
     }
 
     #[test]

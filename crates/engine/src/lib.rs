@@ -843,13 +843,77 @@ pub fn profile_fingerprint(
     machine: &MachineConfig,
     node: &NodeConfig,
 ) -> u64 {
+    ConfigKey::new(machine, node).fingerprint(workload_id, scale)
+}
+
+/// The config half of a profile key: the `Debug` renderings of one
+/// `(MachineConfig, NodeConfig)` pair, rendered once. A batch whose
+/// tasks share a config keys every task from one `ConfigKey` instead of
+/// rendering the same text per task.
+#[derive(Debug)]
+pub struct ConfigKey {
+    machine: String,
+    node: String,
+}
+
+impl ConfigKey {
+    /// Renders `machine` and `node`.
+    pub fn new(machine: &MachineConfig, node: &NodeConfig) -> ConfigKey {
+        ConfigKey {
+            machine: format!("{machine:?}"),
+            node: format!("{node:?}"),
+        }
+    }
+
+    /// The [`profile_fingerprint`] of `workload_id` at `scale` on this
+    /// config.
+    pub fn fingerprint(&self, workload_id: &str, scale: Scale) -> u64 {
+        let [key] = self.hash_config([key_head(workload_id, scale)]);
+        key
+    }
+
+    /// [`ConfigKey::fingerprint`] of each `(workload_id, scale)`, in
+    /// order, four keys at a time.
+    pub fn fingerprints(&self, keys: &[(&str, Scale)]) -> Vec<u64> {
+        const LANES: usize = 4;
+        let mut out = Vec::with_capacity(keys.len());
+        for chunk in keys.chunks(LANES) {
+            // Spare lanes of a short last chunk hash nothing useful.
+            let mut lanes = [Fnv::new(); LANES];
+            for (lane, &(id, scale)) in lanes.iter_mut().zip(chunk) {
+                *lane = key_head(id, scale);
+            }
+            out.extend(self.hash_config(lanes).into_iter().take(chunk.len()));
+        }
+        out
+    }
+
+    /// Hashes the config text into `N` keys side by side, a byte of each
+    /// in turn. FNV-1a is one dependent multiply per byte: one key alone
+    /// waits on every product, while independent keys overlap theirs.
+    fn hash_config<const N: usize>(&self, mut lanes: [Fnv; N]) -> [u64; N] {
+        for field in [self.machine.as_bytes(), self.node.as_bytes()] {
+            for &b in field {
+                for lane in &mut lanes {
+                    lane.byte(b);
+                }
+            }
+            for lane in &mut lanes {
+                lane.write_u64(field.len() as u64);
+            }
+        }
+        lanes.map(|lane| lane.finish())
+    }
+}
+
+/// A profile key's hash up to its config text: the cache format
+/// version, the workload id and the exact scale factor bits.
+fn key_head(workload_id: &str, scale: Scale) -> Fnv {
     let mut h = Fnv::new();
     h.write_u64(CACHE_FORMAT_VERSION);
     h.write(workload_id.as_bytes());
     h.write_u64(scale.factor().to_bits());
-    h.write_debug(machine);
-    h.write_debug(node);
-    h.finish()
+    h
 }
 
 /// Content fingerprint of one cached sweep: FNV-1a over the cache
@@ -863,7 +927,7 @@ pub fn sweep_fingerprint(workload_id: &str, scale: Scale, capacities_kib: &[u64]
     h.write(b"sweep");
     h.write(workload_id.as_bytes());
     h.write_u64(scale.factor().to_bits());
-    h.write_debug(&SweepFamily::atom());
+    h.write(format!("{:?}", SweepFamily::atom()).as_bytes());
     h.write_u64(capacities_kib.len() as u64);
     for &kib in capacities_kib {
         h.write_u64(kib);
@@ -871,27 +935,27 @@ pub fn sweep_fingerprint(workload_id: &str, scale: Scale, capacities_kib: &[u64]
     h.finish()
 }
 
-/// FNV-1a over length-terminated fields. Its [`std::fmt::Write`] impl
-/// hashes formatted text as it is produced, so a `Debug` field is hashed
-/// without first being rendered into a `String`.
+/// FNV-1a over length-terminated fields.
+#[derive(Clone, Copy)]
 struct Fnv {
     hash: u64,
-    /// Bytes hashed so far in the field being written through `fmt`.
-    field_len: u64,
 }
 
 impl Fnv {
     fn new() -> Self {
         Fnv {
             hash: 0xcbf2_9ce4_8422_2325,
-            field_len: 0,
         }
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.hash ^= u64::from(b);
+        self.hash = self.hash.wrapping_mul(0x1000_0000_01b3);
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x1000_0000_01b3);
+            self.byte(b);
         }
     }
 
@@ -901,31 +965,12 @@ impl Fnv {
         self.write_u64(bytes.len() as u64);
     }
 
-    /// Hashes `value`'s `Debug` rendering as one field: the same bytes
-    /// and terminator as `write(format!("{value:?}").as_bytes())`.
-    fn write_debug(&mut self, value: &dyn std::fmt::Debug) {
-        use std::fmt::Write as _;
-        self.field_len = 0;
-        // Writing into the hasher cannot fail; only a `Debug` impl that
-        // reports an error could, and the hash then covers what it wrote.
-        let _ = write!(self, "{value:?}");
-        self.write_u64(self.field_len);
-    }
-
     fn write_u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
     fn finish(&self) -> u64 {
         self.hash
-    }
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.bytes(s.as_bytes());
-        self.field_len += s.len() as u64;
-        Ok(())
     }
 }
 
@@ -1731,24 +1776,19 @@ mod tests {
     }
 
     #[test]
-    fn debug_fields_hash_like_their_rendered_strings() {
-        // Every cache key depends on this: streaming a `Debug` rendering
-        // into the hasher must hash the bytes of the rendered string.
+    fn cache_keys_are_pinned() {
+        // Every on-disk entry is named and checked by these keys: a
+        // change here is a cache format change, however it comes about.
         let node = NodeConfig::default();
-        let values: [&dyn std::fmt::Debug; 5] = [
-            &MachineConfig::xeon_e5645(),
-            &MachineConfig::atom_d510(),
-            &MachineConfig::atom_sweep(64),
-            &node,
-            &SweepFamily::atom(),
-        ];
-        for value in values {
-            let mut streamed = Fnv::new();
-            streamed.write_debug(value);
-            let mut rendered = Fnv::new();
-            rendered.write(format!("{value:?}").as_bytes());
-            assert_eq!(streamed.finish(), rendered.finish(), "{value:?}");
-        }
+        let key = |machine: &MachineConfig| {
+            profile_fingerprint("H-WordCount", Scale::tiny(), machine, &node)
+        };
+        assert_eq!(key(&MachineConfig::xeon_e5645()), 0x13fc_0dff_a8d6_00f6);
+        assert_eq!(key(&MachineConfig::atom_d510()), 0xde4c_9369_1cbb_5d48);
+        assert_eq!(
+            sweep_fingerprint("H-WordCount", Scale::tiny(), &[16, 32]),
+            0x9467_f325_6f3d_0b67
+        );
     }
 
     #[test]

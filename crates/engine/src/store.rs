@@ -71,9 +71,9 @@ pub struct FileMeta {
 /// Conventions: `read` and `meta` distinguish "not found" (`Ok(None)`)
 /// from real I/O errors; `remove` of a missing file and `list` of a
 /// missing directory succeed (idempotent cleanup). `list` is
-/// non-recursive and returns the sorted paths of regular files only, so
-/// subdirectories such as `quarantine/` are invisible to cache-cap
-/// accounting. It returns names, not sizes: the startup scan and the
+/// non-recursive and returns the paths of regular files only, in byte
+/// order of their names, so subdirectories such as `quarantine/` are
+/// invisible to cache-cap accounting. It returns names, not sizes: the startup scan and the
 /// key listing need nothing else, and a warm engine start lists the
 /// directory on every session. `meta` is the one per-file stat, and only
 /// cache-cap eviction calls it.
@@ -88,8 +88,9 @@ pub trait CacheStore: Send + Sync {
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError>;
     /// Removes a file; missing files are not an error.
     fn remove(&self, path: &Path) -> Result<(), StoreError>;
-    /// Lists the regular files directly under `dir`, sorted (missing
-    /// dir = empty).
+    /// Lists the regular files directly under `dir` in byte order of
+    /// their names (missing dir = empty). For the entries of one
+    /// directory that is the order `Path`'s `Ord` gives.
     fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, StoreError>;
     /// Length and mtime of a file; `Ok(None)` when it does not exist.
     fn meta(&self, path: &Path) -> Result<Option<FileMeta>, StoreError>;
@@ -145,7 +146,10 @@ impl CacheStore for RealFs {
             .filter(|entry| entry.file_type().is_ok_and(|t| t.is_file()))
             .map(|entry| entry.path())
             .collect();
-        files.sort();
+        // Every path is `dir` joined with one name, so comparing whole
+        // paths as bytes orders them by name, as `Path`'s component-wise
+        // `Ord` would, without parsing components on each comparison.
+        files.sort_unstable_by(|a, b| a.as_os_str().cmp(b.as_os_str()));
         Ok(files)
     }
 
@@ -430,6 +434,47 @@ mod tests {
             RealFs.list(&dir).unwrap(),
             vec![dir.join(".x.tmp"), dir.join("a.bin"), dir.join("b.bin")],
             "sorted, no subdirectory, nothing inside it, no symlink"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn real_fs_list_orders_names_as_a_path_sort_does() {
+        // Names that part at `-`, `.`, `_` or a digit, a stem that is a
+        // prefix of another, and a temp file's leading dot.
+        let dir = scratch("list-order");
+        let names = [
+            "a_b.bin",
+            "a0.bin",
+            ".a.bin.tmp1",
+            "a.bin",
+            "a-b.bin",
+            "a.bin.tmp",
+            "ab.bin",
+            "a.b",
+            "a",
+        ];
+        for name in names {
+            RealFs.write(&dir.join(name), name.as_bytes()).unwrap();
+        }
+        let mut by_path: Vec<PathBuf> = names.iter().map(|name| dir.join(name)).collect();
+        by_path.sort();
+        let listed = RealFs.list(&dir).unwrap();
+        assert_eq!(listed, by_path);
+        let listed: Vec<_> = listed.iter().filter_map(|p| p.file_name()).collect();
+        assert_eq!(
+            listed,
+            [
+                ".a.bin.tmp1",
+                "a",
+                "a-b.bin",
+                "a.b",
+                "a.bin",
+                "a.bin.tmp",
+                "a0.bin",
+                "a_b.bin",
+                "ab.bin"
+            ]
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
